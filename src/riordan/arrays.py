@@ -10,7 +10,7 @@ multiplication is (g, f) * (u, v) = (g * u(f), v(f)); the inverse element is
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from .errors import (
     InvalidElementError,
@@ -27,7 +27,7 @@ _ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# entry formatting shared by TriMatrix, ProductionMatrix and the CLI
+# entry formatting for every ExactMatrix
 # ---------------------------------------------------------------------------
 
 def render_rows(rows: Sequence[Sequence[Fraction]]) -> str:
@@ -58,10 +58,6 @@ def rows_to_strings(rows: Sequence[Sequence[Fraction]]) -> list[list[str]]:
     return [[str(c) for c in row] for row in rows]
 
 
-def _freeze_rows(rows: Iterable[Iterable[Fraction]]) -> Rows:
-    return tuple(tuple(c if isinstance(c, Fraction) else Fraction(c) for c in row) for row in rows)
-
-
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Rows:
     """Plain dense product of two row-major rational matrices."""
     if not a or len(a[0]) != len(b):
@@ -80,36 +76,50 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
     return tuple(out)
 
 
-class TriMatrix:
-    """Dense square lower-triangular matrix with exact rational entries."""
+_M = TypeVar("_M", bound="ExactMatrix")
+
+
+class ExactMatrix:
+    """Dense square matrix with exact rational entries that vanish more than
+    ``BAND`` places above the diagonal.
+
+    Storage, validation, access, rendering and equality live here; each
+    subclass fixes ``BAND`` and adds its own operations.  Matrices of
+    different classes never compare equal, even with equal entries.
+    """
 
     __slots__ = ("_rows",)
 
+    BAND = 0
+
     def __init__(self, rows: Iterable[Iterable[Fraction]]):
-        frozen = _freeze_rows(rows)
+        frozen = tuple(
+            tuple(c if isinstance(c, Fraction) else Fraction(c) for c in row)
+            for row in rows
+        )
         size = len(frozen)
         if size == 0:
             raise ShapeError("matrix must have at least one row")
         for i, row in enumerate(frozen):
             if len(row) != size:
                 raise ShapeError(f"row {i} has {len(row)} entries, expected {size}")
-            for j in range(i + 1, size):
+            for j in range(i + self.BAND + 1, size):
                 if row[j]:
                     raise ShapeError(
-                        f"entry ({i}, {j}) above the diagonal is {row[j]}, not zero"
+                        f"entry ({i}, {j}) is {row[j]}, but a {type(self).__name__} "
+                        f"is zero more than {self.BAND} places above the diagonal"
                     )
         self._rows = frozen
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "TriMatrix":
-        """Build from ragged lower rows (row i may list only entries 0..i)."""
+    def from_rows(cls: type[_M], rows: Sequence[Sequence[Fraction | int]]) -> _M:
+        """Build from ragged rows (row i may list only entries 0..i+BAND)."""
         size = len(rows)
         full = []
         for i, row in enumerate(rows):
             if len(row) > size:
                 raise ShapeError(f"row {i} is longer than the matrix size {size}")
-            padded = [Fraction(c) for c in row] + [_ZERO] * (size - len(row))
-            full.append(padded)
+            full.append([Fraction(c) for c in row] + [_ZERO] * (size - len(row)))
         return cls(full)
 
     @property
@@ -129,6 +139,30 @@ class TriMatrix:
 
     def column(self, k: int) -> tuple[Fraction, ...]:
         return tuple(row[k] for row in self._rows)
+
+    def to_text(self) -> str:
+        return render_rows(self._rows)
+
+    def to_json_entries(self) -> list[list[str]]:
+        return rows_to_strings(self._rows)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._rows == other._rows
+
+    def __hash__(self) -> int:
+        return hash(self._rows)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(size={self.size})"
+
+
+
+class TriMatrix(ExactMatrix):
+    """Dense square lower-triangular matrix with exact rational entries."""
+
+    __slots__ = ()
 
     def diagonal(self) -> tuple[Fraction, ...]:
         return tuple(self._rows[i][i] for i in range(self.size))
@@ -176,23 +210,6 @@ class TriMatrix:
     def lower_rows(self) -> list[list[Fraction]]:
         """Ragged rows of the lower triangle (row n has n+1 entries)."""
         return [list(row[: i + 1]) for i, row in enumerate(self._rows)]
-
-    def to_text(self) -> str:
-        return render_rows(self._rows)
-
-    def to_json_entries(self) -> list[list[str]]:
-        return rows_to_strings(self._rows)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TriMatrix):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
-    def __repr__(self) -> str:
-        return f"TriMatrix(size={self.size})"
 
 
 class RiordanElement:

@@ -5,8 +5,9 @@ moment:r, a085478) or by a pair of generating-function expressions ``--g``
 and ``--f``.  Expressions are evaluated with automatic precision headroom
 (order = size + n + 2) so users never manage truncation orders by hand.
 
-Exit codes: 0 on success (and when ``verify`` finds every instance equal),
-1 when ``verify`` finds a mismatch, 2 on usage, parse or precision errors.
+Exit codes: 0 on success (and when ``verify`` finds every instance equal,
+up to the closed form's scalar factor), 1 when ``verify`` finds a mismatch,
+2 on usage, parse or precision errors.
 """
 
 from __future__ import annotations
@@ -109,10 +110,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             lines.append(f"n={report.n} size={report.size}: equal")
         else:
             i, j = report.first_mismatch
+            scale = f" scale={report.scale}" if report.scale != 1 else ""
             lines.append(
                 f"n={report.n} size={report.size}: MISMATCH at ({i}, {j}): "
                 f"produced={report.produced[i, j]} "
-                f"closed_form={report.closed_form[i, j]}"
+                f"closed_form={report.closed_form[i, j]}{scale}"
             )
             lines.append("produced:")
             lines.append(report.produced.to_text())

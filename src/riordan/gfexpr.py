@@ -10,10 +10,10 @@ Grammar (whitespace-insensitive, no implicit multiplication)::
     atom     := INT | 'x' | 'sqrt' '(' expr ')' | 'c' '(' expr ')' | '(' expr ')'
 
 A leading minus therefore negates the whole expression, and exponents are
-integer literals (folded right-associatively at parse time).  ``c(e)`` is the
-Catalan generating function composed with ``e``, which must have zero
-constant term.  Rational constants are written as quotients of integers,
-e.g. ``3/4``.
+integer literals (folded right-associatively at parse time, each within 64
+bits).  ``c(e)`` is the Catalan generating function composed with ``e``,
+which must have zero constant term.  Rational constants are written as
+quotients of integers, e.g. ``3/4``.
 
 Division is valuation-aware: a common power of x is cancelled between
 numerator and denominator first, so quotients like ``(1-sqrt(1-4*x))/(2*x)``
@@ -110,6 +110,14 @@ GfExpression = Union[
 # ---------------------------------------------------------------------------
 
 _SYMBOLS = set("+-*/^()")
+_DIGITS = set("0123456789")
+
+# CPython's default cap on int <-> str conversion; longer literals are a
+# syntax error on every interpreter
+_MAX_LITERAL_DIGITS = 4300
+# folded exponents must fit in this many bits, so towers such as 2^2^2^2^2^2
+# fail before their value is computed
+_EXPONENT_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -127,9 +135,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("int", text[i:j], i))
             i = j
@@ -148,6 +156,20 @@ def _tokenize(text: str) -> list[_Token]:
         raise ExpressionSyntaxError(f"unexpected character {ch!r}", i)
     tokens.append(_Token("end", "", len(text)))
     return tokens
+
+
+def _int_literal(tok: _Token) -> int:
+    if len(tok.text) > _MAX_LITERAL_DIGITS:
+        raise ExpressionSyntaxError(
+            f"integer literal has more than {_MAX_LITERAL_DIGITS} digits", tok.pos
+        )
+    return int(tok.text)
+
+
+def _too_wide(tok: _Token) -> ExpressionSyntaxError:
+    return ExpressionSyntaxError(
+        f"exponent does not fit in {_EXPONENT_BITS} bits", tok.pos
+    )
 
 
 class _Parser:
@@ -209,7 +231,7 @@ class _Parser:
             self._advance()
             return -self._exponent()
         tok = self._expect("int", "an integer exponent")
-        value = int(tok.text)
+        value = _int_literal(tok)
         if self._tok.kind == "^":
             self._advance()
             rest = self._exponent()
@@ -217,14 +239,18 @@ class _Parser:
                 raise ExpressionSyntaxError(
                     "nested exponent must be non-negative", tok.pos
                 )
+            if value > 1 and rest > _EXPONENT_BITS:
+                raise _too_wide(tok)  # value**rest >= 2**rest; never computed
             value = value**rest
+        if value.bit_length() > _EXPONENT_BITS:
+            raise _too_wide(tok)
         return value
 
     def _atom(self) -> GfExpression:
         tok = self._tok
         if tok.kind == "int":
             self._advance()
-            return Lit(Fraction(int(tok.text)), pos=tok.pos)
+            return Lit(Fraction(_int_literal(tok)), pos=tok.pos)
         if tok.kind == "ident":
             self._advance()
             if tok.text == "x":

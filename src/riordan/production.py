@@ -6,32 +6,26 @@ The n-th production matrix generalizes this: remove the top n rows, multiply
 by M^-1, then drop the first n-1 columns.  For a Riordan element the result
 is lower Hessenberg, its column 0 is a Z-sequence and its later columns are
 shifted copies of an A-sequence, so it generates another Riordan matrix.
-This module computes these objects exactly, both by matrix arithmetic and by
-a series route, together with the closed-form element that the n-th
-production matrix generates, and a verifier comparing the two.
+This module computes these objects exactly by matrix arithmetic (the tests
+check that route against an independent one on column generating
+functions), together with the closed-form element that the n-th production
+matrix generates, and a verifier comparing the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Sequence
 
-from .arrays import RiordanElement, Rows, TriMatrix, mat_mul, render_rows, rows_to_strings
+from .arrays import ExactMatrix, RiordanElement, Rows, TriMatrix, mat_mul
 from .errors import PrecisionError, ShapeError
 from .series import TruncatedSeries
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# above this size the O(size^3) inversion of the matrix route starts to lose
-# to the series route, which never inverts a matrix
-_SERIES_ROUTE_THRESHOLD = 32
 
-Method = Literal["auto", "matrix", "series"]
-
-
-class ProductionMatrix:
+class ProductionMatrix(ExactMatrix):
     """Square lower-Hessenberg matrix with exact rational entries.
 
     For production matrices of Riordan elements, column 0 holds the
@@ -39,55 +33,9 @@ class ProductionMatrix:
     k - 1 places.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ()
 
-    def __init__(self, rows: Iterable[Iterable[Fraction]]):
-        frozen = tuple(
-            tuple(c if isinstance(c, Fraction) else Fraction(c) for c in row)
-            for row in rows
-        )
-        size = len(frozen)
-        if size == 0:
-            raise ShapeError("matrix must have at least one row")
-        for i, row in enumerate(frozen):
-            if len(row) != size:
-                raise ShapeError(f"row {i} has {len(row)} entries, expected {size}")
-            for j in range(i + 2, size):
-                if row[j]:
-                    raise ShapeError(
-                        f"entry ({i}, {j}) above the superdiagonal is {row[j]}, "
-                        "matrix is not lower Hessenberg"
-                    )
-        self._rows = frozen
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "ProductionMatrix":
-        """Build from ragged rows (row i may list only entries 0..i+1)."""
-        size = len(rows)
-        full = []
-        for i, row in enumerate(rows):
-            if len(row) > size:
-                raise ShapeError(f"row {i} is longer than the matrix size {size}")
-            full.append([Fraction(c) for c in row] + [_ZERO] * (size - len(row)))
-        return cls(full)
-
-    @property
-    def size(self) -> int:
-        return len(self._rows)
-
-    @property
-    def rows(self) -> Rows:
-        return self._rows
-
-    def __getitem__(self, index: tuple[int, int]) -> Fraction:
-        n, k = index
-        return self._rows[n][k]
-
-    def row(self, n: int) -> tuple[Fraction, ...]:
-        return self._rows[n]
-
-    def column(self, k: int) -> tuple[Fraction, ...]:
-        return tuple(row[k] for row in self._rows)
+    BAND = 1
 
     def z_column(self) -> tuple[Fraction, ...]:
         return self.column(0)
@@ -100,23 +48,6 @@ class ProductionMatrix:
 
     def superdiagonal(self) -> tuple[Fraction, ...]:
         return tuple(self._rows[i][i + 1] for i in range(self.size - 1))
-
-    def to_text(self) -> str:
-        return render_rows(self._rows)
-
-    def to_json_entries(self) -> list[list[str]]:
-        return rows_to_strings(self._rows)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ProductionMatrix):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
-    def __repr__(self) -> str:
-        return f"ProductionMatrix(size={self.size})"
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +62,19 @@ def _require_order(e: RiordanElement, needed: int, what: str) -> None:
         )
 
 
+def _cut(e: RiordanElement, n: int, size: int, col0: int, what: str) -> Rows:
+    # the size x size block of M_lead^-1 times M without its top n rows,
+    # starting at column col0
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if size < 1:
+        raise ValueError("size must be positive")
+    _require_order(e, size + n - 1, what)
+    big = e.matrix(size + n)
+    inv = big.leading(size).inverse()
+    return mat_mul(inv.rows, big.block(n, col0, size, size))
+
+
 def production_block(e: RiordanElement, n: int, size: int) -> Rows:
     """The size x size block of M^-1 times M with its top n rows removed.
 
@@ -138,64 +82,20 @@ def production_block(e: RiordanElement, n: int, size: int) -> Rows:
     first n-1 columns have not yet been removed, so it is generally not
     Hessenberg.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if size < 1:
-        raise ValueError("size must be positive")
-    _require_order(e, size + n - 1, f"a size-{size} block with {n} rows removed")
-    big = e.matrix(size + n)
-    inv = big.leading(size).inverse()
-    shifted = big.block(n, 0, size, size)
-    return mat_mul(inv.rows, shifted)
+    return _cut(e, n, size, 0, f"a size-{size} block with {n} rows removed")
 
 
 def production_matrix(e: RiordanElement, size: int) -> ProductionMatrix:
     """The classical production matrix P with M * P = M shifted up one row."""
-    return ProductionMatrix(production_block(e, 1, size))
+    return nth_production_matrix(e, 1, size)
 
 
-def nth_production_matrix(
-    e: RiordanElement, n: int, size: int, method: Method = "auto"
-) -> ProductionMatrix:
+def nth_production_matrix(e: RiordanElement, n: int, size: int) -> ProductionMatrix:
     """The n-th production matrix: drop n top rows, multiply by the inverse,
     then drop the first n-1 columns.  n=1 is the classical production matrix.
-
-    Both computation routes give bit-identical results; "matrix" inverts the
-    leading block, "series" works on column generating functions and avoids
-    the O(size^3) inversion.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if size < 1:
-        raise ValueError("size must be positive")
-    _require_order(e, size + n - 1, f"the order-{n} production matrix at size {size}")
-    if method == "auto":
-        method = "matrix" if size <= _SERIES_ROUTE_THRESHOLD else "series"
-    if method == "matrix":
-        big = e.matrix(size + n)
-        inv = big.leading(size).inverse()
-        shifted = big.block(n, n - 1, size, size)
-        return ProductionMatrix(mat_mul(inv.rows, shifted))
-    if method == "series":
-        return ProductionMatrix(_columns_by_series(e, n, size))
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _columns_by_series(e: RiordanElement, n: int, size: int) -> list[list[Fraction]]:
-    # column j of the result has generating function
-    #   (1/g(rev f)) * h_j(rev f),  h_j = (g f^(j+n-1) with terms below
-    # degree n dropped) / x^n
-    inv = e.inverse()
-    rows = [[_ZERO] * size for _ in range(size)]
-    gfk = e.g * e.f ** (n - 1)
-    for j in range(size):
-        h = TruncatedSeries(gfk.coefficients[n:])
-        col = inv.ftra_apply(h)
-        for i in range(size):
-            rows[i][j] = col.coefficient(i)
-        if j + 1 < size:
-            gfk = gfk * e.f
-    return rows
+    what = f"the order-{n} production matrix at size {size}"
+    return ProductionMatrix(_cut(e, n, size, n - 1, what))
 
 
 def generate_from_production(p: ProductionMatrix, size: int) -> TriMatrix:
@@ -286,6 +186,7 @@ class VerificationReport:
     closed_form: TriMatrix
     equal: bool
     first_mismatch: tuple[int, int] | None
+    scale: Fraction = _ONE
 
     def to_json_dict(self) -> dict:
         doc: dict = {
@@ -296,6 +197,7 @@ class VerificationReport:
                 "f": [str(c) for c in self.element.f.coefficients],
             },
             "equal": self.equal,
+            "scale": str(self.scale),
             "produced": self.produced.to_json_entries(),
             "closed_form": self.closed_form.to_json_entries(),
             "first_mismatch": None,
@@ -315,17 +217,23 @@ def verify_nth_conjecture(
     e: RiordanElement, n: int, size: int
 ) -> VerificationReport:
     """Generate the matrix from the n-th production matrix and compare it,
-    entry for entry, with the closed form.  Disagreement is reported, not
-    raised: for n >= 4 the equality is not proved, so a counterexample is a
-    legitimate result."""
+    entry for entry, with the closed form.
+
+    A production matrix fixes the triangle it generates only up to a scalar:
+    the generated one starts at row (1, 0, ...), the closed form at
+    g(0) f'(0)^(n-1).  So the check is closed = scale * produced with scale
+    the closed form's (0, 0) entry, which is 1 for normalized elements.
+    Disagreement is reported, not raised: for n >= 4 the equality is not
+    proved, so a counterexample is a legitimate result."""
     produced = generate_from_production(nth_production_matrix(e, n, size), size)
     closed = produced_matrix_closed_form(e, n).matrix(size)
+    scale = closed[0, 0]
     mismatch = None
     for i in range(size):
         if mismatch:
             break
         for j in range(i + 1):
-            if produced[i, j] != closed[i, j]:
+            if scale * produced[i, j] != closed[i, j]:
                 mismatch = (i, j)
                 break
     return VerificationReport(
@@ -336,4 +244,5 @@ def verify_nth_conjecture(
         closed_form=closed,
         equal=mismatch is None,
         first_mismatch=mismatch,
+        scale=scale,
     )

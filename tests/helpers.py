@@ -10,7 +10,7 @@ import math
 import random
 from fractions import Fraction
 
-from riordan import RiordanElement, TruncatedSeries
+from riordan import ProductionMatrix, RiordanElement, TruncatedSeries
 
 
 def frac_rows(rows):
@@ -71,6 +71,24 @@ def lower_inverse_rows(m):
     return out
 
 
+def production_by_series(e, n, size):
+    """The n-th production matrix of ``e`` by column generating functions,
+    an oracle for the library's matrix route that never inverts a matrix.
+
+    Column j has generating function (1/g(rev f)) * h_j(rev f), where h_j is
+    g f^(j+n-1) with its terms below degree n dropped, divided by x^n.
+    """
+    inv = e.inverse()
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    gfk = e.g * e.f ** (n - 1)
+    for j in range(size):
+        column = inv.ftra_apply(TruncatedSeries(gfk.coefficients[n:]))
+        for i in range(size):
+            rows[i][j] = column.coefficient(i)
+        gfk = gfk * e.f
+    return ProductionMatrix(rows)
+
+
 def catalan_number(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
@@ -101,6 +119,22 @@ def random_normalized_element(rng: random.Random, order: int) -> RiordanElement:
     )
 
 
+def random_non_normalized_element(rng: random.Random, order: int) -> RiordanElement:
+    """Polynomial (g, f) with rational g(0), f'(0) other than 1 and the
+    remaining coefficients in [-3, 3]."""
+    units = [Fraction(p, q) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 2, 3) if p != q]
+    g = [rng.choice(units)] + [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
+    f = [0, rng.choice(units)] + [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
+    return RiordanElement(
+        TruncatedSeries(g, order), TruncatedSeries(f, order)
+    )
+
+
 def element_battery(count: int, order: int, seed: int) -> list[RiordanElement]:
     rng = random.Random(seed)
     return [random_normalized_element(rng, order) for _ in range(count)]
+
+
+def non_normalized_battery(count: int, order: int, seed: int) -> list[RiordanElement]:
+    rng = random.Random(seed)
+    return [random_non_normalized_element(rng, order) for _ in range(count)]

@@ -15,6 +15,7 @@ from helpers import (
 from riordan import (
     InvalidElementError,
     PrecisionError,
+    ProductionMatrix,
     RiordanElement,
     ShapeError,
     SingularMatrixError,
@@ -216,6 +217,18 @@ class TestTriMatrix:
     def test_above_diagonal_rejected(self):
         with pytest.raises(ShapeError):
             TriMatrix([[F(1), F(2)], [F(0), F(1)]])
+        with pytest.raises(ShapeError):
+            TriMatrix.from_rows([[1, 1], [0, 1]])
+        # one place above is the superdiagonal a ProductionMatrix may use
+        assert ProductionMatrix.from_rows([[1, 1], [0, 1]]).size == 2
+
+    def test_never_equals_a_production_matrix(self):
+        rows = [[1], [2, 3]]
+        t = TriMatrix.from_rows(rows)
+        p = ProductionMatrix.from_rows(rows)
+        assert t.rows == p.rows
+        assert t != p and p != t
+        assert repr(t) == "TriMatrix(size=2)" and repr(p) == "ProductionMatrix(size=2)"
 
     def test_row_too_long_rejected(self):
         with pytest.raises(ShapeError):

@@ -64,6 +64,21 @@ class TestShow:
         code, _, _ = run(capsys, "show", "--g", "1/(1-x)")
         assert code == 2
 
+    def test_overlong_integer_literal_exits_2(self, capsys):
+        big = "9" * 5000
+        for g, f in ((big, "x"), ("1", f"x^{big}")):
+            code, out, err = run(capsys, "show", "--g", g, "--f", f, "--size", "3")
+            assert code == 2 and out == ""
+            assert err.startswith("error: integer literal has more than")
+            assert "Traceback" not in err
+
+    def test_exponent_tower_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "show", "--g", "1", "--f", "x^2^2^2^2^2^2", "--size", "3"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: exponent does not fit in 64 bits (at offset 4)\n"
+
     def test_nonpositive_size_exits_2(self, capsys):
         code, _, err = run(capsys, "show", "--family", "pascal", "--size", "0")
         assert code == 2
@@ -125,6 +140,23 @@ class TestVerify:
         assert code == 0
         assert doc["reports"][0]["equal"] is True
 
+    def test_non_normalized_n1_is_equal(self, capsys):
+        code, out, _ = run(capsys, "verify", "--g", "2", "--f", "x", "--n", "1", "--size", "3")
+        assert code == 0
+        assert out == "n=1 size=3: equal\n"
+
+    def test_non_normalized_reports_scale(self, capsys):
+        code, doc, _ = run_json(
+            capsys, "verify", "--g", "2+x", "--f", "3*x/(1-x)", "--n", "2..5"
+        )
+        assert code == 0 and doc["all_equal"] is True
+        assert [r["scale"] for r in doc["reports"]] == ["6", "18", "54", "162"]
+        code, doc, _ = run_json(
+            capsys, "verify", "--g", "2/3-x", "--f", "3*x/4+x^2", "--n", "1..3", "--size", "6"
+        )
+        assert code == 0 and doc["all_equal"] is True
+        assert [r["scale"] for r in doc["reports"]] == ["2/3", "1/2", "3/8"]
+
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--family", "pascal", "--n", "4..2")
         assert code == 2
@@ -147,6 +179,26 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--family", "pascal", "--n", "2")
         assert code == 1
         assert "MISMATCH at (1, 0)" in out
+
+    def test_mismatch_line_names_a_scale_other_than_one(self, capsys, monkeypatch):
+        fake = VerificationReport(
+            element=pascal(4),
+            n=2,
+            size=2,
+            produced=TriMatrix.from_rows([[1], [1, 1]]),
+            closed_form=TriMatrix.from_rows([[2], [3, 2]]),
+            equal=False,
+            first_mismatch=(1, 0),
+            scale=F(2),
+        )
+        monkeypatch.setattr(
+            "riordan.cli.verify_nth_conjecture", lambda e, n, size: fake
+        )
+        code, out, _ = run(capsys, "verify", "--family", "pascal", "--n", "2")
+        assert code == 1
+        assert out.startswith(
+            "n=2 size=2: MISMATCH at (1, 0): produced=1 closed_form=3 scale=2\n"
+        )
 
 
 class TestIdentify:

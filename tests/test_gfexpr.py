@@ -47,6 +47,9 @@ class TestParse:
     def test_power_right_associative_fold(self):
         assert parse("x^2^3") == Pow(Var(), 8)
         assert parse("x^-2") == Pow(Var(), -2)
+        assert parse("x^2^63") == Pow(Var(), 2**63)
+        assert parse("x^18446744073709551615") == Pow(Var(), 2**64 - 1)
+        assert parse("x^1^100000") == Pow(Var(), 1)
 
     def test_unbalanced_paren_position(self):
         with pytest.raises(ExpressionSyntaxError) as err:
@@ -67,10 +70,33 @@ class TestParse:
         with pytest.raises(ExpressionSyntaxError) as err:
             parse("1 ? 2")
         assert err.value.position == 2
+        # a superscript two is a digit to str.isdigit, but not to int()
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse("1+\u00b2")
+        assert err.value.position == 2
 
     def test_fractional_exponent_rejected(self):
         with pytest.raises(ExpressionSyntaxError):
             parse("x^x")
+
+    def test_overlong_integer_literal_rejected_at_its_offset(self):
+        big = "9" * 5000
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse(f"1+{big}*x")
+        assert err.value.position == 2
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse(f"x^{big}")
+        assert err.value.position == 2
+
+    def test_exponent_tower_rejected_before_folding(self):
+        # 2^2^2^2^2^2 is 2^(2^65536); the bound stops it at the second 2
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse("x^2^2^2^2^2^2")
+        assert err.value.position == 4
+        with pytest.raises(ExpressionSyntaxError):
+            parse("x^2^64")
+        with pytest.raises(ExpressionSyntaxError):
+            parse("x^-18446744073709551616")
 
 
 class TestEvaluate:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import reference_data as ref
-from helpers import frac_rows, lower_inverse_rows, mat_mul_rows
+from helpers import frac_rows, lower_inverse_rows, mat_mul_rows, production_by_series
 from riordan import (
     PrecisionError,
     ProductionMatrix,
@@ -34,6 +34,9 @@ class TestProductionMatrixType:
     def test_hessenberg_validation(self):
         with pytest.raises(ShapeError):
             ProductionMatrix([[F(1), F(1), F(1)], [F(0), F(1), F(1)], [F(0), F(0), F(1)]])
+        with pytest.raises(ShapeError):
+            ProductionMatrix.from_rows([[1, 1, 1], [0, 1], [0, 0, 1]])
+        assert ProductionMatrix.from_rows([[1, 1], [0, 1, 1], [0, 0, 1]]).size == 3
 
     def test_accessors(self):
         p = ProductionMatrix.from_rows([[1, 1], [0, 2, 1], [0, -1, 2]])
@@ -121,11 +124,13 @@ class TestNthProduction:
             assert nth_production_matrix(e, 1, 8) == production_matrix(e, 8)
 
     def test_matrix_and_series_routes_agree(self, battery):
-        for e in battery[:8]:
+        rational = RiordanElement(
+            TruncatedSeries([F(2, 3), F(-1, 2), 1], 14),
+            TruncatedSeries([0, F(3, 2), F(1, 4), -1], 14),
+        )
+        for e in [*battery[:8], rational]:
             for n in (1, 2, 3, 5):
-                assert nth_production_matrix(
-                    e, n, 7, method="matrix"
-                ) == nth_production_matrix(e, n, 7, method="series")
+                assert nth_production_matrix(e, n, 7) == production_by_series(e, n, 7)
 
     def test_superdiagonal_ones_for_normalized(self, battery):
         for e in battery[:6]:
@@ -281,9 +286,33 @@ class TestVerification:
         report = verify_nth_conjecture(e, 5, 8)
         assert report.equal
 
+    def test_non_normalized_battery_equal_up_to_scale(self, non_normalized):
+        for e in non_normalized:
+            g0, f1 = e.g.constant_term, e.f.coefficient(1)
+            for n in range(1, 6):
+                report = verify_nth_conjecture(e, n, 8)
+                assert report.equal, (e, n, report.first_mismatch)
+                assert report.scale == g0 * f1 ** (n - 1)
+                assert report.closed_form.rows == tuple(
+                    tuple(report.scale * c for c in row) for row in report.produced.rows
+                )
+
+    def test_mismatch_beyond_scale_is_reported(self, monkeypatch):
+        # doubling every row of P but the first changes the generated
+        # triangle from row 2 on, and not by one common factor
+        e = pascal(9)
+        good = nth_production_matrix(e, 2, 5)
+        bad = ProductionMatrix([good.row(0)] + [[2 * c for c in row] for row in good.rows[1:]])
+        monkeypatch.setattr(
+            "riordan.production.nth_production_matrix", lambda *args: bad
+        )
+        report = verify_nth_conjecture(e, 2, 5)
+        assert not report.equal and report.first_mismatch[0] == 2
+
     def test_json_document_shape(self):
         report = verify_nth_conjecture(pascal(9), 2, 5)
         doc = report.to_json_dict()
+        assert report.scale == 1 and doc["scale"] == "1"
         assert doc["equal"] is True
         assert doc["first_mismatch"] is None
         assert doc["n"] == 2 and doc["size"] == 5
