@@ -287,8 +287,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise RiordanError("--size must be at least 1")
         return args.handler(args)
     except RiordanError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
+        message = str(err)
+    except ValueError as err:
+        # CPython refuses to print an integer longer than its int/str
+        # conversion limit; any other ValueError is a bug
+        if "integer string conversion" not in str(err):
+            raise
+        message = (
+            f"a result has an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, the most this interpreter prints"
+        )
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 def entry_point() -> None:

@@ -115,6 +115,7 @@ _DIGITS = set("0123456789")
 # CPython's default cap on int <-> str conversion; longer literals are a
 # syntax error on every interpreter
 _MAX_LITERAL_DIGITS = 4300
+_MAX_LITERAL_BITS = (10**_MAX_LITERAL_DIGITS - 1).bit_length()
 # folded exponents must fit in this many bits, so towers such as 2^2^2^2^2^2
 # fail before their value is computed
 _EXPONENT_BITS = 64
@@ -309,6 +310,17 @@ def _eval(node: GfExpression, order: int) -> TruncatedSeries:
         return _eval_div(node, order)
     if isinstance(node, Pow):
         base = _eval(node.base, order)
+        c = base.constant_term
+        # c^e has a numerator or denominator of at least 2^((bits - 1) |e|);
+        # for c other than 0 and +-1 that can outgrow memory before it is
+        # computed
+        bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+        if (bits - 1) * abs(node.exponent) > _MAX_LITERAL_BITS:
+            raise ExpressionEvalError(
+                f"constant term {c} to the power {node.exponent} has more "
+                f"than {_MAX_LITERAL_DIGITS} digits",
+                node.pos,
+            )
         with _positioned(node.pos):
             return base**node.exponent
     if isinstance(node, SqrtCall):

@@ -35,21 +35,14 @@ class SequenceMatch:
 class OeisIndex:
     """Read-only index over a stripped dump.
 
-    Built once; safe to share between threads afterwards.  A probe table
-    keyed by the first MIN_QUERY_VALUES terms at each admissible offset makes
-    lookups cheap even for a full dump.
+    Built once; safe to share between threads afterwards.  A lookup scans
+    every entry: a process typically loads a dump for one lookup, and one
+    scan costs less than building a table keyed by prefixes would.
     """
 
     def __init__(self, entries: Mapping[str, Sequence[int]], skipped_lines: int = 0):
         self._entries = {key: tuple(seq) for key, seq in entries.items()}
         self._skipped = skipped_lines
-        probe: dict[tuple[int, ...], list[tuple[int, str]]] = {}
-        for anumber, seq in self._entries.items():
-            for offset in range(MAX_START_OFFSET + 1):
-                if len(seq) >= offset + MIN_QUERY_VALUES:
-                    key = seq[offset : offset + MIN_QUERY_VALUES]
-                    probe.setdefault(key, []).append((offset, anumber))
-        self._probe = probe
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -71,19 +64,13 @@ class OeisIndex:
         inside the stored prefix.
         """
         values = self._validated(values)
-        best: dict[str, int] = {}
-        head = tuple(values[:MIN_QUERY_VALUES])
-        for offset, anumber in self._probe.get(head, ()):
-            stored = self._entries[anumber]
-            if len(stored) < offset + len(values):
-                continue
-            if stored[offset : offset + len(values)] == values:
-                if anumber not in best or offset < best[anumber]:
-                    best[anumber] = offset
-        return sorted(
-            (SequenceMatch(anumber, offset) for anumber, offset in best.items()),
-            key=lambda m: (m.offset, m.anumber),
-        )
+        matches = []
+        for anumber, stored in self._entries.items():
+            for offset in range(MAX_START_OFFSET + 1):
+                if stored[offset : offset + len(values)] == values:
+                    matches.append(SequenceMatch(anumber, offset))
+                    break
+        return sorted(matches, key=lambda m: (m.offset, m.anumber))
 
     def identify_triangle(self, m: TriMatrix) -> list[SequenceMatch]:
         """Identify a triangle read by rows (row 0 first)."""

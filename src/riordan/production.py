@@ -110,18 +110,10 @@ def generate_from_production(p: ProductionMatrix, size: int) -> TriMatrix:
             f"a size-{p.size} production matrix cannot generate {size} rows; "
             f"need size >= {size}"
         )
-    rows = [[_ZERO] * size for _ in range(size)]
-    rows[0][0] = _ONE
-    for i in range(size - 1):
-        current = rows[i]
-        nxt = rows[i + 1]
-        for k in range(min(i + 1, size)):
-            cik = current[k]
-            if cik:
-                prow = p.row(k)
-                for j in range(min(k + 2, size)):
-                    if prow[j]:
-                        nxt[j] += cik * prow[j]
+    lead = tuple(row[:size] for row in p.rows[:size])
+    rows = [(_ONE,) + (_ZERO,) * (size - 1)]
+    for _ in range(size - 1):
+        rows += mat_mul(rows[-1:], lead)
     return TriMatrix(rows)
 
 

@@ -27,7 +27,6 @@ from .errors import (
 Rational = Union[Fraction, int]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +295,7 @@ class TruncatedSeries:
     def revert(self) -> "TruncatedSeries":
         """Compositional inverse: the series r with self(r(x)) = x.
 
-        Solved order by order: the coefficient of x^n in self(r) is linear in
-        r_n once r_1..r_(n-1) are fixed, so each step reads off one
-        coefficient of the partial composition.
+        By Lagrange inversion, [x^n] r = (1/n) [x^(n-1)] (x/self)^n.
         """
         if self._coeffs[0]:
             raise ReversionError(
@@ -308,16 +305,15 @@ class TruncatedSeries:
             raise ReversionError(
                 "reversion needs the linear coefficient; order 0 is not enough"
             )
-        f1 = self._coeffs[1]
-        if not f1:
+        if not self._coeffs[1]:
             raise ReversionError(
                 "reversion requires a nonzero linear coefficient"
             )
-        out = [_ZERO, _ONE / f1]
-        for n in range(2, self.order + 1):
-            partial = out + [_ZERO]
-            h = _compose_lists(self._coeffs[: n + 1], partial)
-            out.append(-h[n] / f1)
+        u = 1 / self.shift_down(1)  # x/self, known to order self.order - 1
+        out, power = [_ZERO], u
+        for n in range(1, self.order + 1):
+            out.append(power[n - 1] / n)
+            power = power * u
         return TruncatedSeries(out)
 
     def sqrt(self) -> "TruncatedSeries":

@@ -32,6 +32,21 @@ def poly_mul(a, b, degree):
     return out
 
 
+def revert_by_recurrence(f, order):
+    """Compositional inverse of f (f0 = 0, f1 != 0) up to x^order, solved
+    order by order: with r_n still 0, [x^n] f(r) + f1 * r_n must vanish."""
+    f = [Fraction(c) for c in f[: order + 1]]
+    r = [Fraction(0), 1 / f[1]]
+    for n in range(2, order + 1):
+        r.append(Fraction(0))
+        rest, power = Fraction(0), [Fraction(1)]
+        for k in range(1, min(n, len(f) - 1) + 1):
+            power = poly_mul(power, r, n)
+            rest += f[k] * power[n]
+        r[n] = -rest / f[1]
+    return r
+
+
 def gf_entry(g, f, n, k):
     """[x^n] g * f^k computed by repeated naive convolution."""
     acc = [Fraction(c) for c in g[: n + 1]] + [Fraction(0)] * max(0, n + 1 - len(g))

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction as F
 
 import reference_data as ref
@@ -78,6 +79,29 @@ class TestShow:
         )
         assert code == 2 and out == ""
         assert err == "error: exponent does not fit in 64 bits (at offset 4)\n"
+
+    def test_constant_base_power_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "show", "--g", "2^4611686018427387904", "--f", "x", "--size", "3"
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: constant term 2 to the power 4611686018427387904 has more "
+            "than 4300 digits (at offset 1)\n"
+        )
+
+    def test_entries_over_the_digit_limit_exit_2(self, capsys):
+        cases = (
+            ("show", "--g", "1", "--f", "10^1000*x", "--size", "6"),
+            ("show", "--g", "(1/2)^100000", "--f", "x", "--size", "3"),
+            ("show", "--g", "3^9100", "--f", "x", "--size", "2"),
+            ("verify", "--g", "1", "--f", "10^1000*x", "--size", "6"),
+        )
+        for argv in cases:
+            for extra in ((), ("--json",)):
+                code, out, err = run(capsys, *argv, *extra)
+                assert code == 2 and out == ""
+                assert err.startswith("error: ") and "4300 digits" in err
 
     def test_nonpositive_size_exits_2(self, capsys):
         code, _, err = run(capsys, "show", "--family", "pascal", "--size", "0")
@@ -287,3 +311,62 @@ class TestTextJsonParity:
         assert code == 0
         text_rows = [line.split() for line in text_out.strip().splitlines()]
         assert [[str(F(s)) for s in row] for row in text_rows] == doc["matrix"]
+
+
+class TestFuzz:
+    """Seeded random grammar expressions through show, prod and verify: every
+    run ends in exit 0, 1 or 2 and no exception escapes ``main``."""
+
+    RUNS = 200
+    WIDE = ("63", str(2**63 - 1), str(2**64), "2^2^2^2^2^2", "4611686018427387904")
+
+    def atom(self, rng):
+        roll = rng.random()
+        if roll < 0.45:
+            return "x"
+        if roll < 0.9:
+            return str(rng.randint(0, 9))
+        return rng.choice(("7" * 40, "7" * 4300, "7" * 4301, "(10^1000)"))
+
+    def expr(self, rng, depth):
+        if depth == 0 or rng.random() < 0.25:
+            return self.atom(rng)
+        kind = rng.randrange(6)
+        a = self.expr(rng, depth - 1)
+        if kind < 2:
+            return f"({a}{rng.choice('+-*/')}{self.expr(rng, depth - 1)})"
+        if kind == 2:
+            wide = rng.choice(self.WIDE)
+            exponent = rng.choice((str(rng.randint(-3, 5)), wide, "-" + wide))
+            return f"({a})^{exponent}"
+        if kind == 3:
+            return rng.choice(("sqrt({})", "sqrt(1+x*{})", "c({})", "c(x*{})")).format(a)
+        if kind == 4:
+            return f"(-{a})"
+        return f"(1+x*{a})"
+
+    def element(self, rng):
+        g = rng.choice(("{}", "1+x*{}")).format(self.expr(rng, 3))
+        f = rng.choice(("{}", "x/{}", "x*(1+x*{})")).format(self.expr(rng, 3))
+        if rng.random() < 0.1:  # a stray character somewhere
+            at = rng.randrange(len(f) + 1)
+            f = f[:at] + rng.choice("()^*?²") + f[at:]
+        return [f"--g={g}", f"--f={f}", "--size", str(rng.randint(1, 6))]
+
+    def test_random_expressions_never_raise(self, capsys):
+        rng = random.Random(20261017)
+        codes = []
+        for _ in range(self.RUNS):
+            command = rng.choice(
+                (
+                    ["show"],
+                    ["prod", "--n", str(rng.randint(1, 3))],
+                    ["verify", "--n", rng.choice(("1", "2", "1..3"))],
+                )
+            )
+            argv = command + self.element(rng)
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1, 2), argv
+            assert code != 2 or err.startswith("error: "), argv
+            codes.append(code)
+        assert codes.count(0) >= self.RUNS // 10  # not all rejected

@@ -150,6 +150,25 @@ class TestEvaluate:
         with pytest.raises(ExpressionEvalError):
             evaluate_text("(2*x)^-1", 5)
 
+    def test_constant_base_power_bounded_by_the_literal_limit(self):
+        # the bound is a lower estimate: 2^14285 (4301 digits) passes, and
+        # printing it is refused later; one more bit is refused here
+        assert evaluate_text("2^14285", 1).constant_term == 2**14285
+        for text, pos in (
+            ("1+(2+x)^14286", 7),
+            ("(1/2)^100000", 5),
+            ("(3*x-7)^-4611686018427387904", 7),
+        ):
+            with pytest.raises(ExpressionEvalError) as err:
+                evaluate_text(text, 3)
+            assert err.value.position == pos
+            assert "4300 digits" in str(err.value)
+        wide = 2**63 - 1
+        got = evaluate_text(f"(1+x)^{wide}", 2)
+        assert got.coefficients == (1, wide, wide * (wide - 1) // 2)
+        for text in (f"(-1)^{wide}", f"x^{wide}", f"(1-x)^-{wide}"):
+            evaluate_text(text, 4)
+
     def test_catalan_of_negated_argument(self):
         got = evaluate_text("c(-x)", 8)
         for n in range(9):

@@ -92,6 +92,19 @@ class TestSequenceLookup:
         assert first == [SequenceMatch("A000012", 0), SequenceMatch("A999999", 0)]
         assert first == idx.identify_sequence([1] * 6)
 
+    def test_each_entry_once_at_its_smallest_offset(self, tmp_path):
+        path = tmp_path / "shifted.txt"
+        path.write_text(
+            "A000002 ,0,1,1,1,1,1,1,1,\n"
+            "A000001 ,7,0,1,1,1,1,1,1,\n"
+            "A000003 ,0,0,0,1,1,1,1,1,\n"
+        )
+        idx = load_stripped(path)
+        assert idx.identify_sequence([1] * 6) == [
+            SequenceMatch("A000002", 1),
+            SequenceMatch("A000001", 2),
+        ]
+
 
 class TestTriangleLookup:
     def test_catalan_array(self, index):

@@ -3,7 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import binomial_series, catalan_number, random_series
+from helpers import (
+    binomial_series,
+    catalan_number,
+    random_series,
+    revert_by_recurrence,
+)
 from riordan import (
     CompositionError,
     NonUnitError,
@@ -161,6 +166,26 @@ class TestReversion:
             rev = f.revert()
             assert f.compose(rev) == x
             assert rev.compose(f) == x
+
+    @pytest.mark.parametrize(
+        "units, tail",
+        [
+            ([1], range(-3, 4)),  # normalized
+            ([-3, -1, 2, 5], range(-3, 4)),  # non-normalized
+            (
+                [F(-2, 3), F(3, 4), F(5, 2)],
+                [F(p, q) for p in (-2, 1, 3) for q in (1, 2, 5)],
+            ),
+        ],
+        ids=["normalized", "non_normalized", "rational"],
+    )
+    def test_matches_order_by_order_recurrence(self, units, tail):
+        rng = random.Random(30)
+        tail = list(tail)
+        for order in (1, 2, 3, 8, 30):
+            coeffs = [0, rng.choice(units)] + [rng.choice(tail) for _ in range(order - 1)]
+            rev = TruncatedSeries(coeffs).revert()
+            assert list(rev.coefficients) == revert_by_recurrence(coeffs, order)
 
     @pytest.mark.parametrize(
         "coeffs", [[1, 1], [0, 0, 1], [0]]
