@@ -164,9 +164,6 @@ class TriMatrix(ExactMatrix):
 
     __slots__ = ()
 
-    def diagonal(self) -> tuple[Fraction, ...]:
-        return tuple(self._rows[i][i] for i in range(self.size))
-
     def leading(self, size: int) -> "TriMatrix":
         if size > self.size:
             raise ShapeError(f"cannot take a {size}x{size} block of a {self.size}x{self.size} matrix")
@@ -187,25 +184,27 @@ class TriMatrix(ExactMatrix):
 
     __matmul__ = mul
 
-    def inverse(self) -> "TriMatrix":
-        """Exact inverse by forward substitution, column by column."""
-        n = self.size
-        for i in range(n):
-            if not self._rows[i][i]:
+    def solve(self, rhs: Sequence[Sequence[Fraction]]) -> Rows:
+        """X with self * X = rhs, by forward substitution one row at a time;
+        only the first len(rhs) rows of self are read."""
+        if len(rhs) > self.size:
+            raise ShapeError(f"{len(rhs)} right-hand rows for a size-{self.size} matrix")
+        out: list[tuple[Fraction, ...]] = []
+        for i, b in enumerate(rhs):
+            pivot = self._rows[i][i]
+            if not pivot:
                 raise SingularMatrixError(f"zero diagonal entry at ({i}, {i})")
-        inv = [[_ZERO] * n for _ in range(n)]
-        for j in range(n):
-            inv[j][j] = _ONE / self._rows[j][j]
-            for i in range(j + 1, n):
-                acc = _ZERO
-                for k in range(j, i):
-                    if self._rows[i][k] and inv[k][j]:
-                        acc += self._rows[i][k] * inv[k][j]
-                inv[i][j] = -acc / self._rows[i][i]
-        return TriMatrix(inv)
+            if i:
+                (known,) = mat_mul((self._rows[i][:i],), out)
+                b = [bj - kj for bj, kj in zip(b, known)]
+            out.append(tuple(c / pivot for c in b))
+        return tuple(out)
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for row in self._rows for c in row)
+    def inverse(self) -> "TriMatrix":
+        """Exact inverse: a solve against the identity."""
+        n = self.size
+        identity = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+        return TriMatrix(self.solve(identity))
 
     def lower_rows(self) -> list[list[Fraction]]:
         """Ragged rows of the lower triangle (row n has n+1 entries)."""

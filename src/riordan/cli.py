@@ -3,7 +3,8 @@
 Elements are named either by ``--family`` (pascal, binomial:r, catalan,
 moment:r, a085478) or by a pair of generating-function expressions ``--g``
 and ``--f``.  Expressions are evaluated with automatic precision headroom
-(order = size + n + 2) so users never manage truncation orders by hand.
+(order = size + n + 2, at most ``MAX_ORDER``) so users never manage
+truncation orders by hand.
 
 Exit codes: 0 on success (and when ``verify`` finds every instance equal,
 up to the closed form's scalar factor), 1 when ``verify`` finds a mismatch,
@@ -36,11 +37,21 @@ EXIT_MISMATCH = 1
 EXIT_ERROR = 2
 
 DEFAULT_SIZE = 8
+# the highest truncation order a command may ask for; exact matrix work grows
+# with the cube of the order (about 5 s for show at size 200), and a larger
+# order from a few typed digits would only allocate series until memory runs out
+MAX_ORDER = 1000
 OEIS_PATH_ENV = "OEIS_STRIPPED_PATH"
 
 
 def _headroom(size: int, n: int = 0) -> int:
-    return size + n + 2
+    order = size + n + 2
+    if order > MAX_ORDER:
+        raise RiordanError(
+            f"this needs truncation order {order}, above the limit of "
+            f"{MAX_ORDER}; lower --size, --n or --iterate"
+        )
+    return order
 
 
 def _resolve_element(args: argparse.Namespace, order: int) -> RiordanElement:
@@ -56,7 +67,7 @@ def _resolve_element(args: argparse.Namespace, order: int) -> RiordanElement:
     )
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str) -> range:
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
@@ -69,7 +80,7 @@ def _parse_n_range(text: str) -> list[int]:
         ) from err
     if lo < 1 or hi < lo:
         raise RiordanError(f"bad --n range {text!r}: need 1 <= first <= last")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _emit(doc: dict, text: str, as_json: bool) -> None:
@@ -102,7 +113,7 @@ def _cmd_prod(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     ns = _parse_n_range(args.n)
-    element = _resolve_element(args, _headroom(args.size, max(ns)))
+    element = _resolve_element(args, _headroom(args.size, ns[-1]))
     reports = [verify_nth_conjecture(element, n, args.size) for n in ns]
     lines = []
     for report in reports:
@@ -166,8 +177,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
     steps = args.iterate if args.iterate is not None else 0
     if steps < 0:
         raise RiordanError("--iterate must be non-negative")
-    order = _headroom(args.size) + steps
-    element = family_element(args.name, order)
+    element = family_element(args.name, _headroom(args.size, steps))
     matrix = element.matrix(args.size)
     p = production_matrix(element, args.size)
     doc = {

@@ -193,7 +193,12 @@ class _Parser:
         return self._advance()
 
     def parse(self) -> GfExpression:
-        node = self._expr()
+        try:
+            node = self._expr()
+        except RecursionError:
+            raise ExpressionSyntaxError(
+                "expression nests too deeply", self._tok.pos
+            ) from None
         if self._tok.kind != "end":
             raise ExpressionSyntaxError("unexpected trailing input", self._tok.pos)
         return node
@@ -286,30 +291,39 @@ def evaluate(expr: GfExpression, order: int) -> TruncatedSeries:
     """Evaluate a syntax tree to an exact series at the given order."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    return _eval(expr, order)
+    try:
+        return _eval(expr, order, {})
+    except RecursionError:
+        raise ExpressionEvalError("expression nests too deeply", expr.pos) from None
 
 
 def evaluate_text(text: str, order: int) -> TruncatedSeries:
     return evaluate(parse(text), order)
 
 
-def _eval(node: GfExpression, order: int) -> TruncatedSeries:
+# ``memo`` maps (id(node), order) to the node's value at that order for one
+# evaluation, so a subtree that a shifted division re-evaluates at a higher
+# order is still computed once per order rather than once per path to it
+def _eval(node: GfExpression, order: int, memo: dict) -> TruncatedSeries:
+    key = (id(node), order)
+    if key in memo:
+        return memo[key]
     if isinstance(node, Lit):
-        return TruncatedSeries.constant(node.value, order)
-    if isinstance(node, Var):
-        return TruncatedSeries.x(order)
-    if isinstance(node, Neg):
-        return -_eval(node.arg, order)
-    if isinstance(node, Add):
-        return _eval(node.left, order) + _eval(node.right, order)
-    if isinstance(node, Sub):
-        return _eval(node.left, order) - _eval(node.right, order)
-    if isinstance(node, Mul):
-        return _eval(node.left, order) * _eval(node.right, order)
-    if isinstance(node, Div):
-        return _eval_div(node, order)
-    if isinstance(node, Pow):
-        base = _eval(node.base, order)
+        result = TruncatedSeries.constant(node.value, order)
+    elif isinstance(node, Var):
+        result = TruncatedSeries.x(order)
+    elif isinstance(node, Neg):
+        result = -_eval(node.arg, order, memo)
+    elif isinstance(node, Add):
+        result = _eval(node.left, order, memo) + _eval(node.right, order, memo)
+    elif isinstance(node, Sub):
+        result = _eval(node.left, order, memo) - _eval(node.right, order, memo)
+    elif isinstance(node, Mul):
+        result = _eval(node.left, order, memo) * _eval(node.right, order, memo)
+    elif isinstance(node, Div):
+        result = _eval_div(node, order, memo)
+    elif isinstance(node, Pow):
+        base = _eval(node.base, order, memo)
         c = base.constant_term
         # c^e has a numerator or denominator of at least 2^((bits - 1) |e|);
         # for c other than 0 and +-1 that can outgrow memory before it is
@@ -322,30 +336,33 @@ def _eval(node: GfExpression, order: int) -> TruncatedSeries:
                 node.pos,
             )
         with _positioned(node.pos):
-            return base**node.exponent
-    if isinstance(node, SqrtCall):
-        arg = _eval(node.arg, order)
+            result = base**node.exponent
+    elif isinstance(node, SqrtCall):
+        arg = _eval(node.arg, order, memo)
         with _positioned(node.pos):
-            return arg.sqrt()
-    if isinstance(node, CatalanCall):
-        arg = _eval(node.arg, order)
+            result = arg.sqrt()
+    elif isinstance(node, CatalanCall):
+        arg = _eval(node.arg, order, memo)
         with _positioned(node.pos):
-            return catalan_gf(order).compose(arg)
-    raise TypeError(f"not a GfExpression node: {node!r}")
+            result = catalan_gf(order).compose(arg)
+    else:
+        raise TypeError(f"not a GfExpression node: {node!r}")
+    memo[key] = result
+    return result
 
 
-def _eval_div(node: Div, order: int) -> TruncatedSeries:
-    den = _eval(node.right, order)
+def _eval_div(node: Div, order: int, memo: dict) -> TruncatedSeries:
+    den = _eval(node.right, order, memo)
     if den.is_zero():
         raise ExpressionEvalError("division by a zero series", node.pos)
     shift = den.valuation()
     if shift == 0:
-        num = _eval(node.left, order)
+        num = _eval(node.left, order, memo)
         return num / den
     # cancel x^shift from both sides; re-evaluate with enough working
     # precision that the result is exact at the requested order
-    num = _eval(node.left, order + shift)
-    den = _eval(node.right, order + shift)
+    num = _eval(node.left, order + shift, memo)
+    den = _eval(node.right, order + shift, memo)
     for i in range(shift):
         if num.coefficient(i):
             raise ExpressionEvalError(

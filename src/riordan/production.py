@@ -63,16 +63,14 @@ def _require_order(e: RiordanElement, needed: int, what: str) -> None:
 
 
 def _cut(e: RiordanElement, n: int, size: int, col0: int, what: str) -> Rows:
-    # the size x size block of M_lead^-1 times M without its top n rows,
-    # starting at column col0
+    # M^-1 times M without its top n rows: the size x size block from column col0
     if n < 1:
         raise ValueError("n must be at least 1")
     if size < 1:
         raise ValueError("size must be positive")
     _require_order(e, size + n - 1, what)
     big = e.matrix(size + n)
-    inv = big.leading(size).inverse()
-    return mat_mul(inv.rows, big.block(n, col0, size, size))
+    return big.solve(big.block(n, col0, size, size))
 
 
 def production_block(e: RiordanElement, n: int, size: int) -> Rows:
@@ -150,17 +148,20 @@ def produced_matrix_closed_form(e: RiordanElement, n: int) -> RiordanElement:
         ((x/f)^(n-1), x*(x/f)^(n-1))^-1 * (g, f)
 
     For n=1 this is ``e`` itself.  The result is returned at order
-    e.order - 1 (one order is consumed by the x/f cancellation).
+    e.order - 1 (one order is consumed by the x/f cancellation); its G and
+    G*F come from one triangular solve against g and g*f.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n == 1:
         return e
     _require_order(e, 2, "the produced-matrix closed form")
-    u = 1 / e.f.shift_down(1)  # x/f at order e.order-1
-    p = u ** (n - 1)
-    left = RiordanElement(p, p.shift_up(1).truncate(p.order))
-    return left.inverse().mul(e.truncate(p.order))
+    p = (1 / e.f.shift_down(1)) ** (n - 1)  # (x/f)^(n-1) at order e.order-1
+    left = RiordanElement(p, p.shift_up(1).truncate(p.order)).matrix(p.order + 1)
+    m = e.truncate(p.order)
+    x = left.solve(tuple(zip(m.g.coefficients, (m.g * m.f).coefficients)))
+    g = TruncatedSeries(row[0] for row in x)
+    return RiordanElement(g, TruncatedSeries(row[1] for row in x) / g)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,15 @@ def production_by_series(e, n, size):
     return ProductionMatrix(rows)
 
 
+def closed_form_by_group(e, n):
+    """((x/f)^(n-1), x(x/f)^(n-1))^-1 * (g, f) by Riordan group algebra (a
+    reversion and three compositions), an oracle for the library's closed
+    form, which takes one triangular solve instead."""
+    p = (1 / e.f.shift_down(1)) ** (n - 1)
+    left = RiordanElement(p, p.shift_up(1).truncate(p.order))
+    return left.inverse().mul(e.truncate(p.order))
+
+
 def catalan_number(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 

@@ -252,6 +252,25 @@ class TestTriMatrix:
         with pytest.raises(SingularMatrixError):
             TriMatrix.from_rows([[1], [1, 0]]).inverse()
 
+    def test_solve_matches_inverse_times_rhs(self):
+        # rational diagonal; three right-hand rows with two columns against
+        # a 4x4 matrix, so only its leading 3x3 block takes part
+        m = TriMatrix.from_rows(
+            [[F(2, 3)], [1, F(-5, 2)], [F(1, 7), 3, 4], [0, 1, F(1, 2), F(9, 5)]]
+        )
+        rhs = [[F(1), F(1, 2)], [F(0), F(3)], [F(-2, 3), F(1)]]
+        lead = [list(row[:3]) for row in m.rows[:3]]
+        expected = mat_mul_rows(lower_inverse_rows(lead), rhs)
+        assert m.solve(rhs) == tuple(tuple(row) for row in expected)
+
+    def test_solve_rejects_zero_diagonal_and_extra_rows(self):
+        m = TriMatrix.from_rows([[1], [1, 0], [1, 1, 1]])
+        assert m.solve([[F(2)]]) == ((F(2),),)  # row 1 is not read
+        with pytest.raises(SingularMatrixError, match=r"zero diagonal entry at \(1, 1\)"):
+            m.solve([[F(1)], [F(1)]])
+        with pytest.raises(ShapeError):
+            m.solve([[F(1)]] * 4)
+
     def test_text_rendering_integral(self):
         text = TriMatrix.from_rows([[1], [-2, 1], [3, 10, 1]]).to_text()
         assert [line.split() for line in text.splitlines()] == [

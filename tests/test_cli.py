@@ -2,9 +2,11 @@ import json
 import random
 from fractions import Fraction as F
 
+import pytest
+
 import reference_data as ref
 from helpers import frac_rows
-from riordan import TriMatrix, VerificationReport, pascal
+from riordan import RiordanError, TriMatrix, VerificationReport, cli, pascal
 from riordan.cli import main
 
 
@@ -102,6 +104,19 @@ class TestShow:
                 code, out, err = run(capsys, *argv, *extra)
                 assert code == 2 and out == ""
                 assert err.startswith("error: ") and "4300 digits" in err
+
+    def test_deep_nesting_exits_2(self, capsys):
+        # too deep for the recursive parser (parentheses) and for the
+        # evaluator (a long left-nested sum); one level less still evaluates
+        for text, ok in (
+            ("1+" + "(" * 200 + "x" + ")" * 200, "1+" + "(" * 150 + "x" + ")" * 150),
+            ("1" + "+x" * 1000, "1" + "+x" * 900),
+        ):
+            code, out, err = run(capsys, "show", "--g", text, "--f", "x", "--size", "3")
+            assert code == 2 and out == ""
+            assert err.startswith("error: expression nests too deeply (at offset ")
+            code, _, err = run(capsys, "show", "--g", ok, "--f", "x", "--size", "3")
+            assert code == 0 and err == ""
 
     def test_nonpositive_size_exits_2(self, capsys):
         code, _, err = run(capsys, "show", "--family", "pascal", "--size", "0")
@@ -301,6 +316,25 @@ class TestFamily:
         code, _, err = run(capsys, "family", "nosuch")
         assert code == 2
         assert "pascal" in err
+
+
+class TestOrderCeiling:
+    def test_orders_above_the_ceiling_exit_2(self, capsys):
+        # checked first: without a ceiling the commands below would allocate
+        # series of order 10^8 until memory runs out
+        with pytest.raises(RiordanError):
+            cli._headroom(2, 10**8)
+        assert cli._headroom(cli.MAX_ORDER - 2) == cli.MAX_ORDER
+        for argv in (
+            ("verify", "--family", "catalan", "--n", "1..100000000", "--size", "2"),
+            ("prod", "--family", "catalan", "--n", "100000000", "--size", "2"),
+            ("family", "catalan", "--size", "3", "--iterate", "100000000"),
+            ("show", "--g", "1", "--f", "x", "--size", "100000000"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: this needs truncation order ")
+            assert f"above the limit of {cli.MAX_ORDER}" in err
 
 
 class TestTextJsonParity:

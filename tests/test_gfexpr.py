@@ -7,6 +7,7 @@ from helpers import binomial_series, catalan_number, poly_mul
 from riordan import (
     ExpressionEvalError,
     ExpressionSyntaxError,
+    TruncatedSeries,
     catalan_gf,
     evaluate,
     evaluate_text,
@@ -149,6 +150,25 @@ class TestEvaluate:
     def test_negative_power_of_nonunit(self):
         with pytest.raises(ExpressionEvalError):
             evaluate_text("(2*x)^-1", 5)
+
+    def test_nested_shifted_division_evaluates_each_order_once(self, monkeypatch):
+        # every level of x/(x*(...)) re-evaluates its subtree one order
+        # higher; evaluated once per (node, order), the division count grows
+        # as levels^2 / 2 instead of 2^levels
+        levels = 40
+        text = "x/(x*(" * levels + "1" + "))" * levels
+        divide = TruncatedSeries.__truediv__
+        calls = 0
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            if calls > levels**2:
+                raise AssertionError(f"more than {levels**2} series divisions")
+            return divide(a, b)
+
+        monkeypatch.setattr(TruncatedSeries, "__truediv__", counted)
+        assert evaluate_text(text, 3) == TruncatedSeries.one(3)
 
     def test_constant_base_power_bounded_by_the_literal_limit(self):
         # the bound is a lower estimate: 2^14285 (4301 digits) passes, and
