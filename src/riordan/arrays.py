@@ -164,11 +164,6 @@ class TriMatrix(ExactMatrix):
 
     __slots__ = ()
 
-    def leading(self, size: int) -> "TriMatrix":
-        if size > self.size:
-            raise ShapeError(f"cannot take a {size}x{size} block of a {self.size}x{self.size} matrix")
-        return TriMatrix(row[:size] for row in self._rows[:size])
-
     def block(self, row0: int, col0: int, nrows: int, ncols: int) -> Rows:
         """Raw rectangular block (not necessarily triangular)."""
         if row0 + nrows > self.size or col0 + ncols > self.size:

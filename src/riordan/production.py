@@ -148,20 +148,17 @@ def produced_matrix_closed_form(e: RiordanElement, n: int) -> RiordanElement:
         ((x/f)^(n-1), x*(x/f)^(n-1))^-1 * (g, f)
 
     For n=1 this is ``e`` itself.  The result is returned at order
-    e.order - 1 (one order is consumed by the x/f cancellation); its G and
-    G*F come from one triangular solve against g and g*f.
+    e.order - 1 (one order is consumed by the x/f cancellation).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n == 1:
         return e
     _require_order(e, 2, "the produced-matrix closed form")
-    p = (1 / e.f.shift_down(1)) ** (n - 1)  # (x/f)^(n-1) at order e.order-1
-    left = RiordanElement(p, p.shift_up(1).truncate(p.order)).matrix(p.order + 1)
-    m = e.truncate(p.order)
-    x = left.solve(tuple(zip(m.g.coefficients, (m.g * m.f).coefficients)))
-    g = TruncatedSeries(row[0] for row in x)
-    return RiordanElement(g, TruncatedSeries(row[1] for row in x) / g)
+    u = 1 / e.f.shift_down(1)  # x/f at order e.order-1
+    p = u ** (n - 1)
+    left = RiordanElement(p, p.shift_up(1).truncate(p.order))
+    return left.inverse().mul(e.truncate(p.order))
 
 
 # ---------------------------------------------------------------------------

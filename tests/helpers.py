@@ -104,13 +104,17 @@ def production_by_series(e, n, size):
     return ProductionMatrix(rows)
 
 
-def closed_form_by_group(e, n):
-    """((x/f)^(n-1), x(x/f)^(n-1))^-1 * (g, f) by Riordan group algebra (a
-    reversion and three compositions), an oracle for the library's closed
-    form, which takes one triangular solve instead."""
+def closed_form_by_solve(e, n):
+    """((x/f)^(n-1), x(x/f)^(n-1))^-1 * (g, f) for n >= 2 by one triangular
+    solve of the left factor's matrix against the columns g and g*f, an
+    oracle for the library's closed form, which goes through the Riordan
+    group (a reversion and three compositions)."""
     p = (1 / e.f.shift_down(1)) ** (n - 1)
-    left = RiordanElement(p, p.shift_up(1).truncate(p.order))
-    return left.inverse().mul(e.truncate(p.order))
+    left = RiordanElement(p, p.shift_up(1).truncate(p.order)).matrix(p.order + 1)
+    m = e.truncate(p.order)
+    x = left.solve(tuple(zip(m.g.coefficients, (m.g * m.f).coefficients)))
+    g = TruncatedSeries(row[0] for row in x)
+    return RiordanElement(g, TruncatedSeries(row[1] for row in x) / g)
 
 
 def catalan_number(n: int) -> int:

@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import traceback
 from fractions import Fraction as F
 
 import pytest
@@ -107,16 +109,24 @@ class TestShow:
 
     def test_deep_nesting_exits_2(self, capsys):
         # too deep for the recursive parser (parentheses) and for the
-        # evaluator (a long left-nested sum); one level less still evaluates
-        for text, ok in (
-            ("1+" + "(" * 200 + "x" + ")" * 200, "1+" + "(" * 150 + "x" + ")" * 150),
-            ("1" + "+x" * 1000, "1" + "+x" * 900),
-        ):
-            code, out, err = run(capsys, "show", "--g", text, "--f", "x", "--size", "3")
-            assert code == 2 and out == ""
-            assert err.startswith("error: expression nests too deeply (at offset ")
-            code, _, err = run(capsys, "show", "--g", ok, "--f", "x", "--size", "3")
-            assert code == 0 and err == ""
+        # evaluator (a long left-nested sum); one level less still evaluates.
+        # The recursion limit is the default 1000 frames counted from here,
+        # as for a `riordan` process started from a shell, so the sizes do
+        # not depend on how deep the test runner's own stack is.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(traceback.extract_stack()) + 1000)
+        try:
+            for text, ok in (
+                ("1+" + "(" * 200 + "x" + ")" * 200, "1+" + "(" * 150 + "x" + ")" * 150),
+                ("1" + "+x" * 1000, "1" + "+x" * 900),
+            ):
+                code, out, err = run(capsys, "show", "--g", text, "--f", "x", "--size", "3")
+                assert code == 2 and out == ""
+                assert err.startswith("error: expression nests too deeply (at offset ")
+                code, _, err = run(capsys, "show", "--g", ok, "--f", "x", "--size", "3")
+                assert code == 0 and err == ""
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_nonpositive_size_exits_2(self, capsys):
         code, _, err = run(capsys, "show", "--family", "pascal", "--size", "0")

@@ -5,7 +5,7 @@ import pytest
 
 import reference_data as ref
 from helpers import (
-    closed_form_by_group,
+    closed_form_by_solve,
     frac_rows,
     lower_inverse_rows,
     mat_mul_rows,
@@ -258,15 +258,15 @@ class TestClosedForm:
             assert produced_matrix_closed_form(e, n) == alt
 
     @pytest.mark.parametrize("kind", ["normalized", "non_normalized"])
-    def test_matches_group_algebra_oracle(self, battery, non_normalized, kind):
+    def test_matches_solve_oracle(self, battery, non_normalized, kind):
         # coefficient tuples, because series == ignores surplus order
         elements = battery[:12] if kind == "normalized" else non_normalized
         for e in elements:
-            for n in range(1, 7):
+            assert produced_matrix_closed_form(e, 1) is e
+            for n in range(2, 7):
                 got = produced_matrix_closed_form(e, n)
-                want = closed_form_by_group(e, n)
-                assert got.order == (e.order if n == 1 else want.order)
-                got = got.truncate(want.order)
+                want = closed_form_by_solve(e, n)
+                assert got.order == want.order == e.order - 1, (e, n)
                 assert got.g.coefficients == want.g.coefficients, (e, n)
                 assert got.f.coefficients == want.f.coefficients, (e, n)
 
