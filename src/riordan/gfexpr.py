@@ -24,6 +24,8 @@ requested order.
 
 from __future__ import annotations
 
+import contextlib
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -48,30 +50,8 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: "GfExpression"
-    right: "GfExpression"
-    pos: int = field(default=0, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "GfExpression"
-    right: "GfExpression"
-    pos: int = field(default=0, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "GfExpression"
-    right: "GfExpression"
-    pos: int = field(default=0, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Div:
-    left: "GfExpression"
-    right: "GfExpression"
+class Neg:
+    arg: "GfExpression"
     pos: int = field(default=0, compare=False, repr=False)
 
 
@@ -83,26 +63,21 @@ class Pow:
 
 
 @dataclass(frozen=True)
-class SqrtCall:
-    arg: "GfExpression"
+class BinOp:
+    op: str  # one of "+", "-", "*", "/"
+    left: "GfExpression"
+    right: "GfExpression"
     pos: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class CatalanCall:
+class Call:
+    name: str  # "sqrt" or "c"
     arg: "GfExpression"
     pos: int = field(default=0, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "GfExpression"
-    pos: int = field(default=0, compare=False, repr=False)
-
-
-GfExpression = Union[
-    Lit, Var, Add, Sub, Mul, Div, Pow, SqrtCall, CatalanCall, Neg
-]
+GfExpression = Union[Lit, Var, Neg, Pow, BinOp, Call]
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +188,14 @@ class _Parser:
         node = self._term()
         while self._tok.kind in ("+", "-"):
             op = self._advance()
-            rhs = self._term()
-            node = Add(node, rhs, pos=op.pos) if op.kind == "+" else Sub(node, rhs, pos=op.pos)
+            node = BinOp(op.kind, node, self._term(), pos=op.pos)
         return node
 
     def _term(self) -> GfExpression:
         node = self._factor()
         while self._tok.kind in ("*", "/"):
             op = self._advance()
-            rhs = self._factor()
-            node = Mul(node, rhs, pos=op.pos) if op.kind == "*" else Div(node, rhs, pos=op.pos)
+            node = BinOp(op.kind, node, self._factor(), pos=op.pos)
         return node
 
     def _factor(self) -> GfExpression:
@@ -265,8 +238,7 @@ class _Parser:
                 self._expect("(", f"'(' after {tok.text}")
                 arg = self._expr()
                 self._expect(")", "')'")
-                cls = SqrtCall if tok.text == "sqrt" else CatalanCall
-                return cls(arg, pos=tok.pos)
+                return Call(tok.text, arg, pos=tok.pos)
             raise ExpressionSyntaxError(f"unknown identifier '{tok.text}'", tok.pos)
         if tok.kind == "(":
             self._advance()
@@ -301,6 +273,9 @@ def evaluate_text(text: str, order: int) -> TruncatedSeries:
     return evaluate(parse(text), order)
 
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 # ``memo`` maps (id(node), order) to the node's value at that order for one
 # evaluation, so a subtree that a shifted division re-evaluates at a higher
 # order is still computed once per order rather than once per path to it
@@ -314,14 +289,6 @@ def _eval(node: GfExpression, order: int, memo: dict) -> TruncatedSeries:
         result = TruncatedSeries.x(order)
     elif isinstance(node, Neg):
         result = -_eval(node.arg, order, memo)
-    elif isinstance(node, Add):
-        result = _eval(node.left, order, memo) + _eval(node.right, order, memo)
-    elif isinstance(node, Sub):
-        result = _eval(node.left, order, memo) - _eval(node.right, order, memo)
-    elif isinstance(node, Mul):
-        result = _eval(node.left, order, memo) * _eval(node.right, order, memo)
-    elif isinstance(node, Div):
-        result = _eval_div(node, order, memo)
     elif isinstance(node, Pow):
         base = _eval(node.base, order, memo)
         c = base.constant_term
@@ -337,21 +304,27 @@ def _eval(node: GfExpression, order: int, memo: dict) -> TruncatedSeries:
             )
         with _positioned(node.pos):
             result = base**node.exponent
-    elif isinstance(node, SqrtCall):
+    elif isinstance(node, BinOp):
+        if node.op == "/":
+            result = _eval_div(node, order, memo)
+        else:
+            result = _ARITHMETIC[node.op](
+                _eval(node.left, order, memo), _eval(node.right, order, memo)
+            )
+    elif isinstance(node, Call):
         arg = _eval(node.arg, order, memo)
         with _positioned(node.pos):
-            result = arg.sqrt()
-    elif isinstance(node, CatalanCall):
-        arg = _eval(node.arg, order, memo)
-        with _positioned(node.pos):
-            result = catalan_gf(order).compose(arg)
+            if node.name == "sqrt":
+                result = arg.sqrt()
+            else:
+                result = catalan_gf(order).compose(arg)
     else:
         raise TypeError(f"not a GfExpression node: {node!r}")
     memo[key] = result
     return result
 
 
-def _eval_div(node: Div, order: int, memo: dict) -> TruncatedSeries:
+def _eval_div(node: BinOp, order: int, memo: dict) -> TruncatedSeries:
     den = _eval(node.right, order, memo)
     if den.is_zero():
         raise ExpressionEvalError("division by a zero series", node.pos)
@@ -373,21 +346,13 @@ def _eval_div(node: Div, order: int, memo: dict) -> TruncatedSeries:
     return num.shift_down(shift) / den.shift_down(shift)
 
 
-class _positioned:
+@contextlib.contextmanager
+def _positioned(pos: int):
     """Re-raise kernel series errors as expression errors with an offset."""
-
-    def __init__(self, pos: int):
-        self._pos = pos
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, RiordanError) and not isinstance(
-            exc, ExpressionEvalError
-        ):
-            raise ExpressionEvalError(str(exc), self._pos) from exc
-        return False
+    try:
+        yield
+    except RiordanError as exc:
+        raise ExpressionEvalError(str(exc), pos) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +364,7 @@ _LEVEL_SUM = 1
 _LEVEL_TERM = 2
 _LEVEL_POW = 3
 _LEVEL_ATOM = 4
+_BINARY_LEVEL = {"+": _LEVEL_SUM, "-": _LEVEL_SUM, "*": _LEVEL_TERM, "/": _LEVEL_TERM}
 
 
 def to_text(expr: GfExpression) -> str:
@@ -423,30 +389,13 @@ def _render(node: GfExpression) -> tuple[str, int]:
         return "x", _LEVEL_ATOM
     if isinstance(node, Neg):
         return "-" + _fmt(node.arg, _LEVEL_NEG), _LEVEL_NEG
-    if isinstance(node, Add):
-        return (
-            _fmt(node.left, _LEVEL_SUM) + "+" + _fmt(node.right, _LEVEL_TERM),
-            _LEVEL_SUM,
-        )
-    if isinstance(node, Sub):
-        return (
-            _fmt(node.left, _LEVEL_SUM) + "-" + _fmt(node.right, _LEVEL_TERM),
-            _LEVEL_SUM,
-        )
-    if isinstance(node, Mul):
-        return (
-            _fmt(node.left, _LEVEL_TERM) + "*" + _fmt(node.right, _LEVEL_POW),
-            _LEVEL_TERM,
-        )
-    if isinstance(node, Div):
-        return (
-            _fmt(node.left, _LEVEL_TERM) + "/" + _fmt(node.right, _LEVEL_POW),
-            _LEVEL_TERM,
-        )
     if isinstance(node, Pow):
         return _fmt(node.base, _LEVEL_ATOM) + "^" + str(node.exponent), _LEVEL_POW
-    if isinstance(node, SqrtCall):
-        return "sqrt(" + _fmt(node.arg, _LEVEL_NEG) + ")", _LEVEL_ATOM
-    if isinstance(node, CatalanCall):
-        return "c(" + _fmt(node.arg, _LEVEL_NEG) + ")", _LEVEL_ATOM
+    if isinstance(node, BinOp):
+        # operators of one level associate to the left, so a right operand
+        # at that same level needs parentheses
+        level = _BINARY_LEVEL[node.op]
+        return _fmt(node.left, level) + node.op + _fmt(node.right, level + 1), level
+    if isinstance(node, Call):
+        return node.name + "(" + _fmt(node.arg, _LEVEL_NEG) + ")", _LEVEL_ATOM
     raise TypeError(f"not a GfExpression node: {node!r}")

@@ -14,36 +14,29 @@ from riordan import (
     parse,
     to_text,
 )
-from riordan.gfexpr import (
-    Add,
-    CatalanCall,
-    Div,
-    Lit,
-    Mul,
-    Neg,
-    Pow,
-    SqrtCall,
-    Sub,
-    Var,
-)
+from riordan.gfexpr import BinOp, Call, Lit, Neg, Pow, Var
 
 
 class TestParse:
     def test_geometric_structure(self):
-        assert parse("1/(1-x)") == Div(Lit(F(1)), Sub(Lit(F(1)), Var()))
+        assert parse("1/(1-x)") == BinOp("/", Lit(F(1)), BinOp("-", Lit(F(1)), Var()))
 
     def test_a085478_f_structure(self):
-        assert parse("x/(1-x)^2") == Div(Var(), Pow(Sub(Lit(F(1)), Var()), 2))
+        assert parse("x/(1-x)^2") == BinOp(
+            "/", Var(), Pow(BinOp("-", Lit(F(1)), Var()), 2)
+        )
 
     def test_rational_literal_is_division(self):
-        assert parse("3/4") == Div(Lit(F(3)), Lit(F(4)))
+        assert parse("3/4") == BinOp("/", Lit(F(3)), Lit(F(4)))
 
     def test_functions_and_negation(self):
-        assert parse("1-c(-x)") == Sub(Lit(F(1)), CatalanCall(Neg(Var())))
-        assert parse("sqrt(1+4*x)") == SqrtCall(Add(Lit(F(1)), Mul(Lit(F(4)), Var())))
+        assert parse("1-c(-x)") == BinOp("-", Lit(F(1)), Call("c", Neg(Var())))
+        assert parse("sqrt(1+4*x)") == Call(
+            "sqrt", BinOp("+", Lit(F(1)), BinOp("*", Lit(F(4)), Var()))
+        )
 
     def test_leading_minus_negates_everything(self):
-        assert parse("-x+1") == Neg(Add(Var(), Lit(F(1))))
+        assert parse("-x+1") == Neg(BinOp("+", Var(), Lit(F(1))))
 
     def test_power_right_associative_fold(self):
         assert parse("x^2^3") == Pow(Var(), 8)
@@ -232,20 +225,12 @@ class TestPrinting:
             if depth == 0:
                 return rng.choice([Lit(F(rng.randint(0, 9))), Var()])
             kind = rng.randrange(8)
-            if kind == 0:
-                return Add(tree(depth - 1), tree(depth - 1))
-            if kind == 1:
-                return Sub(tree(depth - 1), tree(depth - 1))
-            if kind == 2:
-                return Mul(tree(depth - 1), tree(depth - 1))
-            if kind == 3:
-                return Div(tree(depth - 1), tree(depth - 1))
+            if kind < 4:
+                return BinOp("+-*/"[kind], tree(depth - 1), tree(depth - 1))
             if kind == 4:
                 return Pow(tree(depth - 1), rng.randint(-3, 5))
-            if kind == 5:
-                return SqrtCall(tree(depth - 1))
-            if kind == 6:
-                return CatalanCall(tree(depth - 1))
+            if kind < 7:
+                return Call(("sqrt", "c")[kind - 5], tree(depth - 1))
             return Neg(tree(depth - 1))
 
         for _ in range(200):
