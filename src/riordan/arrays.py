@@ -243,10 +243,6 @@ class RiordanElement:
     def order(self) -> int:
         return self._g.order
 
-    def is_normalized(self) -> bool:
-        """True when g(0) = 1 and f'(0) = 1."""
-        return self._g.constant_term == 1 and self._f.coefficient(1) == 1
-
     def truncate(self, order: int) -> "RiordanElement":
         if order == self.order:
             return self
@@ -306,20 +302,6 @@ class RiordanElement:
         return self._g * h.compose(self._f)
 
     # -- A- and Z-sequences -------------------------------------------------------
-
-    def a_sequence(self) -> TruncatedSeries:
-        """The series x / rev(f); one order of precision is consumed."""
-        return 1 / self.reverted_f().shift_down(1)
-
-    def z_sequence(self) -> TruncatedSeries:
-        """The first-column series of the production matrix.
-
-        Computed as (1 - g(0)/g(rev f)) / rev(f); the g(0) factor makes the
-        formula valid for non-normalized elements as well.
-        """
-        frev = self.reverted_f()
-        w = 1 - self._g.constant_term / self._g.compose(frev)
-        return w.shift_down(1) / frev.shift_down(1)
 
     @classmethod
     def from_az(

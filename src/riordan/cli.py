@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from .arrays import RiordanElement
@@ -25,6 +24,7 @@ from .errors import RiordanError
 from .families import (
     FAMILY_NAMES,
     family_element,
+    family_parameter,
     iterate_second_production,
     orthogonal_polys,
 )
@@ -187,8 +187,9 @@ def _cmd_family(args: argparse.Namespace) -> int:
         "production_matrix": p.to_json_entries(),
     }
     blocks = [matrix.to_text(), "production matrix:", p.to_text()]
-    if args.name.startswith("moment:"):
-        rows = orthogonal_polys(Fraction(args.name.split(":", 1)[1]), args.size)
+    name, _, param = args.name.partition(":")
+    if name == "moment":
+        rows = orthogonal_polys(family_parameter(name, param), args.size)
         doc["polynomial_rows"] = [[str(c) for c in row.coeffs] for row in rows]
         blocks.append("orthogonal polynomial coefficient rows:")
         blocks.extend(

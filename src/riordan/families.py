@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .arrays import RiordanElement, TriMatrix
 from .errors import PrecisionError, UnknownFamilyError
+from .gfexpr import _MAX_LITERAL_DIGITS
 from .production import produced_matrix_closed_form
 from .series import Rational, TruncatedSeries, catalan_gf
 
@@ -177,6 +178,36 @@ def iterate_second_production(
 # name registry for the CLI
 # ---------------------------------------------------------------------------
 
+def family_parameter(name: str, param: str) -> Fraction:
+    """The exact rational parameter of ``name:param``, e.g. ``moment:1/2``.
+
+    Its numerator and denominator may have as many digits as an integer
+    literal in an expression.  ``Fraction`` computes ``10**k`` for a decimal
+    exponent ``k``, so a wider exponent is refused before that power is.
+    """
+    def bad(reason: object) -> UnknownFamilyError:
+        return UnknownFamilyError(
+            f"bad parameter {param!r} for family '{name}': {reason}"
+        )
+
+    _, e, exponent = param.lower().partition("e")
+    try:
+        wide = bool(e) and abs(int(exponent)) > _MAX_LITERAL_DIGITS
+    except ValueError:
+        wide = False  # not a decimal exponent; Fraction names the fault
+    if wide:
+        raise bad(f"its decimal exponent exceeds {_MAX_LITERAL_DIGITS}")
+    try:
+        r = Fraction(param)
+    except (ValueError, ZeroDivisionError) as err:
+        raise bad(err) from err
+    if max(abs(r.numerator), r.denominator) >= 10**_MAX_LITERAL_DIGITS:
+        raise bad(
+            f"its numerator or denominator has more than {_MAX_LITERAL_DIGITS} digits"
+        )
+    return r
+
+
 def family_element(spec: str, order: int) -> RiordanElement:
     """Resolve a family identifier like ``pascal`` or ``moment:1/2``."""
     name, _, param = spec.partition(":")
@@ -193,12 +224,7 @@ def family_element(spec: str, order: int) -> RiordanElement:
             raise UnknownFamilyError(
                 f"family '{name}' needs a rational parameter, e.g. {name}:2"
             )
-        try:
-            r = Fraction(param)
-        except (ValueError, ZeroDivisionError) as err:
-            raise UnknownFamilyError(
-                f"bad parameter {param!r} for family '{name}': {err}"
-            ) from err
+        r = family_parameter(name, param)
         if name == "binomial":
             return binomial_power(r, order)
         return moment_element(r, order)

