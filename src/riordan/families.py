@@ -185,26 +185,24 @@ def family_parameter(name: str, param: str) -> Fraction:
     literal in an expression.  ``Fraction`` computes ``10**k`` for a decimal
     exponent ``k``, so a wider exponent is refused before that power is.
     """
-    def bad(reason: object) -> UnknownFamilyError:
-        return UnknownFamilyError(
-            f"bad parameter {param!r} for family '{name}': {reason}"
-        )
-
     _, e, exponent = param.lower().partition("e")
     try:
         wide = bool(e) and abs(int(exponent)) > _MAX_LITERAL_DIGITS
     except ValueError:
         wide = False  # not a decimal exponent; Fraction names the fault
-    if wide:
-        raise bad(f"its decimal exponent exceeds {_MAX_LITERAL_DIGITS}")
     try:
+        if wide:
+            raise ValueError(f"its decimal exponent exceeds {_MAX_LITERAL_DIGITS}")
         r = Fraction(param)
+        if max(abs(r.numerator), r.denominator) >= 10**_MAX_LITERAL_DIGITS:
+            raise ValueError(
+                "its numerator or denominator has more than "
+                f"{_MAX_LITERAL_DIGITS} digits"
+            )
     except (ValueError, ZeroDivisionError) as err:
-        raise bad(err) from err
-    if max(abs(r.numerator), r.denominator) >= 10**_MAX_LITERAL_DIGITS:
-        raise bad(
-            f"its numerator or denominator has more than {_MAX_LITERAL_DIGITS} digits"
-        )
+        raise UnknownFamilyError(
+            f"bad parameter {param!r} for family '{name}': {err}"
+        ) from err
     return r
 
 

@@ -7,12 +7,13 @@ must be named and justified before the file is re-recorded.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
-from conftest import DATA_DIR
 from riordan.cli import main
 
+DATA_DIR = Path(__file__).parent / "data"
 CASES = json.loads((DATA_DIR / "cli_golden.json").read_text(encoding="utf-8"))
 
 
