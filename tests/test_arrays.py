@@ -156,6 +156,21 @@ class TestFtra:
         assert RiordanElement.identity(8).ftra_apply(h) == h
 
 
+class TestAZSequences:
+    def test_pascal_against_production_oracle(self):
+        # oracle: P = inverse(M6) times rows 1..6 of M7, built naively
+        m7 = [[F(math.comb(n, k)) for k in range(7)] for n in range(7)]
+        inv6 = lower_inverse_rows([row[:6] for row in m7[:6]])
+        p = mat_mul_rows(inv6, [row[:6] for row in m7[1:7]])
+        a, z = nth_az(pascal(9), 1)
+        for i in range(6):
+            assert z.coefficient(i) == p[i][0]
+        for i in range(5):
+            assert a.coefficient(i) == p[i][1]
+        assert a == TruncatedSeries([1, 1], 8)
+        assert z == TruncatedSeries.one(7)
+
+
 class TestFromAZ:
     def test_trivial_identity(self):
         e = RiordanElement.from_az(TruncatedSeries.one(6), TruncatedSeries.zero(6))
