@@ -10,6 +10,7 @@ multiplication is (g, f) * (u, v) = (g * u(f), v(f)); the inverse element is
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, TypeVar
 
 from .errors import (
@@ -18,7 +19,7 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _extend, _ratio, lift
 
 Rows = tuple[tuple[Fraction, ...], ...]
 
@@ -58,22 +59,21 @@ def rows_to_strings(rows: Sequence[Sequence[Fraction]]) -> list[list[str]]:
     return [[str(c) for c in row] for row in rows]
 
 
+def row_times(
+    row: Sequence[Fraction], columns: list[tuple[list[int], int]]
+) -> tuple[Fraction, ...]:
+    """The row vector ``row`` times the matrix whose columns are given lifted,
+    each as integer numerators over its own denominator (``series.lift``)."""
+    ints, d = lift(row)
+    return tuple(_ratio(sum(map(mul, ints, col)), d * dc) for col, dc in columns)
+
+
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Rows:
-    """Plain dense product of two row-major rational matrices."""
+    """Dense product of two row-major rational matrices, lifting each once."""
     if not a or len(a[0]) != len(b):
         raise ShapeError("inner dimensions do not match")
-    cols = len(b[0])
-    out = []
-    for row in a:
-        acc = [_ZERO] * cols
-        for k, aik in enumerate(row):
-            if aik:
-                brow = b[k]
-                for j in range(cols):
-                    if brow[j]:
-                        acc[j] += aik * brow[j]
-        out.append(tuple(acc))
-    return tuple(out)
+    columns = [lift(col) for col in zip(*b)]
+    return tuple(row_times(row, columns) for row in a)
 
 
 _M = TypeVar("_M", bound="ExactMatrix")
@@ -185,14 +185,21 @@ class TriMatrix(ExactMatrix):
         if len(rhs) > self.size:
             raise ShapeError(f"{len(rhs)} right-hand rows for a size-{self.size} matrix")
         out: list[tuple[Fraction, ...]] = []
+        # the solved rows by column, each as numerators over its entries' lcm
+        cols: list[tuple[list[int], int]] = [([], 1) for _ in rhs[0]] if rhs else []
         for i, b in enumerate(rhs):
             pivot = self._rows[i][i]
             if not pivot:
                 raise SingularMatrixError(f"zero diagonal entry at ({i}, {i})")
-            if i:
-                (known,) = mat_mul((self._rows[i][:i],), out)
-                b = [bj - kj for bj, kj in zip(b, known)]
-            out.append(tuple(c / pivot for c in b))
+            # x_ij = (b_j - self[i, :i] . x[:i, j]) / pivot as one num/den
+            m, dm = lift(self._rows[i][:i])
+            ib, db = lift(b)
+            p, q = pivot.denominator, db * dm * pivot.numerator
+            out.append(tuple(
+                _ratio((bj * dm * dc - db * sum(map(mul, m, col))) * p, q * dc)
+                for bj, (col, dc) in zip(ib, cols)
+            ))
+            cols = [_extend(col, dc, x) for (col, dc), x in zip(cols, out[-1])]
         return tuple(out)
 
     def inverse(self) -> "TriMatrix":

@@ -38,7 +38,7 @@ EXIT_ERROR = 2
 
 DEFAULT_SIZE = 8
 # the highest truncation order a command may ask for; exact matrix work grows
-# with the cube of the order (about 5 s for show at size 200), and a larger
+# with the cube of the order (show at size 200: 0.5-1.4 s on a Xeon), and a larger
 # order from a few typed digits would only allocate series until memory runs out
 MAX_ORDER = 1000
 OEIS_PATH_ENV = "OEIS_STRIPPED_PATH"

@@ -36,6 +36,10 @@ class SqrtError(RiordanError):
     """The constant term is not the square of a rational number."""
 
 
+class CoefficientSizeError(RiordanError):
+    """A result would hold a numerator or denominator past the size budget."""
+
+
 class InvalidElementError(RiordanError):
     """A (g, f) pair violates the Riordan group membership conditions."""
 

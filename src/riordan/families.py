@@ -14,9 +14,8 @@ from fractions import Fraction
 
 from .arrays import RiordanElement, TriMatrix
 from .errors import PrecisionError, UnknownFamilyError
-from .gfexpr import _MAX_LITERAL_DIGITS
 from .production import produced_matrix_closed_form
-from .series import Rational, TruncatedSeries, catalan_gf
+from .series import _MAX_LITERAL_DIGITS, Rational, TruncatedSeries, catalan_gf
 
 FAMILY_NAMES = ("pascal", "binomial:r", "catalan", "moment:r", "a085478")
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import ExpressionEvalError, ExpressionSyntaxError, RiordanError
-from .series import TruncatedSeries, catalan_gf
+from .series import _MAX_LITERAL_BITS, _MAX_LITERAL_DIGITS, TruncatedSeries, catalan_gf
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +87,6 @@ GfExpression = Union[Lit, Var, Neg, Pow, BinOp, Call]
 _SYMBOLS = set("+-*/^()")
 _DIGITS = set("0123456789")
 
-# CPython's default cap on int <-> str conversion; longer literals are a
-# syntax error on every interpreter
-_MAX_LITERAL_DIGITS = 4300
-_MAX_LITERAL_BITS = (10**_MAX_LITERAL_DIGITS - 1).bit_length()
 # folded exponents must fit in this many bits, so towers such as 2^2^2^2^2^2
 # fail before their value is computed
 _EXPONENT_BITS = 64

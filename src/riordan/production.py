@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrays import ExactMatrix, RiordanElement, Rows, TriMatrix, mat_mul
+from .arrays import ExactMatrix, RiordanElement, Rows, TriMatrix, row_times
 from .errors import PrecisionError, ShapeError
-from .series import TruncatedSeries
+from .series import TruncatedSeries, lift
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -108,10 +108,10 @@ def generate_from_production(p: ProductionMatrix, size: int) -> TriMatrix:
             f"a size-{p.size} production matrix cannot generate {size} rows; "
             f"need size >= {size}"
         )
-    lead = tuple(row[:size] for row in p.rows[:size])
+    lead = [lift(p.column(j)[:size]) for j in range(size)]
     rows = [(_ONE,) + (_ZERO,) * (size - 1)]
     for _ in range(size - 1):
-        rows += mat_mul(rows[-1:], lead)
+        rows.append(row_times(rows[-1], lead))
     return TriMatrix(rows)
 
 

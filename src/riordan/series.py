@@ -1,11 +1,15 @@
 """Exact truncated formal power series over rational coefficients.
 
 A :class:`TruncatedSeries` holds coefficients c0..cN of a power series known
-modulo x^(N+1); N is the *order* of the truncation.  All arithmetic is exact
-(``fractions.Fraction``), and no operation ever fabricates a coefficient
-beyond the known order: binary operations return results at the smaller
-operand order, and reading past the order raises
-:class:`~riordan.errors.PrecisionError` rather than returning zero.
+modulo x^(N+1); N is the *order* of the truncation.  All arithmetic is exact:
+coefficients are ``fractions.Fraction`` in lowest terms at the API, while the
+kernel multiplies integer numerators over one common denominator (:func:`lift`)
+and normalizes once per output coefficient.  No operation ever fabricates a
+coefficient beyond the known order: binary operations return results at the
+smaller operand order, and reading past the order raises
+:class:`~riordan.errors.PrecisionError` rather than returning zero.  No result
+may hold a numerator or denominator past a budget
+(:class:`~riordan.errors.CoefficientSizeError`).
 
 Values are immutable; every operation returns a new series.
 """
@@ -14,9 +18,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import (
+    CoefficientSizeError,
     CompositionError,
     NonUnitError,
     PrecisionError,
@@ -28,36 +34,87 @@ Rational = Union[Fraction, int]
 
 _ZERO = Fraction(0)
 
+# CPython's default cap on int <-> str conversion; longer literals are a
+# syntax error on every interpreter
+_MAX_LITERAL_DIGITS = 4300
+_MAX_LITERAL_BITS = (10**_MAX_LITERAL_DIGITS - 1).bit_length()
+# the widest numerator or denominator a kernel result may hold: four literals
+# wide, since the closed forms of printable results pass through wider terms
+_MAX_COEFFICIENT_BITS = 4 * _MAX_LITERAL_BITS
+
 
 # ---------------------------------------------------------------------------
-# list-level helpers (coefficients as lists of Fraction, shared common order)
+# list-level helpers: Fraction lists at a shared order, multiplied as integers
 # ---------------------------------------------------------------------------
+
+def lift(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """Integer numerators over one common denominator: ``(ints, d)`` with
+    ``values[i] == ints[i] / d`` and ``d`` the lcm of the denominators."""
+    d = math.lcm(*[v.denominator for v in values])
+    if d == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _checked(c: Fraction) -> Fraction:
+    """``c`` itself, or CoefficientSizeError if it is wider than the budget."""
+    if max(c.numerator.bit_length(), c.denominator.bit_length()) > _MAX_COEFFICIENT_BITS:
+        raise CoefficientSizeError(
+            f"a coefficient needs more than {_MAX_COEFFICIENT_BITS} bits (about "
+            f"{4 * _MAX_LITERAL_DIGITS} digits), the most a result may hold"
+        )
+    return c
+
+
+def _ratio(num: int, den: int) -> Fraction:
+    """num/den in lowest terms, within the coefficient budget; reducing only
+    shrinks, so operands inside the budget need no check afterwards."""
+    c = Fraction(num, den) if num else _ZERO
+    wide = max(num.bit_length(), den.bit_length()) > _MAX_COEFFICIENT_BITS
+    return _checked(c) if wide else c
+
+
+def _extend(ints: list[int], d: int, c: Fraction) -> tuple[list[int], int]:
+    """Append ``c`` to numerators over ``d``, widening ``d`` when needed."""
+    m = c.denominator // math.gcd(d, c.denominator)
+    if m != 1:
+        ints, d = [v * m for v in ints], d * m
+    ints.append(c.numerator * (d // c.denominator))
+    return ints, d
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """Truncated product of two equal-length integer lists; terms below each
+    operand's first nonzero entry are skipped."""
+    n = len(a)
+    fa = next((i for i, v in enumerate(a) if v), n)
+    fb = next((i for i, v in enumerate(b) if v), n)
+    rb = b[::-1]
+    return [0] * min(n, fa + fb) + [
+        sum(map(mul, a[fa : k - fb + 1], rb[n - 1 - k + fa :])) for k in range(fa + fb, n)
+    ]
+
 
 def _mul_lists(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     n = min(len(a), len(b))
-    out = [_ZERO] * n
-    for i in range(n):
-        ai = a[i]
-        if ai:
-            for j in range(n - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-    return out
+    ia, da = lift(a[:n])
+    ib, db = lift(b[:n])
+    d = da * db
+    return [_ratio(v, d) for v in _convolve(ia, ib)]
 
 
 def _div_lists(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    # requires b[0] != 0 (checked by callers)
+    # requires b[0] != 0 (checked by callers); the quotient so far is kept as
+    # numerators iq over its own common denominator dq
     n = min(len(a), len(b))
+    ib, db = lift(b[:n])
+    rb = ib[::-1]
     b0 = b[0]
-    q = [_ZERO] * n
+    q, iq, dq = [], [], 1
     for i in range(n):
-        s = a[i]
-        for k in range(i):
-            qk = q[k]
-            if qk and b[i - k]:
-                s -= qk * b[i - k]
-        q[i] = s / b0
+        s = sum(map(mul, iq, rb[n - 1 - i :]))  # sum of q[k] * b[i - k], k < i
+        q.append(_checked((a[i] - Fraction(s, dq * db)) / b0))
+        iq, dq = _extend(iq, dq, q[-1])
     return q
 
 
@@ -65,15 +122,14 @@ def _compose_lists(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fractio
     # requires b[0] == 0 (checked by callers); Horner from the top nonzero
     # coefficient of a, so short polynomials compose cheaply
     n = min(len(a), len(b))
-    top = -1
-    for i in range(n - 1, -1, -1):
-        if a[i]:
-            top = i
-            break
+    top = max((i for i in range(n) if a[i]), default=-1)
+    ib, db = lift(b[:n])
     res = [_ZERO] * n
     for i in range(top, -1, -1):
-        res = _mul_lists(res, b)
-        res[0] += a[i]
+        ir, dr = lift(res)
+        d = dr * db
+        res = [_ratio(v, d) for v in _convolve(ir, ib)]
+        res[0] = _checked(res[0] + a[i])
     return res
 
 
@@ -185,7 +241,7 @@ class TruncatedSeries:
             return NotImplemented
         n = min(self.order, rhs.order)
         return TruncatedSeries(
-            [self._coeffs[i] + rhs._coeffs[i] for i in range(n + 1)]
+            [_checked(self._coeffs[i] + rhs._coeffs[i]) for i in range(n + 1)]
         )
 
     __radd__ = __add__
@@ -196,7 +252,7 @@ class TruncatedSeries:
             return NotImplemented
         n = min(self.order, rhs.order)
         return TruncatedSeries(
-            [self._coeffs[i] - rhs._coeffs[i] for i in range(n + 1)]
+            [_checked(self._coeffs[i] - rhs._coeffs[i]) for i in range(n + 1)]
         )
 
     def __rsub__(self, other: Rational) -> "TruncatedSeries":
@@ -210,7 +266,7 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries | Rational") -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([c * other for c in self._coeffs])
+            return TruncatedSeries([_checked(c * other) for c in self._coeffs])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return TruncatedSeries(_mul_lists(self._coeffs, other._coeffs))
@@ -221,7 +277,7 @@ class TruncatedSeries:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division by zero scalar")
-            return TruncatedSeries([c / other for c in self._coeffs])
+            return TruncatedSeries([_checked(c / other) for c in self._coeffs])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         if not other._coeffs[0]:
@@ -312,7 +368,7 @@ class TruncatedSeries:
         u = 1 / self.shift_down(1)  # x/self, known to order self.order - 1
         out, power = [_ZERO], u
         for n in range(1, self.order + 1):
-            out.append(power[n - 1] / n)
+            out.append(_checked(power[n - 1] / n))
             power = power * u
         return TruncatedSeries(out)
 
@@ -327,13 +383,11 @@ class TruncatedSeries:
             raise SqrtError(
                 f"constant term {self._coeffs[0]} has no nonzero rational square root"
             )
-        out = [b0]
+        out, io, d = [b0], [b0.numerator], b0.denominator
         for n in range(1, self.order + 1):
-            acc = _ZERO
-            for i in range(1, n):
-                if out[i] and out[n - i]:
-                    acc += out[i] * out[n - i]
-            out.append((self._coeffs[n] - acc) / (2 * b0))
+            acc = Fraction(sum(map(mul, io[1:n], io[n - 1 : 0 : -1])), d * d)
+            out.append(_checked((self._coeffs[n] - acc) / (2 * b0)))
+            io, d = _extend(io, d, out[-1])
         return TruncatedSeries(out)
 
     # -- comparison and display -------------------------------------------------

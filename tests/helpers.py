@@ -32,6 +32,41 @@ def poly_mul(a, b, degree):
     return out
 
 
+def poly_compose(a, b, degree):
+    """a(b) up to x^degree for b with zero constant term: the sum of
+    a[k] * b^k, with the powers of b by naive convolution."""
+    out = [Fraction(0)] * (degree + 1)
+    power = [Fraction(1)] + [Fraction(0)] * degree
+    for coeff in a[: degree + 1]:
+        out = [o + coeff * p for o, p in zip(out, power)]
+        power = poly_mul(power, b, degree)
+    return out
+
+
+def random_rationals(rng, length, wide=None):
+    """``length`` seeded Fractions: zeros, small integers and fractions of
+    either sign and, when ``wide`` is given, fractions whose numerator and
+    denominator are as wide as ``wide`` (over ``wide`` times a small factor)."""
+    out = []
+    for _ in range(length):
+        kind = rng.randrange(4 if wide else 3)
+        if kind == 0:
+            out.append(Fraction(0))
+        elif kind == 1:
+            out.append(Fraction(rng.randint(-9, 9)))
+        elif kind == 2:
+            out.append(Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+        else:
+            out.append(Fraction(rng.randint(-wide, wide), wide * rng.randint(1, 5)))
+    return out
+
+
+def random_wide(rng, max_digits):
+    """A random integer of 1..max_digits decimal digits."""
+    digits = rng.randint(1, max_digits)
+    return rng.randrange(10 ** (digits - 1), 10**digits)
+
+
 def revert_by_recurrence(f, order):
     """Compositional inverse of f (f0 = 0, f1 != 0) up to x^order, solved
     order by order: with r_n still 0, [x^n] f(r) + f1 * r_n must vanish."""

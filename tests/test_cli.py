@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import time
 import traceback
 from fractions import Fraction as F
 
@@ -337,6 +338,30 @@ class TestFamily:
         _, half, _ = run_json(capsys, "family", "moment:1/2", "--size", "4")
         _, decimal, _ = run_json(capsys, "family", "moment:0.5", "--size", "4")
         assert decimal["polynomial_rows"] == half["polynomial_rows"]
+
+
+class TestCoefficientBudget:
+    """Inputs whose coefficients outgrow the budget exit 2 at once; before it
+    the first and the last ran 73 s and 4.9 s of big-integer work."""
+
+    CASES = (
+        ("show", "--family", "binomial:1e4299", "--size", "40"),
+        ("show", "--g", "1/(1-10^4299*x)", "--f", "x", "--size", "40"),
+        # huge rational denominators, drawn by the fuzz generator
+        (
+            "verify", "--n", "1..3", "--size", "2", "--g=1+x*7",
+            f"--f=x*(1+x*(((2*{'7' * 40})-(1+x*8))*(c(x*x)/(3+{'7' * 4300}))))",
+        ),
+    )
+
+    def test_runaway_growth_exits_2_quickly(self, capsys):
+        for argv in self.CASES:
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            # a wall-clock guard: a regression fails here instead of hanging
+            assert time.perf_counter() - start < 2.0, argv[:3]
+            assert code == 2 and out == "", argv[:3]
+            assert err.startswith("error: a coefficient needs more than"), argv[:3]
 
 
 class TestOrderCeiling:

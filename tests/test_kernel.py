@@ -1,0 +1,175 @@
+"""The integer-numerator kernel against plain Fraction oracles.
+
+Seeded inputs mix zeros, negative entries, small denominators and wide ones
+(up to 4300 digits) at lengths 1..40.  Where a result's entries grow with the
+length (quotients by a wide divisor, powers, square roots, generated rows),
+the wide entries sit where they keep the result inside the coefficient
+budget, so each case checks the arithmetic and not the budget; the budget has
+its own tests at every kernel output below.
+"""
+
+import math
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from helpers import (
+    lower_inverse_rows,
+    mat_mul_rows,
+    poly_compose,
+    poly_mul,
+    random_rationals,
+    random_wide,
+    revert_by_recurrence,
+)
+from riordan import (
+    CoefficientSizeError,
+    ProductionMatrix,
+    TriMatrix,
+    TruncatedSeries,
+    generate_from_production,
+)
+from riordan.arrays import mat_mul
+
+CASES = 12
+BIG = 2**40000  # inside the budget; its square is not
+
+
+def assert_normalized(values):
+    for c in values:
+        assert type(c) is F
+        assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+
+
+def unit(rng):
+    return F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+
+
+def lengths(rng):
+    """Lengths 1..40, always including both ends."""
+    return [1, 40] + [rng.randint(1, 40) for _ in range(CASES - 2)]
+
+
+class TestSeriesKernel:
+    def test_mul(self):
+        rng = random.Random(101)
+        for n in lengths(rng):
+            a = random_rationals(rng, n, random_wide(rng, 4300))
+            b = random_rationals(rng, rng.randint(1, 40), random_wide(rng, 4300))
+            got = (TruncatedSeries(a) * TruncatedSeries(b)).coefficients
+            assert list(got) == poly_mul(a, b, min(len(a), len(b)) - 1)
+            assert_normalized(got)
+
+    def test_div(self):
+        # a wide dividend; the divisor's powers enter every coefficient
+        rng = random.Random(102)
+        for n in lengths(rng):
+            a = random_rationals(rng, n, random_wide(rng, 4300))
+            b = [unit(rng)] + random_rationals(rng, n - 1, random_wide(rng, 3))
+            got = (TruncatedSeries(a) / TruncatedSeries(b)).coefficients
+            assert poly_mul(got, b, n - 1) == a
+            assert_normalized(got)
+
+    def test_compose(self):
+        rng = random.Random(103)
+        for n in lengths(rng):
+            a = random_rationals(rng, n, random_wide(rng, 4300))
+            b = [F(0)] + random_rationals(rng, n - 1, random_wide(rng, 3))
+            got = TruncatedSeries(a).compose(TruncatedSeries(b)).coefficients
+            assert list(got) == poly_compose(a, b, n - 1)
+            assert_normalized(got)
+
+    def test_sqrt(self):
+        rng = random.Random(104)
+        for n in lengths(rng):
+            c = [unit(rng) ** 2] + random_rationals(rng, n - 1, random_wide(rng, 120))
+            got = TruncatedSeries(c).sqrt().coefficients
+            assert got[0] > 0 and poly_mul(got, got, n - 1) == c
+            assert_normalized(got)
+
+    def test_revert(self):
+        # f(rev f) = x with rev f(0) = 0 fixes rev f; the order-by-order
+        # recurrence oracle checks the shorter cases as well
+        rng = random.Random(105)
+        for n in lengths(rng):
+            f = [F(0), unit(rng)] + random_rationals(rng, n - 1, random_wide(rng, 30))
+            got = TruncatedSeries(f).revert().coefficients
+            assert got[0] == 0 and poly_compose(f, got, n) == [0, 1] + [0] * (n - 1)
+            if n <= 12:
+                assert list(got) == revert_by_recurrence(f, n)
+            assert_normalized(got)
+
+
+class TestMatrixKernel:
+    def test_mat_mul(self):
+        rng = random.Random(201)
+        for n in lengths(rng):
+            inner, cols = rng.randint(1, 12), rng.randint(1, 12)
+            wide = random_wide(rng, 4300 if n * inner * cols < 2000 else 40)
+            a = [random_rationals(rng, inner, wide) for _ in range(n)]
+            b = [random_rationals(rng, cols, wide) for _ in range(inner)]
+            got = mat_mul(a, b)
+            assert [list(row) for row in got] == mat_mul_rows(a, b)
+            assert_normalized(c for row in got for c in row)
+
+    def test_solve(self):
+        # a triangle with small entries against wide right-hand rows
+        rng = random.Random(202)
+        for n in lengths(rng):
+            m = [
+                random_rationals(rng, i, random_wide(rng, 2)) + [unit(rng)] + [F(0)] * (n - 1 - i)
+                for i in range(n)
+            ]
+            width = rng.randint(1, 6)
+            wide = random_wide(rng, 4300 if n < 12 else 200)
+            rhs = [random_rationals(rng, width, wide) for _ in range(n)]
+            got = TriMatrix(m).solve(rhs)
+            assert [list(row) for row in got] == mat_mul_rows(lower_inverse_rows(m), rhs)
+            assert_normalized(c for row in got for c in row)
+
+    def test_generate_from_production(self):
+        rng = random.Random(203)
+        for n in lengths(rng):
+            wide = random_wide(rng, 4300 if n < 4 else 60)
+            p = [
+                random_rationals(rng, min(i + 2, n), wide) + [F(0)] * (n - min(i + 2, n))
+                for i in range(n)
+            ]
+            rows = [[F(1)] + [F(0)] * (n - 1)]
+            while len(rows) < n:
+                rows += mat_mul_rows(rows[-1:], p)
+            got = generate_from_production(ProductionMatrix(p), n)
+            assert [list(row) for row in got.rows] == rows
+            assert_normalized(c for row in got.rows for c in row)
+
+
+class TestCoefficientBudget:
+    """Every kernel output refuses a coefficient past the budget."""
+
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            lambda: TruncatedSeries([BIG, 1]) * TruncatedSeries([BIG, 1]),
+            lambda: TruncatedSeries([BIG, 1]) * BIG,
+            lambda: TruncatedSeries([1, 1]) / F(1, BIG * BIG),
+            lambda: TruncatedSeries([F(1, BIG)]) + TruncatedSeries([F(1, 3**26000)]),
+            lambda: TruncatedSeries([F(1, BIG)]) - TruncatedSeries([F(1, 3**26000)]),
+            lambda: 1 / TruncatedSeries([1, -(10**4299)], 40),
+            lambda: TruncatedSeries([1, BIG], 3).sqrt(),
+            lambda: TruncatedSeries([0, BIG], 2).compose(TruncatedSeries([0, BIG], 2)),
+            lambda: TruncatedSeries([0, 1, BIG], 4).revert(),
+            lambda: mat_mul([[BIG]], [[BIG]]),
+            lambda: TriMatrix([[F(1, BIG)]]).solve([[BIG]]),
+            lambda: generate_from_production(
+                ProductionMatrix([[BIG, 1, 0], [1, BIG, 1], [0, 1, BIG]]), 3
+            ),
+        ],
+    )
+    def test_refused(self, compute):
+        with pytest.raises(CoefficientSizeError, match="a coefficient needs more than"):
+            compute()
+
+    def test_values_inside_the_budget_pass(self):
+        assert (TruncatedSeries([BIG, 1]) * 1).coefficients == (BIG, 1)
+        assert mat_mul([[BIG]], [[1]]) == ((BIG,),)
