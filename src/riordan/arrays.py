@@ -19,7 +19,7 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .series import TruncatedSeries, _extend, _ratio, lift
+from .series import TruncatedSeries, _extend, _mul_lists, _ratio, lift
 
 Rows = tuple[tuple[Fraction, ...], ...]
 
@@ -267,13 +267,13 @@ class RiordanElement:
                 f"but it has order {self.order}"
             )
         rows = [[_ZERO] * size for _ in range(size)]
-        column = self._g
+        f = lift(self._f.coefficients[:size])
+        column = self._g.coefficients[:size]  # g * f^k to the size it is read
         for k in range(size):
-            coeffs = column.coefficients
             for n in range(k, size):
-                rows[n][k] = coeffs[n]
+                rows[n][k] = column[n]
             if k + 1 < size:
-                column = column * self._f
+                column = _mul_lists(column, f)
         return TriMatrix(rows)
 
     # -- group structure ---------------------------------------------------------
@@ -315,17 +315,15 @@ class RiordanElement:
         cls, a: TruncatedSeries, z: TruncatedSeries
     ) -> "RiordanElement":
         """Rebuild the element whose production matrix has A-column ``a``
-        and Z-column ``z``: the inverse of (1 - x*Z/A, x/A)."""
+        and Z-column ``z``: (1/(1 - x*Z(F)), F) with F = rev(x/A), the
+        solution of F = x*A(F); the result has order min(a.order, z.order) + 1."""
         if not a.constant_term:
             raise InvalidElementError(
                 "invalid A-sequence: constant term must be nonzero"
             )
         common = min(a.order, z.order)
-        a = a.truncate(common)
-        z = z.truncate(common)
-        g_inner = 1 - (z / a).shift_up(1)
-        f_inner = (1 / a).shift_up(1)
-        return cls(g_inner, f_inner).inverse()
+        f = (1 / a.truncate(common)).shift_up(1).revert()
+        return cls(1 / (1 - z.truncate(common).compose(f).shift_up(1)), f)
 
     # -- comparison and display ----------------------------------------------------
 

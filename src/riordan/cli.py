@@ -147,7 +147,8 @@ def _cmd_identify(args: argparse.Namespace) -> int:
             "no OEIS dump configured: pass --oeis PATH or set the "
             f"{OEIS_PATH_ENV} environment variable to a stripped file"
         )
-    index = load_stripped(dump)
+    # the query is checked before the dump is loaded, which can take seconds
+    matrix = None
     if args.values:
         try:
             values = [int(part) for part in args.values.split(",")]
@@ -155,11 +156,14 @@ def _cmd_identify(args: argparse.Namespace) -> int:
             raise RiordanError(
                 f"bad --values: {err}; expected comma-separated integers"
             ) from err
-        matches = index.identify_sequence(values)
     else:
         element = _resolve_element(args, _headroom(args.size))
         matrix = element.matrix(args.size)
         values = [c.numerator for row in matrix.lower_rows() for c in row]
+    index = load_stripped(dump)
+    if matrix is None:
+        matches = index.identify_sequence(values)
+    else:
         matches = index.identify_triangle(matrix)
     text = (
         "\n".join(f"{m.anumber} (offset {m.offset})" for m in matches)

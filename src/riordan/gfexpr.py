@@ -323,7 +323,11 @@ def _eval(node: GfExpression, order: int, memo: dict) -> TruncatedSeries:
 def _eval_div(node: BinOp, order: int, memo: dict) -> TruncatedSeries:
     den = _eval(node.right, order, memo)
     if den.is_zero():
-        raise ExpressionEvalError("division by a zero series", node.pos)
+        raise ExpressionEvalError(
+            f"division by a series that is zero up to the working order x^{order}; "
+            "its leading term, if any, lies beyond it",
+            node.pos,
+        )
     shift = den.valuation()
     if shift == 0:
         num = _eval(node.left, order, memo)

@@ -155,10 +155,12 @@ def produced_matrix_closed_form(e: RiordanElement, n: int) -> RiordanElement:
     if n == 1:
         return e
     _require_order(e, 2, "the produced-matrix closed form")
-    u = 1 / e.f.shift_down(1)  # x/f at order e.order-1
-    p = u ** (n - 1)
-    left = RiordanElement(p, p.shift_up(1).truncate(p.order))
-    return left.inverse().mul(e.truncate(p.order))
+    # with r = rev(x*(x/f)^(n-1)) the product is (g(r) * r/x, f(r)); x/f is
+    # known to order e.order - 1, so x*(x/f)^(n-1) and r to order e.order
+    r = ((1 / e.f.shift_down(1)) ** (n - 1)).shift_up(1).revert()
+    return RiordanElement(
+        e.g.compose(r) * r.shift_down(1), e.f.compose(r).truncate(e.order - 1)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -95,12 +95,14 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     ]
 
 
-def _mul_lists(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    n = min(len(a), len(b))
+def _mul_lists(a: Sequence[Fraction], b: tuple[list[int], int]) -> list[Fraction]:
+    """Truncated product of ``a`` and a series ``b`` given lifted (``lift``),
+    so a factor used many times is lifted once."""
+    ib, db = b
+    n = min(len(a), len(ib))
     ia, da = lift(a[:n])
-    ib, db = lift(b[:n])
     d = da * db
-    return [_ratio(v, d) for v in _convolve(ia, ib)]
+    return [_ratio(v, d) for v in _convolve(ia, ib[:n])]
 
 
 def _div_lists(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
@@ -123,12 +125,10 @@ def _compose_lists(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fractio
     # coefficient of a, so short polynomials compose cheaply
     n = min(len(a), len(b))
     top = max((i for i in range(n) if a[i]), default=-1)
-    ib, db = lift(b[:n])
+    lb = lift(b[:n])
     res = [_ZERO] * n
     for i in range(top, -1, -1):
-        ir, dr = lift(res)
-        d = dr * db
-        res = [_ratio(v, d) for v in _convolve(ir, ib)]
+        res = _mul_lists(res, lb)
         res[0] = _checked(res[0] + a[i])
     return res
 
@@ -269,7 +269,8 @@ class TruncatedSeries:
             return TruncatedSeries([_checked(c * other) for c in self._coeffs])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return TruncatedSeries(_mul_lists(self._coeffs, other._coeffs))
+        n = min(self.order, other.order) + 1
+        return TruncatedSeries(_mul_lists(self._coeffs, lift(other._coeffs[:n])))
 
     __rmul__ = __mul__
 
@@ -365,11 +366,13 @@ class TruncatedSeries:
             raise ReversionError(
                 "reversion requires a nonzero linear coefficient"
             )
-        u = 1 / self.shift_down(1)  # x/self, known to order self.order - 1
+        u = (1 / self.shift_down(1)).coefficients  # x/self to order self.order - 1
+        lu = lift(u)
         out, power = [_ZERO], u
         for n in range(1, self.order + 1):
             out.append(_checked(power[n - 1] / n))
-            power = power * u
+            if n < self.order:
+                power = _mul_lists(power, lu)
         return TruncatedSeries(out)
 
     def sqrt(self) -> "TruncatedSeries":

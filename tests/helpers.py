@@ -142,14 +142,33 @@ def production_by_series(e, n, size):
 def closed_form_by_solve(e, n):
     """((x/f)^(n-1), x(x/f)^(n-1))^-1 * (g, f) for n >= 2 by one triangular
     solve of the left factor's matrix against the columns g and g*f, an
-    oracle for the library's closed form, which goes through the Riordan
-    group (a reversion and three compositions)."""
+    oracle for the library's closed form, which takes r = rev(x(x/f)^(n-1))
+    and returns (g(r) r/x, f(r)) (a reversion and two compositions)."""
     p = (1 / e.f.shift_down(1)) ** (n - 1)
     left = RiordanElement(p, p.shift_up(1).truncate(p.order)).matrix(p.order + 1)
     m = e.truncate(p.order)
     x = left.solve(tuple(zip(m.g.coefficients, (m.g * m.f).coefficients)))
     g = TruncatedSeries(row[0] for row in x)
     return RiordanElement(g, TruncatedSeries(row[1] for row in x) / g)
+
+
+def closed_form_by_group(e, n):
+    """((x/f)^(n-1), x(x/f)^(n-1))^-1 * (g, f) taken in the Riordan group: the
+    left factor built as an element, inverted, and multiplied by ``e``; ``e``
+    itself for n = 1.  An oracle for the library's closed form."""
+    if n == 1:
+        return e
+    p = (1 / e.f.shift_down(1)) ** (n - 1)
+    left = RiordanElement(p, p.shift_up(1).truncate(p.order))
+    return left.inverse().mul(e.truncate(p.order))
+
+
+def from_az_by_inverse(a, z):
+    """The element with A-sequence ``a`` and Z-sequence ``z`` as the group
+    inverse of (1 - x*Z/A, x/A), an oracle for ``RiordanElement.from_az``."""
+    common = min(a.order, z.order)
+    a, z = a.truncate(common), z.truncate(common)
+    return RiordanElement(1 - (z / a).shift_up(1), (1 / a).shift_up(1)).inverse()
 
 
 def catalan_number(n: int) -> int:

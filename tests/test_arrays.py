@@ -8,6 +8,7 @@ import reference_data as ref
 from helpers import (
     element_battery,
     frac_rows,
+    from_az_by_inverse,
     gf_entry,
     lower_inverse_rows,
     mat_mul_rows,
@@ -196,6 +197,18 @@ class TestFromAZ:
         for e in battery[:12]:
             rebuilt = RiordanElement.from_az(*nth_az(e, 1))
             assert rebuilt == e
+
+    @pytest.mark.parametrize("kind", ["normalized", "non_normalized"])
+    def test_matches_inverse_oracle(self, battery, non_normalized, kind):
+        # coefficient tuples, because series == ignores surplus order
+        elements = battery[:12] if kind == "normalized" else non_normalized
+        for e in elements:
+            for n in range(1, 7):
+                got = RiordanElement.from_az(*nth_az(e, n))
+                want = from_az_by_inverse(*nth_az(e, n))
+                assert got.order == want.order, (e, n)
+                assert got.g.coefficients == want.g.coefficients, (e, n)
+                assert got.f.coefficients == want.f.coefficients, (e, n)
 
 
 class TestTriMatrix:

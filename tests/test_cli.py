@@ -129,6 +129,27 @@ class TestShow:
         finally:
             sys.setrecursionlimit(limit)
 
+    @pytest.mark.parametrize(
+        "g, size, subdiagonal", [("x^10/x^10", 12, 0), ("(x^6+x^7)/x^6", 5, 1)]
+    )
+    def test_denominator_zero_to_the_working_order(self, capsys, g, size, subdiagonal):
+        # the working order is size + 2: at size 3 both denominators vanish
+        # through x^5, at the larger size their leading terms are within it
+        code, out, err = run(capsys, "show", "--g", g, "--f", "x", "--size", "3")
+        assert code == 2 and out == ""
+        assert err.startswith(
+            "error: division by a series that is zero up to the working order x^5; "
+            "its leading term, if any, lies beyond it (at offset "
+        )
+        code, out, err = run(capsys, "show", "--g", g, "--f", "x", "--size", str(size))
+        assert code == 0 and err == ""
+        # g = 1 and g = 1 + x: the identity and a lower-bidiagonal matrix of ones
+        expected = [
+            [int(i == j) + subdiagonal * int(i == j + 1) for j in range(size)]
+            for i in range(size)
+        ]
+        assert [[int(v) for v in line.split()] for line in out.splitlines()] == expected
+
     def test_nonpositive_size_exits_2(self, capsys):
         code, _, err = run(capsys, "show", "--family", "pascal", "--size", "0")
         assert code == 2
@@ -285,6 +306,24 @@ class TestIdentify:
             capsys, "identify", "--values", "1,1", "--oeis", str(oeis_fixture_path)
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            (["--values", "1,2,x"], "error: bad --values: "),
+            (["--g", "1/(1-", "--f", "x"], "error: unexpected end of input (at offset 5)"),
+        ],
+    )
+    def test_query_checked_before_the_dump_loads(
+        self, capsys, monkeypatch, oeis_fixture_path, query, message
+    ):
+        def unexpected(path):
+            pytest.fail(f"the dump was loaded for a malformed query: {path}")
+
+        monkeypatch.setattr("riordan.cli.load_stripped", unexpected)
+        code, out, err = run(capsys, "identify", *query, "--oeis", str(oeis_fixture_path))
+        assert code == 2 and out == ""
+        assert err.startswith(message)
 
     def test_no_match_is_success(self, capsys, oeis_fixture_path):
         code, doc, _ = run_json(

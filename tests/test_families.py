@@ -80,7 +80,7 @@ class TestMomentArrays:
 
     @pytest.mark.parametrize("r", [F(-2), F(-1), F(1, 2), F(2), F(3)])
     def test_series_route_matches_closed_form(self, r):
-        # moment_array cross-checks internally; exercise it across r
+        # the series route of moment_array against the entry formula
         m = moment_array(r, 7)
         for n in range(7):
             for k in range(n + 1):

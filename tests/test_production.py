@@ -5,6 +5,7 @@ import pytest
 
 import reference_data as ref
 from helpers import (
+    closed_form_by_group,
     closed_form_by_solve,
     frac_rows,
     lower_inverse_rows,
@@ -76,17 +77,19 @@ class TestClassicalProduction:
             for j in range(min(i + 2, 7)):
                 assert p[i, j] == 1
 
-    def test_columns_are_shifted_a_sequence(self, battery):
+    def test_columns_are_shifted_a_sequence(self, battery, non_normalized):
         # column 0 is the Z-sequence; column k holds the A-sequence pushed
-        # down k-1 rows
-        for e in battery[:4]:
-            p = production_matrix(e, 8)
-            a, z = nth_az(e, 1)
-            for i in range(8):
-                assert p[i, 0] == z.coefficient(i)
-                for k in range(1, 8):
-                    expected = a.coefficient(i - k + 1) if i + 1 >= k else 0
-                    assert p[i, k] == expected
+        # down k-1 rows; so for every n-th production matrix (derivation
+        # step 3)
+        for e in [*battery[:4], *non_normalized[:4]]:
+            for n in range(1, 7):
+                p = nth_production_matrix(e, n, 8)
+                a, z = nth_az(e, n)
+                for i in range(8):
+                    assert p[i, 0] == z.coefficient(i), (e, n)
+                    for k in range(1, 8):
+                        expected = a.coefficient(i - k + 1) if i + 1 >= k else 0
+                        assert p[i, k] == expected, (e, n)
 
     def test_needs_one_row_of_headroom(self):
         with pytest.raises(PrecisionError):
@@ -278,6 +281,34 @@ class TestClosedForm:
                 assert got.order == want.order == e.order - 1, (e, n)
                 assert got.g.coefficients == want.g.coefficients, (e, n)
                 assert got.f.coefficients == want.f.coefficients, (e, n)
+
+    @pytest.mark.parametrize("kind", ["normalized", "non_normalized"])
+    def test_matches_group_oracle(self, battery, non_normalized, kind):
+        elements = battery[:12] if kind == "normalized" else non_normalized
+        for e in elements:
+            for n in range(1, 7):
+                got = produced_matrix_closed_form(e, n)
+                want = closed_form_by_group(e, n)
+                assert got.order == want.order, (e, n)
+                assert got.g.coefficients == want.g.coefficients, (e, n)
+                assert got.f.coefficients == want.f.coefficients, (e, n)
+
+    @pytest.mark.parametrize("kind", ["normalized", "non_normalized"])
+    def test_equals_scaled_az_rebuild(self, battery, non_normalized, kind):
+        # derivation steps 4-5: the element the A/Z pair generates is the
+        # closed form divided by c = g(0) f'(0)^(n-1); for n = 1 this holds
+        # only once e is truncated by one order, so n starts at 2
+        elements = battery[:12] if kind == "normalized" else non_normalized
+        for e in elements:
+            for n in range(2, 7):
+                closed = produced_matrix_closed_form(e, n)
+                rebuilt = RiordanElement.from_az(*nth_az(e, n))
+                c = e.g.constant_term * e.f.coefficient(1) ** (n - 1)
+                assert closed.order == rebuilt.order, (e, n)
+                assert closed.f.coefficients == rebuilt.f.coefficients, (e, n)
+                assert closed.g.coefficients == tuple(
+                    c * v for v in rebuilt.g.coefficients
+                ), (e, n)
 
     def test_appell_elements_are_fixed_points(self):
         g = TruncatedSeries([1, 1, 1, 1], 10)
