@@ -29,7 +29,7 @@ from .families import (
     orthogonal_polys,
 )
 from .gfexpr import evaluate_text
-from .oeis import load_stripped
+from .oeis import load_stripped, query, triangle_query
 from .production import nth_production_matrix, production_matrix, verify_nth_conjecture
 
 EXIT_OK = 0
@@ -147,24 +147,22 @@ def _cmd_identify(args: argparse.Namespace) -> int:
             "no OEIS dump configured: pass --oeis PATH or set the "
             f"{OEIS_PATH_ENV} environment variable to a stripped file"
         )
-    # the query is checked before the dump is loaded, which can take seconds
-    matrix = None
-    if args.values:
+    # every rule of the query (riordan.oeis) is checked before the slow dump read
+    if args.values is None:
+        element = _resolve_element(args, _headroom(args.size))
+        values = triangle_query(element.matrix(args.size))
+    elif args.family or args.g is not None or args.f is not None:
+        raise RiordanError(
+            "give either --values or an element (--family, or --g and --f), not both"
+        )
+    else:
         try:
-            values = [int(part) for part in args.values.split(",")]
+            values = query([int(part) for part in args.values.split(",")])
         except ValueError as err:
             raise RiordanError(
                 f"bad --values: {err}; expected comma-separated integers"
             ) from err
-    else:
-        element = _resolve_element(args, _headroom(args.size))
-        matrix = element.matrix(args.size)
-        values = [c.numerator for row in matrix.lower_rows() for c in row]
-    index = load_stripped(dump)
-    if matrix is None:
-        matches = index.identify_sequence(values)
-    else:
-        matches = index.identify_triangle(matrix)
+    matches = load_stripped(dump).identify_sequence(values)
     text = (
         "\n".join(f"{m.anumber} (offset {m.offset})" for m in matches)
         or "no matches"

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .arrays import TriMatrix
 from .errors import OeisFormatError, OeisQueryError
@@ -37,7 +36,8 @@ class OeisIndex:
 
     Built once; safe to share between threads afterwards.  A lookup scans
     every entry: a process typically loads a dump for one lookup, and one
-    scan costs less than building a table keyed by prefixes would.
+    scan costs less than building a table keyed by prefixes would.  Queries
+    are checked by :func:`query` and :func:`triangle_query`, which need no dump.
     """
 
     def __init__(self, entries: Mapping[str, Sequence[int]], skipped_lines: int = 0):
@@ -59,11 +59,11 @@ class OeisIndex:
         """Entries whose stored prefix contains ``values`` as a contiguous
         run starting at offset 0, 1 or 2.
 
-        Each A-number is reported once, at its smallest matching offset;
-        results are sorted by (offset, A-number).  The run must fit entirely
-        inside the stored prefix.
+        ``values`` must pass :func:`query`.  Each A-number is reported once,
+        at its smallest matching offset; results are sorted by (offset,
+        A-number).  The run must fit entirely inside the stored prefix.
         """
-        values = self._validated(values)
+        values = query(values)
         matches = []
         for anumber, stored in self._entries.items():
             for offset in range(MAX_START_OFFSET + 1):
@@ -73,40 +73,40 @@ class OeisIndex:
         return sorted(matches, key=lambda m: (m.offset, m.anumber))
 
     def identify_triangle(self, m: TriMatrix) -> list[SequenceMatch]:
-        """Identify a triangle read by rows (row 0 first)."""
-        if m.size < 3:
-            raise OeisQueryError(
-                "triangle lookup needs size >= 3 (at least "
-                f"{MIN_QUERY_VALUES} values)"
-            )
-        flat = [c for row in m.lower_rows() for c in row]
-        return self.identify_sequence(self._integers(flat))
+        """Identify a triangle read by rows; see :func:`triangle_query`."""
+        return self.identify_sequence(triangle_query(m))
 
-    @staticmethod
-    def _validated(values: Sequence[int]) -> tuple[int, ...]:
-        if len(values) < MIN_QUERY_VALUES:
-            raise OeisQueryError(
-                f"need at least {MIN_QUERY_VALUES} values to identify a "
-                f"sequence, got {len(values)}"
-            )
-        out = []
-        for v in values:
-            if not isinstance(v, int):
-                raise OeisQueryError(f"query values must be integers, got {v!r}")
-            out.append(v)
-        return tuple(out)
 
-    @staticmethod
-    def _integers(values: Iterable[Fraction]) -> list[int]:
-        out = []
-        for v in values:
-            if v.denominator != 1:
-                raise OeisQueryError(
-                    f"matrix entry {v} is not an integer; OEIS lookup needs "
-                    "integer entries"
-                )
-            out.append(v.numerator)
-        return out
+def query(values: Sequence[int]) -> tuple[int, ...]:
+    """``values`` as a lookup query, a tuple of at least ``MIN_QUERY_VALUES``
+    ints, or OeisQueryError."""
+    if len(values) < MIN_QUERY_VALUES:
+        raise OeisQueryError(
+            f"need at least {MIN_QUERY_VALUES} values to identify a "
+            f"sequence, got {len(values)}"
+        )
+    for v in values:
+        if not isinstance(v, int):
+            raise OeisQueryError(f"query values must be integers, got {v!r}")
+    return tuple(values)
+
+
+def triangle_query(m: TriMatrix) -> tuple[int, ...]:
+    """The integer entries of a triangle of size >= 3 read by rows (row 0
+    first), or OeisQueryError."""
+    if m.size < 3:
+        raise OeisQueryError(
+            "triangle lookup needs size >= 3 (at least "
+            f"{MIN_QUERY_VALUES} values)"
+        )
+    entries = [v for row in m.lower_rows() for v in row]
+    for v in entries:
+        if v.denominator != 1:
+            raise OeisQueryError(
+                f"matrix entry {v} is not an integer; OEIS lookup needs "
+                "integer entries"
+            )
+    return tuple(v.numerator for v in entries)
 
 
 def load_stripped(path: str | Path) -> OeisIndex:

@@ -356,6 +356,21 @@ class TestVerification:
                     tuple(report.scale * c for c in row) for row in report.produced.rows
                 )
 
+    def test_closed_form_taken_only_to_the_compared_order(self, monkeypatch):
+        # the closed form's reversion grows with the order it is taken at, so
+        # verify takes it only as far as the size x size block reads
+        orders = []
+
+        def recording(e, n):
+            orders.append(e.order)
+            return produced_matrix_closed_form(e, n)
+
+        monkeypatch.setattr("riordan.production.produced_matrix_closed_form", recording)
+        size = 6
+        report = verify_nth_conjecture(catalan_array(40), 3, size)
+        assert report.equal
+        assert orders and max(orders) <= size + 1
+
     def test_mismatch_beyond_scale_is_reported(self, monkeypatch):
         # doubling every row of P but the first changes the generated
         # triangle from row 2 on, and not by one common factor
