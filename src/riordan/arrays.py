@@ -19,7 +19,7 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .series import TruncatedSeries, _extend, _mul_lists, _ratio, lift
+from .series import TruncatedSeries, _extend, _mul_lists, _ratio, as_fraction, lift
 
 Rows = tuple[tuple[Fraction, ...], ...]
 
@@ -94,7 +94,7 @@ class ExactMatrix:
 
     def __init__(self, rows: Iterable[Iterable[Fraction]]):
         frozen = tuple(
-            tuple(c if isinstance(c, Fraction) else Fraction(c) for c in row)
+            tuple(c if isinstance(c, Fraction) else as_fraction(c) for c in row)
             for row in rows
         )
         size = len(frozen)
@@ -119,7 +119,7 @@ class ExactMatrix:
         for i, row in enumerate(rows):
             if len(row) > size:
                 raise ShapeError(f"row {i} is longer than the matrix size {size}")
-            full.append([Fraction(c) for c in row] + [_ZERO] * (size - len(row)))
+            full.append([as_fraction(c) for c in row] + [_ZERO] * (size - len(row)))
         return cls(full)
 
     @property

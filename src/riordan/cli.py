@@ -162,7 +162,14 @@ def _cmd_identify(args: argparse.Namespace) -> int:
             raise RiordanError(
                 f"bad --values: {err}; expected comma-separated integers"
             ) from err
-    matches = load_stripped(dump).identify_sequence(values)
+    index = load_stripped(dump)
+    if index.skipped_lines:
+        # "no matches" then covers only the records that were read
+        print(
+            f"warning: skipped {index.skipped_lines} malformed line(s) in {dump}",
+            file=sys.stderr,
+        )
+    matches = index.identify_sequence(values)
     text = (
         "\n".join(f"{m.anumber} (offset {m.offset})" for m in matches)
         or "no matches"

@@ -15,14 +15,20 @@ from fractions import Fraction
 from .arrays import RiordanElement, TriMatrix
 from .errors import PrecisionError, UnknownFamilyError
 from .production import produced_matrix_closed_form
-from .series import _MAX_LITERAL_DIGITS, Rational, TruncatedSeries, catalan_gf
+from .series import (
+    _MAX_LITERAL_DIGITS,
+    Rational,
+    TruncatedSeries,
+    as_fraction,
+    catalan_gf,
+)
 
 FAMILY_NAMES = ("pascal", "binomial:r", "catalan", "moment:r", "a085478")
 
 
 def binomial_power(r: Rational, order: int) -> RiordanElement:
     """The r-th power of the binomial matrix: (1/(1-rx), x/(1-rx))."""
-    g = 1 / TruncatedSeries([1, -Fraction(r)], order)
+    g = 1 / TruncatedSeries([1, -as_fraction(r)], order)
     return RiordanElement(g, g.shift_up(1).truncate(order))
 
 
@@ -51,7 +57,7 @@ def a085478_element(order: int) -> RiordanElement:
 def moment_element(r: Rational, order: int) -> RiordanElement:
     """(c(rx)^2, x c(rx)^2), the element generated by the second production
     matrix of the binomial power B^r."""
-    crx = catalan_gf(order).compose(TruncatedSeries([0, Fraction(r)], order))
+    crx = catalan_gf(order).compose(TruncatedSeries([0, as_fraction(r)], order))
     g = crx * crx
     return RiordanElement(g, g.shift_up(1).truncate(order))
 
@@ -63,7 +69,7 @@ def moment_entry(r: Rational, n: int, k: int) -> Fraction:
     return (
         Fraction(2 * (k + 1), n + k + 2)
         * math.comb(2 * n + 1, n - k)
-        * Fraction(r) ** (n - k)
+        * as_fraction(r) ** (n - k)
     )
 
 
@@ -96,7 +102,7 @@ def orthogonal_polys(r: Rational, count: int) -> list[PolynomialRow]:
     if count < 1:
         raise ValueError("count must be positive")
     order = count - 1
-    base = TruncatedSeries([1, Fraction(r)], order) ** 2
+    base = TruncatedSeries([1, as_fraction(r)], order) ** 2
     g = 1 / base
     if count == 1:
         return [PolynomialRow((g.constant_term,))]

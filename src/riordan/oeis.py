@@ -1,9 +1,9 @@
 """Sequence identification against a local OEIS "stripped" dump.
 
-The stripped format is one record per line: an A-number, a space, then the
-sequence prefix wrapped in commas, e.g. ``A000108 ,1,1,2,5,14,42,``.  Lines
-starting with ``#`` are comments.  Lookups are purely local; there is no
-network access.
+One record per line: an A-number, whitespace, then the sequence prefix wrapped
+in commas, each term as ``str(int)`` writes it (ASCII digits, no ``+``, no
+leading zeros, no ``-0``, at most 4300 digits): ``A000108 ,1,1,2,5,14,42,``.
+Other lines but ``#`` comments are skipped and counted; lookups are local.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 from .arrays import TriMatrix
 from .errors import OeisFormatError, OeisQueryError
+from .series import _MAX_LITERAL_DIGITS
 
 # shorter queries match uselessly many entries
 MIN_QUERY_VALUES = 6
@@ -22,7 +23,9 @@ MIN_QUERY_VALUES = 6
 # a query may start this far into a stored prefix (OEIS offsets vary)
 MAX_START_OFFSET = 2
 
-_RECORD = re.compile(r"^(A\d+)\s+,(.*),$")
+# a term has at most CPython's default int <-> str digits, so get() parses it
+_TERM = rf"(?:0|-?[1-9][0-9]{{0,{_MAX_LITERAL_DIGITS - 1}}})"
+_RECORD = re.compile(rf"(A\d+)\s+(,(?:{_TERM},)+)")
 
 
 @dataclass(frozen=True)
@@ -31,21 +34,24 @@ class SequenceMatch:
     offset: int
 
 
-class OeisIndex:
-    """Read-only index over a stripped dump.
+def _text(values: Sequence[int]) -> str:
+    """``values`` as a record writes them: ``,v1,v2,...,``."""
+    return f",{','.join(map(int.__repr__, values))},"
 
-    Built once; safe to share between threads afterwards.  A lookup scans
-    every entry: a process typically loads a dump for one lookup, and one
-    scan costs less than building a table keyed by prefixes would.  Queries
-    are checked by :func:`query` and :func:`triangle_query`, which need no dump.
+
+class OeisIndex:
+    """Read-only index over a stripped dump, each record kept as its text.
+
+    Built once; safe to share between threads afterwards.  Queries are checked
+    by :func:`query` and :func:`triangle_query`, which need no dump.
     """
 
     def __init__(self, entries: Mapping[str, Sequence[int]], skipped_lines: int = 0):
-        self._entries = {key: tuple(seq) for key, seq in entries.items()}
+        self._records = {key: _text(seq) for key, seq in entries.items()}
         self._skipped = skipped_lines
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._records)
 
     @property
     def skipped_lines(self) -> int:
@@ -53,23 +59,26 @@ class OeisIndex:
         return self._skipped
 
     def get(self, anumber: str) -> tuple[int, ...] | None:
-        return self._entries.get(anumber)
+        text = self._records.get(anumber)
+        return None if text is None else tuple(map(int, text[1:-1].split(",")))
 
     def identify_sequence(self, values: Sequence[int]) -> list[SequenceMatch]:
         """Entries whose stored prefix contains ``values`` as a contiguous
         run starting at offset 0, 1 or 2.
 
         ``values`` must pass :func:`query`.  Each A-number is reported once,
-        at its smallest matching offset; results are sorted by (offset,
-        A-number).  The run must fit entirely inside the stored prefix.
+        at its smallest matching offset, sorted by (offset, A-number).
         """
-        values = query(values)
+        try:
+            key = _text(query(values))
+        except ValueError:  # str() refuses so wide a term; no record holds one
+            return []
         matches = []
-        for anumber, stored in self._entries.items():
-            for offset in range(MAX_START_OFFSET + 1):
-                if stored[offset : offset + len(values)] == values:
-                    matches.append(SequenceMatch(anumber, offset))
-                    break
+        for anumber, text in self._records.items():
+            # the first hit has the smallest offset: the commas before it
+            at = text.find(key)
+            if at >= 0 and (offset := text.count(",", 0, at)) <= MAX_START_OFFSET:
+                matches.append(SequenceMatch(anumber, offset))
         return sorted(matches, key=lambda m: (m.offset, m.anumber))
 
     def identify_triangle(self, m: TriMatrix) -> list[SequenceMatch]:
@@ -110,33 +119,22 @@ def triangle_query(m: TriMatrix) -> tuple[int, ...]:
 
 
 def load_stripped(path: str | Path) -> OeisIndex:
-    """Parse a stripped dump into an index.
-
-    Comment lines are ignored; malformed lines are skipped and counted in
-    ``skipped_lines``.  An unreadable file, or one with no parseable record,
-    is an error.
-    """
+    """Read a stripped dump into an index, one line at a time; malformed
+    lines are skipped and counted in ``skipped_lines``.  An unreadable file,
+    or one with no parseable record, is an error."""
+    index = OeisIndex({})  # filled below with record text, which needs no render
     try:
-        text = Path(path).read_text(encoding="utf-8", errors="replace")
+        with open(path, encoding="utf-8", errors="replace") as lines:
+            for line in lines:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if match := _RECORD.fullmatch(line):
+                    index._records[match[1]] = match[2]
+                else:
+                    index._skipped += 1
     except OSError as err:
         raise OeisFormatError(f"cannot read OEIS dump {path}: {err}") from err
-    entries: dict[str, tuple[int, ...]] = {}
-    skipped = 0
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        match = _RECORD.match(line)
-        if not match:
-            skipped += 1
-            continue
-        anumber, body = match.groups()
-        try:
-            seq = tuple(int(part) for part in body.split(","))
-        except ValueError:
-            skipped += 1
-            continue
-        entries[anumber] = seq
-    if not entries:
+    if not index:
         raise OeisFormatError(f"no parseable records in OEIS dump {path}")
-    return OeisIndex(entries, skipped_lines=skipped)
+    return index

@@ -133,8 +133,14 @@ def _compose_lists(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fractio
     return res
 
 
-def _as_fractions(coeffs: Iterable[Rational]) -> list[Fraction]:
-    return [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+def as_fraction(c: Rational) -> Fraction:
+    """``c`` as a Fraction, or TypeError unless it is an int or a Fraction:
+    a float would enter at its binary value (0.1 as 3602879701896397/2**55)."""
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"exact values are int or Fraction, got {c!r}")
 
 
 class TruncatedSeries:
@@ -149,7 +155,7 @@ class TruncatedSeries:
         caller asserts the remaining terms vanish, as for a polynomial) or
         truncated down to ``order + 1`` entries.
         """
-        values = _as_fractions(coeffs)
+        values = [c if isinstance(c, Fraction) else as_fraction(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError("order must be non-negative")

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
-from riordan import ProductionMatrix, RiordanElement, TruncatedSeries
+from riordan import ProductionMatrix, RiordanElement, SequenceMatch, TruncatedSeries
 
 
 def frac_rows(rows):
@@ -220,3 +221,34 @@ def element_battery(count: int, order: int, seed: int) -> list[RiordanElement]:
 def non_normalized_battery(count: int, order: int, seed: int) -> list[RiordanElement]:
     rng = random.Random(seed)
     return [random_non_normalized_element(rng, order) for _ in range(count)]
+
+
+def stripped_by_int_tuples(text):
+    """A stripped dump read the way the library once read it, every record
+    parsed by ``int()`` into a tuple: ``(entries, skipped_lines)``.  It agrees
+    with ``load_stripped`` on dumps whose integers are canonical."""
+    entries, skipped = {}, 0
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        match = re.match(r"^(A\d+)\s+,(.*),$", line)
+        try:
+            entries[match[1]] = tuple(int(part) for part in match[2].split(","))
+        except (TypeError, ValueError):  # no match, or a field int() refuses
+            skipped += 1
+    return entries, skipped
+
+
+def identify_by_slices(entries, values, max_offset=2):
+    """Entries holding ``values`` as a run at offset 0..max_offset, each at
+    its smallest such offset, sorted by (offset, A-number): one tuple slice
+    compared per entry and offset."""
+    values = tuple(values)
+    matches = []
+    for anumber, stored in entries.items():
+        for offset in range(max_offset + 1):
+            if stored[offset : offset + len(values)] == values:
+                matches.append(SequenceMatch(anumber, offset))
+                break
+    return sorted(matches, key=lambda m: (m.offset, m.anumber))

@@ -337,6 +337,15 @@ class TestIdentify:
         assert code == 2 and out == ""
         assert err.startswith(message)
 
+    def test_skipped_lines_are_reported_on_stderr(self, capsys, tmp_path):
+        path = tmp_path / "dump.txt"
+        path.write_text("A000108 ,1,1,2,5,14,42,132,\nA000001 ,1,+2,3,\n")
+        code, out, err = run(
+            capsys, "identify", "--values", "1,1,2,5,14,42", "--oeis", str(path)
+        )
+        assert (code, out) == (0, "A000108 (offset 0)\n")
+        assert err == f"warning: skipped 1 malformed line(s) in {path}\n"
+
     def test_no_match_is_success(self, capsys, oeis_fixture_path):
         code, doc, _ = run_json(
             capsys, "identify", "--values", "9,9,9,9,9,9",

@@ -1,5 +1,9 @@
+import random
+import sys
+
 import pytest
 
+from helpers import identify_by_slices, stripped_by_int_tuples
 from riordan import (
     MIN_QUERY_VALUES,
     OeisFormatError,
@@ -17,6 +21,21 @@ from riordan import (
 @pytest.fixture(scope="module")
 def index(oeis_fixture_path):
     return load_stripped(oeis_fixture_path)
+
+
+@pytest.fixture
+def no_int_digit_limit():
+    """Lift CPython's int <-> str digit limit where there is one, so that only
+    the record grammar bounds the width of a term."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestLoading:
@@ -43,6 +62,33 @@ class TestLoading:
         idx = load_stripped(path)
         assert len(idx) == 1
         assert idx.skipped_lines == 3
+
+    @pytest.mark.parametrize(
+        "term",
+        ["+5", "007", "-0", "1_0", " 5", "\u0665", "1" * 4301],
+        ids=["plus", "leading-zeros", "minus-zero", "underscore", "inner-space",
+             "non-ascii-digit", "4301-digits"],
+    )
+    def test_non_canonical_integer_skips_the_record(
+        self, tmp_path, no_int_digit_limit, term
+    ):
+        path = tmp_path / "odd.txt"
+        path.write_text(
+            f"A000001 ,1,2,{term},3,4,5,\nA000012 ,1,1,1,1,1,1,1,\n", encoding="utf-8"
+        )
+        idx = load_stripped(path)
+        assert (len(idx), idx.skipped_lines) == (1, 1)
+        assert idx.get("A000001") is None
+
+    def test_widest_terms_load(self, tmp_path):
+        wide = 10**4300 - 1
+        path = tmp_path / "wide.txt"
+        path.write_text(f"A000001 ,{wide},-{wide},0,-1,1,2,\n")
+        idx = load_stripped(path)
+        assert idx.get("A000001") == (wide, -wide, 0, -1, 1, 2)
+        assert idx.identify_sequence([wide, -wide, 0, -1, 1, 2]) == [
+            SequenceMatch("A000001", 0)
+        ]
 
     def test_empty_file_is_an_error(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -80,6 +126,27 @@ class TestSequenceLookup:
         stored = list(index.get("A000108"))
         assert index.identify_sequence(stored) == [SequenceMatch("A000108", 0)]
         assert index.identify_sequence(stored + [58786 * 3]) == []
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            ",11,1,2,5,14,42,",
+            ",-1,1,2,5,14,42,",
+            ",0,0,0,1,1,2,5,14,42,7,1,1,2,5,14,42,",
+            ",1,1,2,5,14,",
+            ",1,1,2,5,14,421,",
+            ",1,1,2,5,14,42",
+        ],
+        ids=["longer-first-term", "signed-first-term", "first-seen-at-offset-3",
+             "past-the-prefix", "longer-last-term", "no-closing-comma"],
+    )
+    def test_a_run_matches_whole_terms_only(self, tmp_path, record):
+        path = tmp_path / "near.txt"
+        path.write_text(f"A000001 {record}\nA000012 ,1,1,1,1,1,1,\n")
+        assert load_stripped(path).identify_sequence([1, 1, 2, 5, 14, 42]) == []
+
+    def test_query_term_wider_than_any_record_matches_nothing(self, index):
+        assert index.identify_sequence([1, 1, 2, 5, 14, 10**4300]) == []
 
     def test_deterministic_ordering(self, tmp_path):
         path = tmp_path / "ones.txt"
@@ -141,3 +208,74 @@ class TestTriangleLookup:
         m = catalan_array(7).matrix(6)
         flat = [c.numerator for row in m.lower_rows() for c in row]
         assert index.identify_triangle(m) == index.identify_sequence(flat)
+
+
+class TestAgainstIntTupleOracle:
+    """The text index against the int-tuple reading and slice lookup it
+    replaced (``tests/helpers.py``), on a seeded dump of canonical records."""
+
+    RUNS = (
+        [1, 1, 2, 5, 14, 42, 132],
+        [0, 0, 0, 0, 0, 0, 0, 0],
+        [-1, 2, -3, 4, -5, 6],
+        [7, 7, 7, 7, 7, 7, 7, 7, 7],
+        [1, 0, -1, 0, 1, 0, -1],
+    )
+
+    def test_seeded_dump_and_queries(self, tmp_path):
+        rng = random.Random(20261018)
+
+        def term():
+            if rng.random() < 0.7:
+                return rng.randint(-3, 3)
+            return rng.choice((-1, 1)) * rng.randrange(10 ** rng.randint(1, 12))
+
+        def near_miss(run):
+            # one term off by one, by sign or by a digit before or after it
+            out = list(run)
+            i = rng.randrange(len(out))
+            v = out[i]
+            sign = -1 if v < 0 else 1
+            out[i] = rng.choice(
+                (v + 1, v - 1, -v or 1, int(f"{v}1"), sign * int(f"1{abs(v)}"))
+            )
+            return out
+
+        lines = ["# seeded dump\n", "\n", "  # an indented comment\n"]
+        for k in range(300):
+            run = rng.choice(self.RUNS)
+            background = [term() for _ in range(rng.randint(1, 12))]
+            body = rng.choice((run, near_miss(run), run + run, background))
+            seq = [term() for _ in range(rng.randrange(4))] + body
+            seq += [term() for _ in range(rng.randrange(4))]
+            lines.append(f"A{k:06d} ,{','.join(map(str, seq))},\n")
+        lines.insert(150, "A000007 ,0,0,0,0,0,0,9,\n")  # a later line replaces A000007
+        lines += [
+            "B000001 ,1,2,3,\n", "A000045 1,2,3\n", "A000108 ,1,1,two,5,\n", "A000009 ,,\n"
+        ]
+        text = "".join(lines)
+        path = tmp_path / "seeded.txt"
+        path.write_text(text)
+        idx = load_stripped(path)
+        entries, skipped = stripped_by_int_tuples(text)
+
+        assert (len(idx), idx.skipped_lines) == (len(entries), skipped) == (300, 4)
+        assert all(idx.get(a) == stored for a, stored in entries.items())
+        assert idx.get("A999999") is None
+
+        records = list(entries.values())
+        queries = [list(run) for run in self.RUNS]
+        queries += [near_miss(run) for run in self.RUNS * 8]
+        for _ in range(300):
+            seq = rng.choice(records)
+            start = rng.randrange(5)
+            values = list(seq[start : start + rng.randint(6, 10)])
+            queries.append(values + [term() for _ in range(6 - len(values))])
+        queries += [[rng.randint(-1, 1) for _ in range(6)] for _ in range(60)]
+
+        offsets = set()
+        for values in queries:
+            found = idx.identify_sequence(values)
+            assert found == identify_by_slices(entries, values), values
+            offsets.update(m.offset for m in found)
+        assert offsets == {0, 1, 2} and len(queries) > 400

@@ -15,8 +15,13 @@ from riordan import (
     PrecisionError,
     ReversionError,
     SqrtError,
+    TriMatrix,
     TruncatedSeries,
+    binomial_power,
     catalan_gf,
+    moment_element,
+    moment_entry,
+    orthogonal_polys,
 )
 
 
@@ -287,3 +292,28 @@ class TestStructure:
     def test_valuation(self):
         assert TruncatedSeries([0, 0, 7, 1]).valuation() == 2
         assert TruncatedSeries.zero(4).valuation() is None
+
+
+class TestExactInputs:
+    """Only ints and Fractions enter the exact types; a float would be taken
+    at its binary value (0.1 as 3602879701896397/36028797018963968)."""
+
+    @pytest.mark.parametrize(
+        "build, value",
+        [
+            (lambda: TruncatedSeries([1, 0.1]), 0.1),
+            (lambda: TriMatrix([[0.5]]), 0.5),
+            (lambda: TriMatrix.from_rows([[0.5]]), 0.5),
+            (lambda: binomial_power(0.1, 4), 0.1),
+            (lambda: moment_element(0.1, 4), 0.1),
+            (lambda: moment_entry(0.1, 1, 0), 0.1),
+            (lambda: orthogonal_polys(0.1, 3), 0.1),
+            (lambda: TruncatedSeries([1, "1/2"]), "1/2"),
+        ],
+        ids=["series", "matrix", "matrix-from-rows", "binomial-power",
+             "moment-element", "moment-entry", "orthogonal-polys", "string"],
+    )
+    def test_other_values_are_a_type_error_naming_them(self, build, value):
+        with pytest.raises(TypeError) as err:
+            build()
+        assert repr(value) in str(err.value)
