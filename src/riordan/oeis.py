@@ -36,7 +36,7 @@ class SequenceMatch:
 
 def _text(values: Sequence[int]) -> str:
     """``values`` as a record writes them: ``,v1,v2,...,``."""
-    return f",{','.join(map(int.__repr__, values))},"
+    return ",".join(["", *map(int.__repr__, values), ""])
 
 
 class OeisIndex:
@@ -60,7 +60,7 @@ class OeisIndex:
 
     def get(self, anumber: str) -> tuple[int, ...] | None:
         text = self._records.get(anumber)
-        return None if text is None else tuple(map(int, text[1:-1].split(",")))
+        return None if text is None else tuple(map(int, text.split(",")[1:-1]))
 
     def identify_sequence(self, values: Sequence[int]) -> list[SequenceMatch]:
         """Entries whose stored prefix contains ``values`` as a contiguous

@@ -7,6 +7,7 @@ from helpers import identify_by_slices, stripped_by_int_tuples
 from riordan import (
     MIN_QUERY_VALUES,
     OeisFormatError,
+    OeisIndex,
     OeisQueryError,
     SequenceMatch,
     TruncatedSeries,
@@ -89,6 +90,13 @@ class TestLoading:
         assert idx.identify_sequence([wide, -wide, 0, -1, 1, 2]) == [
             SequenceMatch("A000001", 0)
         ]
+
+    def test_constructor_takes_int_sequences(self):
+        idx = OeisIndex({"A000108": [1, 1, 2, 5, 14, 42, 132], "A000001": []})
+        assert (len(idx), idx.skipped_lines) == (2, 0)
+        assert idx.get("A000108") == (1, 1, 2, 5, 14, 42, 132)
+        assert idx.get("A000001") == ()
+        assert idx.identify_sequence([1, 2, 5, 14, 42, 132]) == [SequenceMatch("A000108", 1)]
 
     def test_empty_file_is_an_error(self, tmp_path):
         path = tmp_path / "empty.txt"
