@@ -19,7 +19,7 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .series import TruncatedSeries, _extend, _mul_lists, _ratio, as_fraction, lift
+from .series import TruncatedSeries, _chain, _extend, _ratio, as_fraction, lift
 
 Rows = tuple[tuple[Fraction, ...], ...]
 
@@ -216,7 +216,7 @@ class TriMatrix(ExactMatrix):
 class RiordanElement:
     """A validated pair (g, f) representing a Riordan group element."""
 
-    __slots__ = ("_g", "_f", "_frev")
+    __slots__ = ("_g", "_f", "_frev", "_built")
 
     def __init__(self, g: TruncatedSeries, f: TruncatedSeries):
         if g.order != f.order:
@@ -233,6 +233,7 @@ class RiordanElement:
         self._g = g
         self._f = f
         self._frev: TruncatedSeries | None = None
+        self._built: TriMatrix | None = None
 
     @classmethod
     def identity(cls, order: int) -> "RiordanElement":
@@ -266,15 +267,23 @@ class RiordanElement:
                 f"a {size}x{size} matrix needs the element at order >= {size - 1}, "
                 f"but it has order {self.order}"
             )
-        rows = [[_ZERO] * size for _ in range(size)]
-        f = lift(self._f.coefficients[:size])
-        column = self._g.coefficients[:size]  # g * f^k to the size it is read
-        for k in range(size):
-            for n in range(k, size):
-                rows[n][k] = column[n]
-            if k + 1 < size:
-                column = _mul_lists(column, f)
-        return TriMatrix(rows)
+        big = self._at_least(size)
+        if big.size == size:
+            return big
+        return TriMatrix(row[:size] for row in big.rows[:size])
+
+    def _at_least(self, size: int) -> TriMatrix:
+        # the largest matrix built so far, kept since elements are immutable,
+        # or a new one of this size; column k is g * f^k, one integer chain
+        built = self._built
+        if built is None or built.size < size:
+            rows = [[_ZERO] * size for _ in range(size)]
+            g, f = lift(self._g.coefficients[:size]), lift(self._f.coefficients[:size])
+            for k, (column, d) in enumerate(_chain(g, f, size)):
+                for n in range(k, size):
+                    rows[n][k] = _ratio(column[n], d)
+            built = self._built = TriMatrix(rows)
+        return built
 
     # -- group structure ---------------------------------------------------------
 

@@ -114,6 +114,7 @@ def _cmd_prod(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     ns = _parse_n_range(args.n)
     element = _resolve_element(args, _headroom(args.size, ns[-1]))
+    element.matrix(args.size + ns[-1])  # kept on the element; every n reads it
     reports = [verify_nth_conjecture(element, n, args.size) for n in ns]
     lines = []
     for report in reports:
@@ -187,8 +188,10 @@ def _cmd_family(args: argparse.Namespace) -> int:
     if steps < 0:
         raise RiordanError("--iterate must be non-negative")
     element = family_element(args.name, _headroom(args.size, steps))
-    matrix = element.matrix(args.size)
+    # the production matrix builds the element's matrix at size + 1, and
+    # matrix(size) is then its leading block
     p = production_matrix(element, args.size)
+    matrix = element.matrix(args.size)
     doc = {
         "name": args.name,
         "size": args.size,

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .arrays import ExactMatrix, RiordanElement, Rows, TriMatrix, row_times
 from .errors import PrecisionError, ShapeError
-from .series import TruncatedSeries, lift
+from .series import TruncatedSeries, _compose_lists, lift
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -69,7 +69,7 @@ def _cut(e: RiordanElement, n: int, size: int, col0: int, what: str) -> Rows:
     if size < 1:
         raise ValueError("size must be positive")
     _require_order(e, size + n - 1, what)
-    big = e.matrix(size + n)
+    big = e._at_least(size + n)  # solve and block read only its leading rows
     return big.solve(big.block(n, col0, size, size))
 
 
@@ -158,9 +158,9 @@ def produced_matrix_closed_form(e: RiordanElement, n: int) -> RiordanElement:
     # with r = rev(x*(x/f)^(n-1)) the product is (g(r) * r/x, f(r)); x/f is
     # known to order e.order - 1, so x*(x/f)^(n-1) and r to order e.order
     r = ((1 / e.f.shift_down(1)) ** (n - 1)).shift_up(1).revert()
-    return RiordanElement(
-        e.g.compose(r) * r.shift_down(1), e.f.compose(r).truncate(e.order - 1)
-    )
+    # g(r) * r/x is (x*g)(r) / x, so one chain of the powers of r serves both
+    xg, f = _compose_lists([e.g.shift_up(1).coefficients, e.f.coefficients], r.coefficients)
+    return RiordanElement(TruncatedSeries(xg[1:]), TruncatedSeries(f[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +222,16 @@ def verify_nth_conjecture(
     closed = produced_matrix_closed_form(low, n).matrix(size)
     scale = closed[0, 0]
     mismatch = None
-    for i in range(size):
-        if mismatch:
-            break
-        for j in range(i + 1):
-            if scale * produced[i, j] != closed[i, j]:
-                mismatch = (i, j)
-                break
+    if scale != 1 or produced.rows != closed.rows:
+        mismatch = next(
+            (
+                (i, j)
+                for i in range(size)
+                for j in range(i + 1)
+                if scale * produced[i, j] != closed[i, j]
+            ),
+            None,
+        )
     return VerificationReport(
         element=e,
         n=n,

@@ -4,7 +4,9 @@ A :class:`TruncatedSeries` holds coefficients c0..cN of a power series known
 modulo x^(N+1); N is the *order* of the truncation.  All arithmetic is exact:
 coefficients are ``fractions.Fraction`` in lowest terms at the API, while the
 kernel multiplies integer numerators over one common denominator (:func:`lift`)
-and normalizes once per output coefficient.  No operation ever fabricates a
+and normalizes once per output coefficient; a chain of products (the powers
+in a reversion or a composition, the columns of a matrix) stays integer,
+reduced by one gcd per step.  No operation ever fabricates a
 coefficient beyond the known order: binary operations return results at the
 smaller operand order, and reading past the order raises
 :class:`~riordan.errors.PrecisionError` rather than returning zero.  No result
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
     CoefficientSizeError,
@@ -95,14 +97,30 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     ]
 
 
-def _mul_lists(a: Sequence[Fraction], b: tuple[list[int], int]) -> list[Fraction]:
-    """Truncated product of ``a`` and a series ``b`` given lifted (``lift``),
-    so a factor used many times is lifted once."""
-    ib, db = b
-    n = min(len(a), len(ib))
-    ia, da = lift(a[:n])
-    d = da * db
-    return [_ratio(v, d) for v in _convolve(ia, ib[:n])]
+def _reduced(ints: list[int], d: int) -> tuple[list[int], int]:
+    """``ints`` over ``d`` with their common factor divided out (one gcd), or
+    CoefficientSizeError if an entry, in lowest terms, is past the budget."""
+    g = math.gcd(d, *ints)
+    if g != 1:
+        ints, d = [v // g for v in ints], d // g
+    if max(d.bit_length(), *map(int.bit_length, ints)) > _MAX_COEFFICIENT_BITS:
+        for v in ints:  # a shared denominator is wider than some entries need
+            _ratio(v, d)
+    return ints, d
+
+
+def _chain(
+    start: tuple[list[int], int], factor: tuple[list[int], int], count: int
+) -> Iterator[tuple[list[int], int]]:
+    """``start * factor^k`` for k = 0..count-1, truncated to the length of
+    ``start``: a chain of products kept as integer numerators over one
+    denominator, reduced once per step, so no Fraction is built along it."""
+    ints, d = start
+    ib, db = factor
+    for k in range(count):
+        if k:
+            ints, d = _reduced(_convolve(ints, ib), d * db)
+        yield ints, d
 
 
 def _div_lists(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
@@ -120,17 +138,33 @@ def _div_lists(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     return q
 
 
-def _compose_lists(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    # requires b[0] == 0 (checked by callers); Horner from the top nonzero
-    # coefficient of a, so short polynomials compose cheaply
-    n = min(len(a), len(b))
-    top = max((i for i in range(n) if a[i]), default=-1)
+def _compose_lists(
+    outers: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+) -> list[list[Fraction]]:
+    """Each series of ``outers`` with ``b`` substituted for x, all at the
+    length of the shortest; requires b[0] == 0 (checked by callers).
+
+    One chain of the powers of b serves every outer series.  Each sum
+    gathers as integers over ``da * e``, with ``da`` the outer series' own
+    denominator and ``e`` the lcm of the power denominators so far, and
+    becomes Fractions once, at the end."""
+    n = min(len(b), *map(len, outers))
+    lifted = [lift(a[:n]) for a in outers]
+    top = max((i for ia, _ in lifted for i in range(n) if ia[i]), default=0)
     lb = lift(b[:n])
-    res = [_ZERO] * n
-    for i in range(top, -1, -1):
-        res = _mul_lists(res, lb)
-        res[0] = _checked(res[0] + a[i])
-    return res
+    sums = [[ia[0]] + [0] * (n - 1) for ia, _ in lifted]
+    e = 1
+    for k, (ip, dp) in enumerate(_chain(lb, lb, top), 1):
+        grown = math.lcm(e, dp)
+        if grown != e:
+            sums = [[v * (grown // e) for v in s] for s in sums]
+            e = grown
+        w = e // dp
+        for s, (ia, _) in zip(sums, lifted):
+            c = ia[k] * w
+            if c:
+                s[k:] = [v + c * w for v, w in zip(s[k:], ip[k:])]
+    return [[_ratio(v, da * e) for v in s] for s, (_, da) in zip(sums, lifted)]
 
 
 def as_fraction(c: Rational) -> Fraction:
@@ -276,7 +310,9 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(self.order, other.order) + 1
-        return TruncatedSeries(_mul_lists(self._coeffs, lift(other._coeffs[:n])))
+        (ia, da), (ib, db) = lift(self._coeffs[:n]), lift(other._coeffs[:n])
+        d = da * db
+        return TruncatedSeries([_ratio(v, d) for v in _convolve(ia, ib)])
 
     __rmul__ = __mul__
 
@@ -353,7 +389,7 @@ class TruncatedSeries:
             raise CompositionError(
                 "composition requires an inner series with zero constant term"
             )
-        return TruncatedSeries(_compose_lists(self._coeffs, inner._coeffs))
+        return TruncatedSeries(_compose_lists([self._coeffs], inner._coeffs)[0])
 
     def revert(self) -> "TruncatedSeries":
         """Compositional inverse: the series r with self(r(x)) = x.
@@ -372,13 +408,12 @@ class TruncatedSeries:
             raise ReversionError(
                 "reversion requires a nonzero linear coefficient"
             )
+        # the powers (x/self)^n as integers, one coefficient read from each
         u = (1 / self.shift_down(1)).coefficients  # x/self to order self.order - 1
         lu = lift(u)
-        out, power = [_ZERO], u
-        for n in range(1, self.order + 1):
-            out.append(_checked(power[n - 1] / n))
-            if n < self.order:
-                power = _mul_lists(power, lu)
+        out = [_ZERO]
+        for n, (power, d) in enumerate(_chain(lu, lu, self.order), 1):
+            out.append(_ratio(power[n - 1], d * n))
         return TruncatedSeries(out)
 
     def sqrt(self) -> "TruncatedSeries":

@@ -228,6 +228,21 @@ class TestVerify:
         assert code == 0 and doc["all_equal"] is True
         assert [r["scale"] for r in doc["reports"]] == ["2/3", "1/2", "3/8"]
 
+    def test_one_element_matrix_per_command(self, capsys, monkeypatch):
+        # the element's matrix is built once, at size + 5, and every n cuts
+        # its blocks from it; the closed forms' matrices have size 8
+        sizes = []
+        init = TriMatrix.__init__
+
+        def recording(matrix, rows):
+            init(matrix, rows)
+            sizes.append(matrix.size)
+
+        monkeypatch.setattr(TriMatrix, "__init__", recording)
+        code, out, _ = run(capsys, "verify", "--family", "catalan", "--n", "2..5", "--size", "8")
+        assert code == 0 and out.count(": equal") == 4
+        assert [s for s in sizes if s > 8] == [13]
+
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--family", "pascal", "--n", "4..2")
         assert code == 2

@@ -10,6 +10,7 @@ its own tests at every kernel output below.
 
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -26,14 +27,18 @@ from helpers import (
 from riordan import (
     CoefficientSizeError,
     ProductionMatrix,
+    RiordanElement,
     TriMatrix,
     TruncatedSeries,
     generate_from_production,
+    produced_matrix_closed_form,
 )
+from riordan import series
 from riordan.arrays import mat_mul
 
 CASES = 12
 BIG = 2**40000  # inside the budget; its square is not
+HALF = 2**20000  # inside the budget with its square; its cube is not
 
 
 def assert_normalized(values):
@@ -170,6 +175,41 @@ class TestCoefficientBudget:
         with pytest.raises(CoefficientSizeError, match="a coefficient needs more than"):
             compute()
 
+    # chains of products kept as integers: a power or column past the budget
+    # is refused even where the result itself would fit
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            # the third Lagrange power of x/f = HALF; rev f = HALF*x fits
+            lambda: TruncatedSeries([0, F(1, HALF)], 3).revert(),
+            # the power b^3 = HALF^3 x^3 of the inner series; the result HALF x^3 fits
+            lambda: TruncatedSeries([0, 0, 0, F(1, HALF**2)]).compose(
+                TruncatedSeries([0, HALF, 0, 0])
+            ),
+            # the powers of r = x/HALF; the closed form (1/HALF, x/HALF^2) fits
+            lambda: produced_matrix_closed_form(
+                RiordanElement(TruncatedSeries([1], 3), TruncatedSeries([0, F(1, HALF)], 3)), 2
+            ),
+            # the column f^3 = HALF^3 x^3 of a matrix
+            lambda: RiordanElement(TruncatedSeries([1], 3), TruncatedSeries([0, HALF], 3)).matrix(4),
+        ],
+        ids=["revert-power", "compose-power", "closed-form-power", "matrix-column"],
+    )
+    def test_chain_refused_quickly(self, compute):
+        start = time.perf_counter()
+        with pytest.raises(CoefficientSizeError, match="a coefficient needs more than"):
+            compute()
+        # a wall-clock guard: a chain that outgrew the budget unchecked would hang
+        assert time.perf_counter() - start < 2.0
+
     def test_values_inside_the_budget_pass(self):
         assert (TruncatedSeries([BIG, 1]) * 1).coefficients == (BIG, 1)
         assert mat_mul([[BIG]], [[1]]) == ((BIG,),)
+
+    def test_chain_entries_inside_the_budget_pass(self):
+        # (x/f)^2 = [1/P^2, 2/(P*Q)] keeps both entries inside the budget,
+        # though their shared denominator P^2 * Q is past it
+        p, q = 3**16000, 5**10000
+        assert (p * p * q).bit_length() > series._MAX_COEFFICIENT_BITS
+        f = TruncatedSeries([0, p, F(-p * p, q)])
+        assert f.revert().coefficients == (0, F(1, p), F(1, p * q))
