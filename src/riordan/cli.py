@@ -29,7 +29,7 @@ from .families import (
     orthogonal_polys,
 )
 from .gfexpr import evaluate_text
-from .oeis import load_stripped, query, triangle_query
+from .oeis import query, scan_stripped, triangle_query
 from .production import nth_production_matrix, production_matrix, verify_nth_conjecture
 
 EXIT_OK = 0
@@ -163,14 +163,10 @@ def _cmd_identify(args: argparse.Namespace) -> int:
             raise RiordanError(
                 f"bad --values: {err}; expected comma-separated integers"
             ) from err
-    index = load_stripped(dump)
-    if index.skipped_lines:
+    matches, skipped = scan_stripped(dump, values)
+    if skipped:
         # "no matches" then covers only the records that were read
-        print(
-            f"warning: skipped {index.skipped_lines} malformed line(s) in {dump}",
-            file=sys.stderr,
-        )
-    matches = index.identify_sequence(values)
+        print(f"warning: skipped {skipped} malformed line(s) in {dump}", file=sys.stderr)
     text = (
         "\n".join(f"{m.anumber} (offset {m.offset})" for m in matches)
         or "no matches"

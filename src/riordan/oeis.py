@@ -4,6 +4,9 @@ One record per line: an A-number, whitespace, then the sequence prefix wrapped
 in commas, each term as ``str(int)`` writes it (ASCII digits, no ``+``, no
 leading zeros, no ``-0``, at most 4300 digits): ``A000108 ,1,1,2,5,14,42,``.
 Other lines but ``#`` comments are skipped and counted; lookups are local.
+``identify`` reads a dump once, line by line, in memory independent of its
+size (:func:`scan_stripped`); :func:`load_stripped` builds an :class:`OeisIndex`
+for callers that run many queries.  Both read this grammar through one reader.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .arrays import TriMatrix
 from .errors import OeisFormatError, OeisQueryError
@@ -23,9 +26,10 @@ MIN_QUERY_VALUES = 6
 # a query may start this far into a stored prefix (OEIS offsets vary)
 MAX_START_OFFSET = 2
 
-# a term has at most CPython's default int <-> str digits, so get() parses it
-_TERM = rf"(?:0|-?[1-9][0-9]{{0,{_MAX_LITERAL_DIGITS - 1}}})"
-_RECORD = re.compile(rf"(A\d+)\s+(,(?:{_TERM},)+)")
+# a term has at most CPython's default int <-> str digits, so get() parses it;
+# possessive quantifiers match the same lines: a "," never takes back a digit or "-"
+_TERM = rf"(?:0|-?+[1-9][0-9]{{0,{_MAX_LITERAL_DIGITS - 1}}}+)"
+_RECORD = re.compile(rf"(A\d+)\s+(,(?:{_TERM},)++)")
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,25 @@ class OeisIndex:
         text = self._records.get(anumber)
         return None if text is None else tuple(map(int, text.split(",")[1:-1]))
 
+    def _read(self, path: str | Path) -> Iterator[tuple[str, str]]:
+        """Yield ``(A-number, text)`` per record of a dump, counting malformed lines."""
+        found = False
+        try:
+            with open(path, encoding="utf-8", errors="replace") as lines:
+                for line in lines:
+                    line = line.strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    if match := _RECORD.fullmatch(line):
+                        found = True
+                        yield match.group(1, 2)
+                    else:
+                        self._skipped += 1
+        except OSError as err:
+            raise OeisFormatError(f"cannot read OEIS dump {path}: {err}") from err
+        if not found:
+            raise OeisFormatError(f"no parseable records in OEIS dump {path}")
+
     def identify_sequence(self, values: Sequence[int]) -> list[SequenceMatch]:
         """Entries whose stored prefix contains ``values`` as a contiguous
         run starting at offset 0, 1 or 2.
@@ -69,9 +92,8 @@ class OeisIndex:
         ``values`` must pass :func:`query`.  Each A-number is reported once,
         at its smallest matching offset, sorted by (offset, A-number).
         """
-        try:
-            key = _text(query(values))
-        except ValueError:  # str() refuses so wide a term; no record holds one
+        key = _key(values)
+        if key is None:
             return []
         matches = []
         for anumber, text in self._records.items():
@@ -84,6 +106,14 @@ class OeisIndex:
     def identify_triangle(self, m: TriMatrix) -> list[SequenceMatch]:
         """Identify a triangle read by rows; see :func:`triangle_query`."""
         return self.identify_sequence(triangle_query(m))
+
+
+def _key(values: Sequence[int]) -> str | None:
+    """The record text of a :func:`query`, or None."""
+    try:
+        return _text(query(values))
+    except ValueError:  # str() refuses so wide a term; no record holds one
+        return None
 
 
 def query(values: Sequence[int]) -> tuple[int, ...]:
@@ -123,18 +153,17 @@ def load_stripped(path: str | Path) -> OeisIndex:
     lines are skipped and counted in ``skipped_lines``.  An unreadable file,
     or one with no parseable record, is an error."""
     index = OeisIndex({})  # filled below with record text, which needs no render
-    try:
-        with open(path, encoding="utf-8", errors="replace") as lines:
-            for line in lines:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if match := _RECORD.fullmatch(line):
-                    index._records[match[1]] = match[2]
-                else:
-                    index._skipped += 1
-    except OSError as err:
-        raise OeisFormatError(f"cannot read OEIS dump {path}: {err}") from err
-    if not index:
-        raise OeisFormatError(f"no parseable records in OEIS dump {path}")
+    index._records.update(index._read(path))
     return index
+
+
+def scan_stripped(path: str | Path, values: Sequence[int]) -> tuple[list[SequenceMatch], int]:
+    """``load_stripped(path).identify_sequence(values)`` and its ``skipped_lines``,
+    in one pass keeping only records that hold the query and are their A-number's last."""
+    key = _key(values)
+    hits = OeisIndex({})
+    for anumber, text in hits._read(path):
+        hits._records.pop(anumber, None)  # a later record replaces an earlier one
+        if key and key in text:
+            hits._records[anumber] = text
+    return hits.identify_sequence(values), hits.skipped_lines

@@ -252,3 +252,9 @@ def identify_by_slices(entries, values, max_offset=2):
                 matches.append(SequenceMatch(anumber, offset))
                 break
     return sorted(matches, key=lambda m: (m.offset, m.anumber))
+
+
+# The stripped-record grammar as first written, with backtracking quantifiers.
+# riordan.oeis._RECORD must accept exactly the lines this accepts, with the
+# same groups.
+RECORD_ORACLE = re.compile(r"(A\d+)\s+(,(?:(?:0|-?[1-9][0-9]{0,4299}),)+)")

@@ -344,10 +344,10 @@ class TestIdentify:
     def test_query_checked_before_the_dump_loads(
         self, capsys, monkeypatch, oeis_fixture_path, query, message
     ):
-        def unexpected(path):
-            pytest.fail(f"the dump was loaded for a malformed query: {path}")
+        def unexpected(path, values):
+            pytest.fail(f"the dump was read for a malformed query: {path}")
 
-        monkeypatch.setattr("riordan.cli.load_stripped", unexpected)
+        monkeypatch.setattr("riordan.cli.scan_stripped", unexpected)
         code, out, err = run(capsys, "identify", *query, "--oeis", str(oeis_fixture_path))
         assert code == 2 and out == ""
         assert err.startswith(message)

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from helpers import identify_by_slices, stripped_by_int_tuples
+from helpers import RECORD_ORACLE, identify_by_slices, stripped_by_int_tuples
 from riordan import (
     MIN_QUERY_VALUES,
     OeisFormatError,
@@ -17,6 +17,7 @@ from riordan import (
     load_stripped,
     pascal,
 )
+from riordan.oeis import _RECORD, scan_stripped
 
 
 @pytest.fixture(scope="module")
@@ -287,3 +288,129 @@ class TestAgainstIntTupleOracle:
             assert found == identify_by_slices(entries, values), values
             offsets.update(m.offset for m in found)
         assert offsets == {0, 1, 2} and len(queries) > 400
+
+
+class TestRecordGrammar:
+    """The record pattern against the backtracking pattern it replaced
+    (``tests/helpers.py``): the same lines match, with the same groups."""
+
+    ANUMBERS = ("A000108", "A1", "A\u0661\u0662", "A", "B000001", "a000108", "A12x")
+    SPACES = (" ", " ", "\t", "  ", "\xa0", "\u2003", "")
+    TERMS = ("0", "1", "5", "-7", "42", "-0", "+1", "007", "-01", "", "1_0",
+             "\u0665", "x", " 5", "-", "--1")
+    WIDE = ("1" * 4299, "9" * 4300, "-" + "9" * 4300, "1" * 4301, "-" + "1" * 4301,
+            "0" + "1" * 4299)
+
+    def line(self, rng):
+        """A line that is mostly well formed; each piece is sometimes odd."""
+        chance = rng.random
+        terms = []
+        for _ in range(rng.randint(0, 7)):
+            kind = chance()
+            if kind < 0.9:
+                terms.append(str(rng.choice((1, -1)) * rng.randrange(10 ** rng.randint(1, 25))))
+            elif kind < 0.997:
+                terms.append(rng.choice(self.TERMS))
+            else:
+                terms.append(rng.choice(self.WIDE))
+        body = ",".join(terms)
+        if chance() < 0.9:
+            body = f",{body},"
+        elif chance() < 0.5:
+            body += ","
+        anumber = rng.choice(self.ANUMBERS) if chance() < 0.2 else f"A{rng.randrange(10**6):06d}"
+        return anumber + (rng.choice(self.SPACES) if chance() < 0.2 else " ") + body
+
+    def test_seeded_lines_match_as_the_oracle_does(self):
+        rng = random.Random(20261018)
+        lines = [self.line(rng) for _ in range(100_000)]
+        lines += [f"A000001 ,{wide},1," for wide in self.WIDE]
+        lines += ["A\u0661\u0662 ,1,2,", "A000001\xa0,1,2,", "A000001 ,-0,", "A000001 ,+1,",
+                  "A000001 ,01,", "A000001 ,1,,2,", "A000001 ,,"]
+        matched = 0
+        for line in lines:
+            want, got = RECORD_ORACLE.fullmatch(line), _RECORD.fullmatch(line)
+            assert (want and want.groups()) == (got and got.groups()), line[:80]
+            matched += got is not None
+        assert 20_000 < matched < len(lines) - 20_000
+        # the terms of 4299 and 4300 digits, signed or not, and no wider
+        assert [w for w in self.WIDE if _RECORD.fullmatch(f"A1 ,{w},")] == list(self.WIDE[:3])
+
+
+class TestScanAgainstIndex:
+    """``scan_stripped``, the one pass that ``identify`` makes, against the
+    index and against the int-tuple oracle (``tests/helpers.py``)."""
+
+    RUN = [1, 1, 2, 5, 14, 42, 132]
+
+    def dump(self, rng):
+        def seq():
+            out = [rng.randint(-2, 3) for _ in range(rng.randint(1, 12))]
+            if rng.random() < 0.3:
+                at = rng.randint(0, 4)
+                out[at:at] = self.RUN[: rng.randint(6, 7)]
+            return out
+
+        lines = []
+        for k in range(200):
+            anumber = f"A{rng.randrange(150):06d}"  # about a quarter repeat an A-number
+            kind = rng.random()
+            if kind < 0.05:
+                lines.append(rng.choice(("# comment", "  # indented", "", "   ")))
+            elif kind < 0.1:
+                lines.append(rng.choice(
+                    (f"B{k:06d} ,1,2,3,", f"{anumber} 1,2,3", f"{anumber} ,1,two,", f"{anumber} ,,")
+                ))
+            else:
+                lines.append(f"{anumber} ,{','.join(map(str, seq()))},")
+        run = ",".join(map(str, self.RUN))
+        # only the earlier duplicate holds the run, only the later one, or both
+        # at different offsets; the last record decides
+        lines += [f"A900001 ,{run},", "A900001 ,9,9,9,9,9,9,",
+                  "A900002 ,9,9,9,9,9,9,", f"A900002 ,0,{run},",
+                  f"A900003 ,{run},", f"A900003 ,0,0,{run},"]
+        rng.shuffle(lines)
+        return "".join(line + rng.choice(("\n", "\r\n", "\r")) for line in lines)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_dumps(self, tmp_path, seed):
+        rng = random.Random(seed)
+        text = self.dump(rng)
+        path = tmp_path / "dump.txt"
+        path.write_bytes(text.encode())
+        index = load_stripped(path)
+        entries, skipped = stripped_by_int_tuples(text)
+        assert skipped == index.skipped_lines > 0 and len(entries) == len(index)
+
+        stored = list(entries.values())
+        queries = [self.RUN, self.RUN[1:], [0] * 6, [1] * 6, self.RUN[:6] + [10**4300]]
+        for _ in range(30):
+            seq = rng.choice(stored)
+            start = rng.randrange(4)
+            values = list(seq[start : start + rng.randint(6, 8)])
+            queries.append(values + [rng.randint(-2, 3) for _ in range(6 - len(values))])
+        hits = 0
+        for values in queries:
+            want = identify_by_slices(entries, values)
+            assert scan_stripped(path, values) == (want, skipped), values
+            assert index.identify_sequence(values) == want
+            hits += bool(want)
+        assert hits >= 5
+
+    @pytest.mark.parametrize(
+        "text", ["", "# only a comment\n", "\r\n\r\n", "A000001 ,x,\n"],
+        ids=["empty", "comment", "blank", "malformed"],
+    )
+    def test_dump_without_records_is_an_error(self, tmp_path, text):
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        with pytest.raises(OeisFormatError, match="no parseable records"):
+            scan_stripped(path, [1] * 6)
+
+    def test_unreadable_path_is_an_error(self, tmp_path):
+        with pytest.raises(OeisFormatError, match="cannot read"):
+            scan_stripped(tmp_path / "missing.txt", [1] * 6)
+
+    def test_malformed_query_raises_before_the_read(self, tmp_path):
+        with pytest.raises(OeisQueryError):
+            scan_stripped(tmp_path / "missing.txt", [1, 1])
