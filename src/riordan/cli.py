@@ -3,8 +3,8 @@
 Elements are named either by ``--family`` (pascal, binomial:r, catalan,
 moment:r, a085478) or by a pair of generating-function expressions ``--g``
 and ``--f``.  Expressions are evaluated with automatic precision headroom
-(order = size + n + 2, at most ``MAX_ORDER``) so users never manage
-truncation orders by hand.
+(order = size + min(n, size + 1) + 2, at most ``MAX_ORDER``) so users never
+manage truncation orders by hand.
 
 Exit codes: 0 on success (and when ``verify`` finds every instance equal,
 up to the closed form's scalar factor), 1 when ``verify`` finds a mismatch,
@@ -49,7 +49,7 @@ def _headroom(size: int, n: int = 0) -> int:
     if order > MAX_ORDER:
         raise RiordanError(
             f"this needs truncation order {order}, above the limit of "
-            f"{MAX_ORDER}; lower --size, --n or --iterate"
+            f"{MAX_ORDER}; lower --size or --iterate"
         )
     return order
 
@@ -80,6 +80,8 @@ def _parse_n_range(text: str) -> range:
         ) from err
     if lo < 1 or hi < lo:
         raise RiordanError(f"bad --n range {text!r}: need 1 <= first <= last")
+    if hi - lo >= MAX_ORDER:  # each n is a production matrix and a closed form
+        raise RiordanError(f"bad --n range {text!r}: at most {MAX_ORDER} values")
     return range(lo, hi + 1)
 
 
@@ -101,7 +103,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
 def _cmd_prod(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise RiordanError("--n must be at least 1")
-    element = _resolve_element(args, _headroom(args.size, args.n))
+    element = _resolve_element(args, _headroom(args.size, min(args.n, args.size + 1)))
     p = nth_production_matrix(element, args.n, args.size)
     _emit(
         {"n": args.n, "production_matrix": p.to_json_entries()},
@@ -113,8 +115,9 @@ def _cmd_prod(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     ns = _parse_n_range(args.n)
-    element = _resolve_element(args, _headroom(args.size, ns[-1]))
-    element.matrix(args.size + ns[-1])  # kept on the element; every n reads it
+    top = min(ns[-1], args.size + 1)
+    element = _resolve_element(args, _headroom(args.size, top))
+    element.matrix(args.size + top)  # kept on the element; every n reads it
     reports = [verify_nth_conjecture(element, n, args.size) for n in ns]
     lines = []
     for report in reports:
@@ -160,8 +163,10 @@ def _cmd_identify(args: argparse.Namespace) -> int:
         try:
             values = query([int(part) for part in args.values.split(",")])
         except ValueError as err:
+            wide = "integer string conversion" in str(err)  # CPython's digit limit
+            reason = f"a term has more than {sys.get_int_max_str_digits()} digits" if wide else err
             raise RiordanError(
-                f"bad --values: {err}; expected comma-separated integers"
+                f"bad --values: {reason}; expected comma-separated integers"
             ) from err
     matches, skipped = scan_stripped(dump, values)
     if skipped:

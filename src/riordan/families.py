@@ -45,9 +45,7 @@ def catalan_array(order: int) -> RiordanElement:
 def a085478_element(order: int) -> RiordanElement:
     """(1/(1-x), x/(1-x)^2), whose matrix is the triangle A085478."""
     base = TruncatedSeries([1, -1], order)
-    g = 1 / base
-    f = (1 / base**2).shift_up(1).truncate(order)
-    return RiordanElement(g, f)
+    return RiordanElement(base**-1, (base**-2).shift_up(1).truncate(order))
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +100,10 @@ def orthogonal_polys(r: Rational, count: int) -> list[PolynomialRow]:
     if count < 1:
         raise ValueError("count must be positive")
     order = count - 1
-    base = TruncatedSeries([1, as_fraction(r)], order) ** 2
-    g = 1 / base
+    g = TruncatedSeries([1, as_fraction(r)], order) ** -2
     if count == 1:
         return [PolynomialRow((g.constant_term,))]
-    f = (1 / base).shift_up(1).truncate(order)
+    f = g.shift_up(1).truncate(order)
     inverse_matrix = RiordanElement(g, f).matrix(count)
     return [
         PolynomialRow(tuple(inverse_matrix.row(n)[: n + 1])) for n in range(count)

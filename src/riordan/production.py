@@ -63,14 +63,22 @@ def _require_order(e: RiordanElement, needed: int, what: str) -> None:
 
 
 def _cut(e: RiordanElement, n: int, size: int, col0: int, what: str) -> Rows:
-    # M^-1 times M without its top n rows: the size x size block from column col0
+    # M^-1 times M without its top n rows: the size x size block from column
+    # col0.  Entry (r, c) of M is [x^(r-c)] g phi^c with phi = f/x, so for
+    # c >= j it is entry (r-j, c-j) of M_j, the matrix of (g phi^j, f): past
+    # n = size + 1 the cut lies in M_j at size 2 size + 1, whatever n is
     if n < 1:
         raise ValueError("n must be at least 1")
     if size < 1:
         raise ValueError("size must be positive")
-    _require_order(e, size + n - 1, what)
-    big = e._at_least(size + n)  # solve and block read only its leading rows
-    return big.solve(big.block(n, col0, size, size))
+    j = max(0, min(col0, n - 1 - size))
+    _require_order(e, size + n - max(1, j), what)
+    lead = src = e._at_least(size if j else size + n)  # solve reads its leading rows
+    if j:
+        low = e.truncate(size + n - j - 1)  # M_j's order
+        phi = e.f.truncate(low.order + 1).shift_down(1)
+        src = RiordanElement(low.g * phi**j, low.f)._at_least(size + n - j)
+    return lead.solve(src.block(n - j, col0 - j, size, size))
 
 
 def production_block(e: RiordanElement, n: int, size: int) -> Rows:
@@ -90,8 +98,8 @@ def production_matrix(e: RiordanElement, size: int) -> ProductionMatrix:
 
 def nth_production_matrix(e: RiordanElement, n: int, size: int) -> ProductionMatrix:
     """The n-th production matrix: drop n top rows, multiply by the inverse,
-    then drop the first n-1 columns.  n=1 is the classical production matrix.
-    """
+    then drop the first n-1 columns (n=1 is the classical production matrix).
+    Needs e at order size + n - 1, or only 2 size + 1 once n > size + 1."""
     what = f"the order-{n} production matrix at size {size}"
     return ProductionMatrix(_cut(e, n, size, n - 1, what))
 
@@ -130,15 +138,11 @@ def nth_az(e: RiordanElement, n: int) -> tuple[TruncatedSeries, TruncatedSeries]
         raise ValueError("n must be at least 1")
     _require_order(e, 2, "A/Z extraction")
     frev = e.reverted_f()
-    w = 1 / frev.shift_down(1)
-    a = w**n
-    unit = (
-        e.g.constant_term
-        * e.f.coefficient(1) ** (n - 1)
-        / e.g.compose(frev)
-    )
-    diff = w ** (n - 1) - unit
-    z = diff.shift_down(1) / frev.shift_down(1)
+    u = frev.shift_down(1)  # 1/w
+    a = u**-n
+    unit = e.g.constant_term * e.f.coefficient(1) ** (n - 1) / e.g.compose(frev)
+    diff = u ** (1 - n) - unit
+    z = diff.shift_down(1) / u
     return a, z
 
 
@@ -157,7 +161,7 @@ def produced_matrix_closed_form(e: RiordanElement, n: int) -> RiordanElement:
     _require_order(e, 2, "the produced-matrix closed form")
     # with r = rev(x*(x/f)^(n-1)) the product is (g(r) * r/x, f(r)); x/f is
     # known to order e.order - 1, so x*(x/f)^(n-1) and r to order e.order
-    r = ((1 / e.f.shift_down(1)) ** (n - 1)).shift_up(1).revert()
+    r = (e.f.shift_down(1) ** (1 - n)).shift_up(1).revert()
     # g(r) * r/x is (x*g)(r) / x, so one chain of the powers of r serves both
     xg, f = _compose_lists([e.g.shift_up(1).coefficients, e.f.coefficients], r.coefficients)
     return RiordanElement(TruncatedSeries(xg[1:]), TruncatedSeries(f[:-1]))
@@ -221,17 +225,10 @@ def verify_nth_conjecture(
     low = e.truncate(min(e.order, max(2, size)))  # e to the order the block reads
     closed = produced_matrix_closed_form(low, n).matrix(size)
     scale = closed[0, 0]
+    cells = ((i, j) for i in range(size) for j in range(i + 1))
     mismatch = None
     if scale != 1 or produced.rows != closed.rows:
-        mismatch = next(
-            (
-                (i, j)
-                for i in range(size)
-                for j in range(i + 1)
-                if scale * produced[i, j] != closed[i, j]
-            ),
-            None,
-        )
+        mismatch = next((c for c in cells if scale * produced[c] != closed[c]), None)
     return VerificationReport(
         element=e,
         n=n,

@@ -58,9 +58,10 @@ def lift(values: Sequence[Rational]) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def _checked(c: Fraction) -> Fraction:
-    """``c`` itself, or CoefficientSizeError if it is wider than the budget."""
-    if max(c.numerator.bit_length(), c.denominator.bit_length()) > _MAX_COEFFICIENT_BITS:
+def _checked(c: Fraction, bits: int = 0) -> Fraction:
+    """``c`` itself, or CoefficientSizeError if it, or ``bits`` (a width known
+    before a value is computed), is wider than the budget."""
+    if max(bits, c.numerator.bit_length(), c.denominator.bit_length()) > _MAX_COEFFICIENT_BITS:
         raise CoefficientSizeError(
             f"a coefficient needs more than {_MAX_COEFFICIENT_BITS} bits (about "
             f"{4 * _MAX_LITERAL_DIGITS} digits), the most a result may hold"
@@ -121,6 +122,25 @@ def _chain(
         if k:
             ints, d = _reduced(_convolve(ints, ib), d * db)
         yield ints, d
+
+
+def _power_lists(c: Sequence[Fraction], alpha: Fraction, lead: Fraction) -> list[Fraction]:
+    """``c^alpha`` with constant term ``lead = c[0]^alpha != 0``, by J. C. P.
+    Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7): k c0 P_k is the sum over
+    i = 1..k of ((alpha + 1) i - k) c_i P_(k-i), so the cost does not depend
+    on alpha.  The powers so far are numerators over one common denominator."""
+    p, q = alpha.numerator, alpha.denominator
+    ia, _ = lift(c)  # c_i / c0 = ia[i] / ia[0]
+    top = max(i for i, v in enumerate(ia) if v)  # c is zero past it
+    ja = [(p + q) * i * v for i, v in enumerate(ia)]
+    out, io, d = [lead], [lead.numerator], lead.denominator
+    for k in range(1, len(c)):
+        m = min(k, top)
+        rev = io[k - m : k][::-1]  # P_(k-1) .. P_(k-m)
+        s = sum(map(mul, ja[1 : m + 1], rev)) - q * k * sum(map(mul, ia[1 : m + 1], rev))
+        out.append(_ratio(s, d * q * k * ia[0]))
+        io, d = _extend(io, d, out[-1])
+    return out
 
 
 def _div_lists(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
@@ -336,25 +356,25 @@ class TruncatedSeries:
         return lhs / self
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
-        """Integer power; negative exponents require a unit constant term."""
+        """Integer power by Miller's recurrence (:func:`_power_lists`), at a cost
+        independent of the exponent; negative exponents need a unit constant term."""
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            if not self._coeffs[0]:
-                raise NonUnitError(
-                    "negative power requires a series with nonzero constant term"
-                )
-            return (TruncatedSeries.one(self.order) / self) ** (-exponent)
-        result = TruncatedSeries.one(self.order)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        if not exponent:
+            return TruncatedSeries.one(self.order)
+        v = self.valuation()
+        if v != 0 and exponent < 0:
+            raise NonUnitError("negative power requires a series with nonzero constant term")
+        # self = x^v * u with u(0) != 0, so self^e = x^(v e) * u^e
+        shift = self.order + 1 if v is None else v * exponent
+        if shift > self.order:
+            return TruncatedSeries.zero(self.order)
+        c = self._coeffs[v : self.order + 1 + v - shift]
+        # c0^e has more than (bits - 1) |e| bits: refused before it is computed
+        bits = max(c[0].numerator.bit_length(), c[0].denominator.bit_length())
+        width = (bits - 1) * abs(exponent) + 1
+        lead = _checked(c[0] ** exponent if width <= _MAX_COEFFICIENT_BITS else c[0], width)
+        return TruncatedSeries([_ZERO] * shift + _power_lists(c, Fraction(exponent), lead))
 
     # -- shifts ---------------------------------------------------------------
 
@@ -417,22 +437,13 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     def sqrt(self) -> "TruncatedSeries":
-        """Square root with positive constant term.
-
-        The constant term must be a nonzero square of a rational; the rest
-        follows order by order from (sum b_i x^i)^2 = self.
-        """
-        b0 = _rational_sqrt(self._coeffs[0])
-        if b0 is None:
-            raise SqrtError(
-                f"constant term {self._coeffs[0]} has no nonzero rational square root"
-            )
-        out, io, d = [b0], [b0.numerator], b0.denominator
-        for n in range(1, self.order + 1):
-            acc = Fraction(sum(map(mul, io[1:n], io[n - 1 : 0 : -1])), d * d)
-            out.append(_checked((self._coeffs[n] - acc) / (2 * b0)))
-            io, d = _extend(io, d, out[-1])
-        return TruncatedSeries(out)
+        """Square root with positive constant term, which must be the square
+        of a nonzero rational: Miller's recurrence for the exponent 1/2."""
+        c0 = self._coeffs[0]
+        rn, rd = math.isqrt(max(c0.numerator, 0)), math.isqrt(c0.denominator)
+        if not c0 or rn * rn != c0.numerator or rd * rd != c0.denominator:
+            raise SqrtError(f"constant term {c0} has no nonzero rational square root")
+        return TruncatedSeries(_power_lists(self._coeffs, Fraction(1, 2), Fraction(rn, rd)))
 
     # -- comparison and display -------------------------------------------------
 
@@ -467,17 +478,6 @@ class TruncatedSeries:
         if not terms:
             terms = ["0"]
         return " ".join(terms) + f" + O(x^{self.order + 1})"
-
-
-def _rational_sqrt(value: Fraction) -> Fraction | None:
-    """Positive rational square root of ``value``, or None if there is none."""
-    if value <= 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    return Fraction(rn, rd)
 
 
 def catalan_gf(order: int) -> TruncatedSeries:

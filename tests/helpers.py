@@ -140,6 +140,44 @@ def production_by_series(e, n, size):
     return ProductionMatrix(rows)
 
 
+def production_by_whole_matrix(e, n, size):
+    """The n-th production matrix by its definition on the element's whole
+    matrix at size + n: solve M * X = (M without its top n rows), then keep
+    the size x size block from column n - 1.  The library's former route, an
+    oracle for its cut, which for n > size + 1 reads the matrix of
+    (g * (f/x)^j, f) at size 2 * size + 1 instead."""
+    m = e.matrix(size + n)
+    x = m.solve(m.block(n, 0, size, size + n))
+    return ProductionMatrix(row[n - 1 : n - 1 + size] for row in x)
+
+
+def power_by_squaring(s, exponent):
+    """s ** exponent by binary powering on the library's product, with
+    1/s raised to -exponent for a negative exponent: the library's former
+    route, an oracle for its power kernel (Miller's recurrence)."""
+    if exponent < 0:
+        return power_by_squaring(1 / s, -exponent)
+    result, base = TruncatedSeries.one(s.order), s
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
+
+
+def sqrt_by_recurrence(c):
+    """Square root of the coefficient list ``c`` (c[0] a positive rational
+    square) in plain Fractions, solved order by order from
+    (sum b_i x^i)^2 = c with b[0] the positive root of c[0]."""
+    c = [Fraction(v) for v in c]
+    b = [Fraction(math.isqrt(c[0].numerator), math.isqrt(c[0].denominator))]
+    for n in range(1, len(c)):
+        b.append((c[n] - sum(b[i] * b[n - i] for i in range(1, n))) / (2 * b[0]))
+    return b
+
+
 def closed_form_by_solve(e, n):
     """((x/f)^(n-1), x(x/f)^(n-1))^-1 * (g, f) for n >= 2 by one triangular
     solve of the left factor's matrix against the columns g and g*f, an

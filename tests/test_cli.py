@@ -339,6 +339,11 @@ class TestIdentify:
                 "error: give either --values or an element (--family, or --g and "
                 "--f), not both\n",
             ),
+            (
+                ["--values", "1,1,2,5,14," + "7" * 5001],
+                "error: bad --values: a term has more than 4300 digits; expected "
+                "comma-separated integers\n",
+            ),
         ],
     )
     def test_query_checked_before_the_dump_loads(
@@ -458,15 +463,45 @@ class TestOrderCeiling:
             cli._headroom(2, 10**8)
         assert cli._headroom(cli.MAX_ORDER - 2) == cli.MAX_ORDER
         for argv in (
-            ("verify", "--family", "catalan", "--n", "1..100000000", "--size", "2"),
-            ("prod", "--family", "catalan", "--n", "100000000", "--size", "2"),
             ("family", "catalan", "--size", "3", "--iterate", "100000000"),
             ("show", "--g", "1", "--f", "x", "--size", "100000000"),
         ):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == ""
             assert err.startswith("error: this needs truncation order ")
-            assert f"above the limit of {cli.MAX_ORDER}" in err
+            assert err.endswith(
+                f"above the limit of {cli.MAX_ORDER}; lower --size or --iterate\n"
+            )
+
+    def test_n_is_not_bounded_by_the_order_ceiling(self, capsys):
+        # past n = size + 1 the cut reads the element only to order 2 size + 1
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "prod", "--family", "catalan", "--n", "100000000", "--size", "2"
+        )
+        assert time.perf_counter() - start < 2.0
+        assert (code, err) == (0, "")
+        assert out.split() == ["100000000", "1", str(100000000 * 100000001 // 2), "100000000"]
+
+    def test_n_range_is_capped(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--family", "catalan", "--n", "1..100000000", "--size", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: bad --n range '1..100000000': at most {cli.MAX_ORDER} values\n"
+        code, _, _ = run(
+            capsys, "verify", "--family", "catalan", "--n", f"1..{cli.MAX_ORDER}", "--size", "1"
+        )
+        assert code == 0
+
+    def test_n_with_entries_past_the_budget_exits_2_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "prod", "--family", "catalan", "--n", str(10**4000), "--size", "8"
+        )
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a coefficient needs more than")
 
 
 class TestTextJsonParity:

@@ -20,12 +20,15 @@ from helpers import (
     mat_mul_rows,
     poly_compose,
     poly_mul,
+    power_by_squaring,
     random_rationals,
     random_wide,
     revert_by_recurrence,
+    sqrt_by_recurrence,
 )
 from riordan import (
     CoefficientSizeError,
+    NonUnitError,
     ProductionMatrix,
     RiordanElement,
     TriMatrix,
@@ -92,6 +95,29 @@ class TestSeriesKernel:
             got = TruncatedSeries(c).sqrt().coefficients
             assert got[0] > 0 and poly_mul(got, got, n - 1) == c
             assert_normalized(got)
+
+    def test_pow(self):
+        # exponents -40..40 against binary powering; a base with a zero
+        # constant term has no negative powers on either route
+        rng = random.Random(106)
+        for n in [1, 2, 12] + [rng.randint(1, 12) for _ in range(5)]:
+            head = rng.choice([[unit(rng)], [F(0)], [F(0), F(0)], [F(0), unit(rng)]])
+            c = (head + random_rationals(rng, n, random_wide(rng, 3)))[:n]
+            s = TruncatedSeries(c)
+            for exponent in range(-40, 41):
+                if exponent < 0 and not c[0]:
+                    with pytest.raises(NonUnitError):
+                        s**exponent
+                    continue
+                got = (s**exponent).coefficients
+                assert got == power_by_squaring(s, exponent).coefficients, (c, exponent)
+                assert_normalized(got)
+
+    def test_sqrt_values(self):
+        rng = random.Random(107)
+        for n in lengths(rng):
+            c = [unit(rng) ** 2] + random_rationals(rng, n - 1, random_wide(rng, 120))
+            assert list(TruncatedSeries(c).sqrt().coefficients) == sqrt_by_recurrence(c)
 
     def test_revert(self):
         # f(rev f) = x with rev f(0) = 0 fixes rev f; the order-by-order
@@ -162,6 +188,11 @@ class TestCoefficientBudget:
             lambda: TruncatedSeries([F(1, BIG)]) - TruncatedSeries([F(1, 3**26000)]),
             lambda: 1 / TruncatedSeries([1, -(10**4299)], 40),
             lambda: TruncatedSeries([1, BIG], 3).sqrt(),
+            lambda: TruncatedSeries([1, BIG], 3) ** 2,
+            lambda: TruncatedSeries([1, BIG], 3) ** -1,
+            lambda: TruncatedSeries([BIG, 1]) ** 2,
+            lambda: TruncatedSeries([F(1, BIG), 1]) ** -2,
+            lambda: TruncatedSeries([0, BIG, 1], 4) ** 2,
             lambda: TruncatedSeries([0, BIG], 2).compose(TruncatedSeries([0, BIG], 2)),
             lambda: TruncatedSeries([0, 1, BIG], 4).revert(),
             lambda: mat_mul([[BIG]], [[BIG]]),
@@ -192,8 +223,20 @@ class TestCoefficientBudget:
             ),
             # the column f^3 = HALF^3 x^3 of a matrix
             lambda: RiordanElement(TruncatedSeries([1], 3), TruncatedSeries([0, HALF], 3)).matrix(4),
+            # a constant term whose power is past the budget, refused before
+            # it is computed
+            lambda: TruncatedSeries([2, 1], 8) ** (10**4000),
+            # (1 + x)^(10^4000): coefficient k has about 13300 k bits
+            lambda: TruncatedSeries([1, 1], 8) ** (10**4000),
         ],
-        ids=["revert-power", "compose-power", "closed-form-power", "matrix-column"],
+        ids=[
+            "revert-power",
+            "compose-power",
+            "closed-form-power",
+            "matrix-column",
+            "pow-constant-term",
+            "pow-huge-exponent",
+        ],
     )
     def test_chain_refused_quickly(self, compute):
         start = time.perf_counter()

@@ -11,6 +11,7 @@ from helpers import (
     lower_inverse_rows,
     mat_mul_rows,
     production_by_series,
+    production_by_whole_matrix,
 )
 from riordan import (
     PrecisionError,
@@ -22,6 +23,7 @@ from riordan import (
     VerificationReport,
     a085478_element,
     catalan_array,
+    family_element,
     generate_from_production,
     nth_az,
     nth_production_matrix,
@@ -145,6 +147,36 @@ class TestNthProduction:
             for n in (2, 4):
                 p = nth_production_matrix(e, n, 6)
                 assert p.superdiagonal() == (1,) * 5
+
+    @staticmethod
+    def cut_element(name, order):
+        if name == "non-normalized":  # g(0) = 2, f'(0) = 5/2
+            g = 2 / TruncatedSeries([1, F(-1, 3)], order)
+            return RiordanElement(g, TruncatedSeries([0, F(5, 2), F(1, 2), F(1, 7)], order))
+        return family_element(name, order)
+
+    @pytest.mark.parametrize(
+        "name", ["pascal", "catalan", "a085478", "binomial:2", "moment:1/2", "non-normalized"]
+    )
+    def test_cut_matches_whole_matrix_route(self, name):
+        # n = 1..40 at size 1..8 takes both sides of the shift at n = size + 1
+        e = self.cut_element(name, 48)
+        whole = RiordanElement(e.g, e.f)  # a matrix cache of its own
+        whole.matrix(48)
+        for size in range(1, 9):
+            for n in range(1, 41):
+                expected = production_by_whole_matrix(whole, n, size)
+                assert nth_production_matrix(e, n, size) == expected, (n, size)
+
+    @pytest.mark.parametrize("name", ["catalan", "non-normalized"])
+    def test_cut_past_size_plus_one_needs_order_2_size_plus_1(self, name):
+        e = self.cut_element(name, 48)
+        for size, n in ((1, 3), (3, 5), (4, 40), (8, 11)):
+            low = e.truncate(2 * size + 1)
+            expected = production_by_whole_matrix(e, n, size)
+            assert nth_production_matrix(low, n, size) == expected
+            with pytest.raises(PrecisionError, match=f"order >= {2 * size + 1},"):
+                nth_production_matrix(e.truncate(2 * size), n, size)
 
     def test_precision_error_reports_needed_order(self):
         with pytest.raises(PrecisionError) as err:

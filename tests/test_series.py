@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -222,8 +223,11 @@ class TestSqrt:
 
     @pytest.mark.parametrize("coeffs", [[0, 1], [2], [-1], [F(3, 5)]])
     def test_no_rational_root(self, coeffs):
-        with pytest.raises(SqrtError):
+        with pytest.raises(SqrtError) as err:
             TruncatedSeries(coeffs, 4).sqrt()
+        assert str(err.value) == (
+            f"constant term {F(coeffs[0])} has no nonzero rational square root"
+        )
 
 
 class TestIntPow:
@@ -237,9 +241,25 @@ class TestIntPow:
     def test_power_zero(self):
         assert TruncatedSeries([5, 1], 4) ** 0 == TruncatedSeries.one(4)
 
-    def test_negative_power_of_nonunit(self):
-        with pytest.raises(NonUnitError):
-            TruncatedSeries.x(4) ** -1
+    @pytest.mark.parametrize("coeffs", [[0, 1], [0], [0, 0, 3]])
+    def test_negative_power_of_nonunit(self, coeffs):
+        with pytest.raises(NonUnitError) as err:
+            TruncatedSeries(coeffs, 4) ** -1
+        assert str(err.value) == "negative power requires a series with nonzero constant term"
+
+    def test_powers_of_a_zero_constant_term(self):
+        s = TruncatedSeries([0, 1, 1], 6)
+        assert (s**2).coefficients == (0, 0, 1, 2, 1, 0, 0)
+        assert (s**7).is_zero() and (s**7).order == 6
+        assert (TruncatedSeries.zero(3) ** 0) == TruncatedSeries.one(3)
+        assert (TruncatedSeries.zero(3) ** 5).is_zero()
+
+    def test_power_cost_does_not_grow_with_the_exponent(self):
+        # coefficient k of (1 + x)^(10^12) is binomial(10^12, k)
+        big = 10**12
+        got = (TruncatedSeries([1, 1], 5) ** big).coefficients
+        assert got == tuple(math.comb(big, k) for k in range(6))
+        assert (TruncatedSeries([1, 1], 5) ** -big).coefficients[2] == math.comb(big + 1, 2)
 
 
 class TestCatalan:
