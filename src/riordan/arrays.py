@@ -13,13 +13,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, TypeVar
 
-from .errors import (
-    InvalidElementError,
-    PrecisionError,
-    ShapeError,
-    SingularMatrixError,
-)
-from .series import TruncatedSeries, _chain, _extend, _ratio, as_fraction, lift
+from .errors import InvalidElementError, PrecisionError, ShapeError
+from .series import TruncatedSeries, _chain, _forward, _ratio, as_fraction, lift
 
 Rows = tuple[tuple[Fraction, ...], ...]
 
@@ -180,27 +175,12 @@ class TriMatrix(ExactMatrix):
     __matmul__ = mul
 
     def solve(self, rhs: Sequence[Sequence[Fraction]]) -> Rows:
-        """X with self * X = rhs, by forward substitution one row at a time;
+        """X with self * X = rhs, by forward substitution (``series._forward``);
         only the first len(rhs) rows of self are read."""
         if len(rhs) > self.size:
             raise ShapeError(f"{len(rhs)} right-hand rows for a size-{self.size} matrix")
-        out: list[tuple[Fraction, ...]] = []
-        # the solved rows by column, each as numerators over its entries' lcm
-        cols: list[tuple[list[int], int]] = [([], 1) for _ in rhs[0]] if rhs else []
-        for i, b in enumerate(rhs):
-            pivot = self._rows[i][i]
-            if not pivot:
-                raise SingularMatrixError(f"zero diagonal entry at ({i}, {i})")
-            # x_ij = (b_j - self[i, :i] . x[:i, j]) / pivot as one num/den
-            m, dm = lift(self._rows[i][:i])
-            ib, db = lift(b)
-            p, q = pivot.denominator, db * dm * pivot.numerator
-            out.append(tuple(
-                _ratio((bj * dm * dc - db * sum(map(mul, m, col))) * p, q * dc)
-                for bj, (col, dc) in zip(ib, cols)
-            ))
-            cols = [_extend(col, dc, x) for (col, dc), x in zip(cols, out[-1])]
-        return tuple(out)
+        rows = (lift(self._rows[i][: i + 1]) for i in range(len(rhs)))
+        return tuple(_forward(rows, [lift(col) for col in zip(*rhs)]))
 
     def inverse(self) -> "TriMatrix":
         """Exact inverse: a solve against the identity."""

@@ -6,7 +6,9 @@ coefficients are ``fractions.Fraction`` in lowest terms at the API, while the
 kernel multiplies integer numerators over one common denominator (:func:`lift`)
 and normalizes once per output coefficient; a chain of products (the powers
 in a reversion or a composition, the columns of a matrix) stays integer,
-reduced by one gcd per step.  No operation ever fabricates a
+reduced by one gcd per step.  Quotients, powers and square roots (Miller's
+recurrence) and triangular matrix solves are one forward substitution over
+such integers (:func:`_forward`).  No operation ever fabricates a
 coefficient beyond the known order: binary operations return results at the
 smaller operand order, and reading past the order raises
 :class:`~riordan.errors.PrecisionError` rather than returning zero.  No result
@@ -20,8 +22,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
-from typing import Iterable, Iterator, Sequence, Union
+from functools import partialmethod
+from operator import add, mul, sub
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import (
     CoefficientSizeError,
@@ -29,6 +32,7 @@ from .errors import (
     NonUnitError,
     PrecisionError,
     ReversionError,
+    SingularMatrixError,
     SqrtError,
 )
 
@@ -124,38 +128,46 @@ def _chain(
         yield ints, d
 
 
-def _power_lists(c: Sequence[Fraction], alpha: Fraction, lead: Fraction) -> list[Fraction]:
-    """``c^alpha`` with constant term ``lead = c[0]^alpha != 0``, by J. C. P.
-    Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7): k c0 P_k is the sum over
-    i = 1..k of ((alpha + 1) i - k) c_i P_(k-i), so the cost does not depend
-    on alpha.  The powers so far are numerators over one common denominator."""
-    p, q = alpha.numerator, alpha.denominator
-    ia, _ = lift(c)  # c_i / c0 = ia[i] / ia[0]
-    top = max(i for i, v in enumerate(ia) if v)  # c is zero past it
-    ja = [(p + q) * i * v for i, v in enumerate(ia)]
-    out, io, d = [lead], [lead.numerator], lead.denominator
-    for k in range(1, len(c)):
-        m = min(k, top)
-        rev = io[k - m : k][::-1]  # P_(k-1) .. P_(k-m)
-        s = sum(map(mul, ja[1 : m + 1], rev)) - q * k * sum(map(mul, ia[1 : m + 1], rev))
-        out.append(_ratio(s, d * q * k * ia[0]))
-        io, d = _extend(io, d, out[-1])
+def _forward(
+    rows: Iterable[tuple[list[int], int]], rhs: Sequence[tuple[list[int], int]]
+) -> list[tuple[Fraction, ...]]:
+    """X with L X = B by forward substitution, returned by rows: L is given
+    by its rows and B by its columns, each as integer numerators over one
+    denominator.  Row i lists its entries up to its diagonal one, so a
+    banded row may start past column 0.  Each solution column stays
+    numerators over one denominator as it grows."""
+    cols: list[tuple[list[int], int]] = [([], 1) for _ in rhs]
+    out = []
+    for i, (r, dr) in enumerate(rows):
+        if not r[-1]:
+            raise SingularMatrixError(f"zero diagonal entry at ({i}, {i})")
+        start = i + 1 - len(r)
+        # x_ij = (b_ij - row . x[:i, j]) / pivot as one num/den
+        out.append(tuple(
+            _ratio(b[i] * dr * dx - db * sum(map(mul, r, x[start:] if start else x)),
+                   db * dx * r[-1])
+            for (b, db), (x, dx) in zip(rhs, cols)
+        ))
+        cols = [_extend(x, dx, c) for (x, dx), c in zip(cols, out[-1])]
     return out
 
 
-def _div_lists(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    # requires b[0] != 0 (checked by callers); the quotient so far is kept as
-    # numerators iq over its own common denominator dq
-    n = min(len(a), len(b))
-    ib, db = lift(b[:n])
-    rb = ib[::-1]
-    b0 = b[0]
-    q, iq, dq = [], [], 1
-    for i in range(n):
-        s = sum(map(mul, iq, rb[n - 1 - i :]))  # sum of q[k] * b[i - k], k < i
-        q.append(_checked((a[i] - Fraction(s, dq * db)) / b0))
-        iq, dq = _extend(iq, dq, q[-1])
-    return q
+def _power_lists(c: Sequence[Fraction], alpha: Fraction, lead: Fraction) -> list[Fraction]:
+    """``c^alpha`` with constant term ``lead = c[0]^alpha != 0``, by J. C. P.
+    Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7): with alpha = p/q, P_0 = lead
+    and row k >= 1 is q k c0 P_k + sum over i = 1..k of (q k - (p + q) i)
+    c_i P_(k-i) = 0, so the cost does not depend on alpha, and a base that is
+    zero past its term ``top`` gives rows of at most top + 1 entries."""
+    p, q = alpha.numerator, alpha.denominator
+    ia, _ = lift(c)  # c_i / c0 = ia[i] / ia[0]
+    top = max(i for i, v in enumerate(ia) if v)  # c is zero past it
+    rows = (
+        ([(q * k - (p + q) * i) * ia[i] for i in range(min(k, top), 0, -1)] + [q * k * ia[0]], 1)
+        if k else ([1], 1)
+        for k in range(len(c))
+    )
+    lifted = ([lead.numerator] + [0] * (len(c) - 1), lead.denominator)
+    return [v for v, in _forward(rows, [lifted])]
 
 
 def _compose_lists(
@@ -295,25 +307,16 @@ class TruncatedSeries:
             return TruncatedSeries.constant(other, self.order)
         return None
 
-    def __add__(self, other: "TruncatedSeries | Rational") -> "TruncatedSeries":
+    def _termwise(
+        self, op: Callable[[Fraction, Fraction], Fraction], other: "TruncatedSeries | Rational"
+    ) -> "TruncatedSeries":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        n = min(self.order, rhs.order)
-        return TruncatedSeries(
-            [_checked(self._coeffs[i] + rhs._coeffs[i]) for i in range(n + 1)]
-        )
+        return TruncatedSeries([_checked(op(a, b)) for a, b in zip(self._coeffs, rhs._coeffs)])
 
-    __radd__ = __add__
-
-    def __sub__(self, other: "TruncatedSeries | Rational") -> "TruncatedSeries":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        n = min(self.order, rhs.order)
-        return TruncatedSeries(
-            [_checked(self._coeffs[i] - rhs._coeffs[i]) for i in range(n + 1)]
-        )
+    __add__ = __radd__ = partialmethod(_termwise, add)
+    __sub__ = partialmethod(_termwise, sub)
 
     def __rsub__(self, other: Rational) -> "TruncatedSeries":
         lhs = self._coerce(other)
@@ -347,7 +350,13 @@ class TruncatedSeries:
             raise NonUnitError(
                 "division requires a divisor with nonzero constant term"
             )
-        return TruncatedSeries(_div_lists(self._coeffs, other._coeffs))
+        # the divisor's Toeplitz rows, each cut past its last nonzero term
+        n = min(self.order, other.order) + 1
+        ib, db = lift(other._coeffs[:n])
+        top = max(i for i, v in enumerate(ib) if v)
+        rb = ib[top::-1]
+        rows = ((rb[max(top - i, 0) :], db) for i in range(n))
+        return TruncatedSeries([v for v, in _forward(rows, [lift(self._coeffs[:n])])])
 
     def __rtruediv__(self, other: Rational) -> "TruncatedSeries":
         lhs = self._coerce(other)

@@ -274,6 +274,12 @@ class TestTriMatrix:
         with pytest.raises(ShapeError):
             m.solve([[F(1)]] * 4)
 
+    def test_solve_zero_width_rhs(self):
+        # one empty row per right-hand row, and the diagonal is still checked
+        assert TriMatrix.from_rows([[1], [0, 1]]).solve([[], []]) == ((), ())
+        with pytest.raises(SingularMatrixError, match=r"zero diagonal entry at \(1, 1\)"):
+            TriMatrix.from_rows([[1], [0, 0]]).solve([[], []])
+
     def test_text_rendering_integral(self):
         text = TriMatrix.from_rows([[1], [-2, 1], [3, 10, 1]]).to_text()
         assert [line.split() for line in text.splitlines()] == [
