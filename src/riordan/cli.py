@@ -118,10 +118,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     top = min(ns[-1], args.size + 1)
     element = _resolve_element(args, _headroom(args.size, top))
     element.matrix(args.size + top)  # kept on the element; every n reads it
-    reports = [verify_nth_conjecture(element, n, args.size) for n in ns]
-    lines = []
-    for report in reports:
-        if report.equal:
+    # each report is rendered as it is computed, in the one format printed:
+    # an entry past the print limit fails only if printed, at its first report
+    docs, lines, all_equal = [], [], True
+    for n in ns:
+        report = verify_nth_conjecture(element, n, args.size)
+        all_equal = all_equal and report.equal
+        if args.json:
+            docs.append(report.to_json_dict())
+        elif report.equal:
             lines.append(f"n={report.n} size={report.size}: equal")
         else:
             i, j = report.first_mismatch
@@ -131,16 +136,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 f"produced={report.produced[i, j]} "
                 f"closed_form={report.closed_form[i, j]}{scale}"
             )
-            lines.append("produced:")
-            lines.append(report.produced.to_text())
-            lines.append("closed form:")
-            lines.append(report.closed_form.to_text())
-    all_equal = all(r.equal for r in reports)
-    _emit(
-        {"reports": [r.to_json_dict() for r in reports], "all_equal": all_equal},
-        "\n".join(lines),
-        args.json,
-    )
+            lines += ["produced:", report.produced.to_text()]
+            lines += ["closed form:", report.closed_form.to_text()]
+    _emit({"reports": docs, "all_equal": all_equal}, "\n".join(lines), args.json)
     return EXIT_OK if all_equal else EXIT_MISMATCH
 
 

@@ -66,18 +66,18 @@ def _cut(e: RiordanElement, n: int, size: int, col0: int, what: str) -> Rows:
     # M^-1 times M without its top n rows: the size x size block from column
     # col0.  Entry (r, c) of M is [x^(r-c)] g phi^c with phi = f/x, so for
     # c >= j it is entry (r-j, c-j) of M_j, the matrix of (g phi^j, f): past
-    # n = size + 1 the cut lies in M_j at size 2 size + 1, whatever n is
+    # n = size + 1 the cut is rows 1..size of M_(n-1) at size + 1, whatever n is
     if n < 1:
         raise ValueError("n must be at least 1")
     if size < 1:
         raise ValueError("size must be positive")
-    j = max(0, min(col0, n - 1 - size))
+    j = col0 if n > size + 1 else 0
     _require_order(e, size + n - max(1, j), what)
     lead = src = e._at_least(size if j else size + n)  # solve reads its leading rows
     if j:
-        low = e.truncate(size + n - j - 1)  # M_j's order
-        phi = e.f.truncate(low.order + 1).shift_down(1)
-        src = RiordanElement(low.g * phi**j, low.f)._at_least(size + n - j)
+        phi = e.f.truncate(size + 1).shift_down(1)
+        low = e.truncate(size)  # M_j's order at size + 1
+        src = RiordanElement(low.g * phi**j, low.f)._at_least(size + 1)
     return lead.solve(src.block(n - j, col0 - j, size, size))
 
 
@@ -99,7 +99,7 @@ def production_matrix(e: RiordanElement, size: int) -> ProductionMatrix:
 def nth_production_matrix(e: RiordanElement, n: int, size: int) -> ProductionMatrix:
     """The n-th production matrix: drop n top rows, multiply by the inverse,
     then drop the first n-1 columns (n=1 is the classical production matrix).
-    Needs e at order size + n - 1, or only 2 size + 1 once n > size + 1."""
+    Needs e at order size + n - 1, or only size + 1 once n > size + 1."""
     what = f"the order-{n} production matrix at size {size}"
     return ProductionMatrix(_cut(e, n, size, n - 1, what))
 

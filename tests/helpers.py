@@ -144,8 +144,8 @@ def production_by_whole_matrix(e, n, size):
     """The n-th production matrix by its definition on the element's whole
     matrix at size + n: solve M * X = (M without its top n rows), then keep
     the size x size block from column n - 1.  The library's former route, an
-    oracle for its cut, which for n > size + 1 reads the matrix of
-    (g * (f/x)^j, f) at size 2 * size + 1 instead."""
+    oracle for its cut, which for n > size + 1 reads rows 1..size of the
+    matrix of (g * (f/x)^(n-1), f) at size size + 1 instead."""
     m = e.matrix(size + n)
     x = m.solve(m.block(n, 0, size, size + n))
     return ProductionMatrix(row[n - 1 : n - 1 + size] for row in x)

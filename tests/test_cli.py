@@ -100,7 +100,6 @@ class TestShow:
             ("show", "--g", "1", "--f", "10^1000*x", "--size", "6"),
             ("show", "--g", "(1/2)^100000", "--f", "x", "--size", "3"),
             ("show", "--g", "3^9100", "--f", "x", "--size", "2"),
-            ("verify", "--g", "1", "--f", "10^1000*x", "--size", "6"),
         )
         for argv in cases:
             for extra in ((), ("--json",)):
@@ -242,6 +241,38 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--family", "catalan", "--n", "2..5", "--size", "8")
         assert code == 0 and out.count(": equal") == 4
         assert [s for s in sizes if s > 8] == [13]
+
+    PRINT_LIMIT = (
+        "error: a result has an integer of more than 4300 digits, the most "
+        "this interpreter prints\n"
+    )
+
+    def test_text_mode_fails_on_no_entry_it_does_not_print(self, capsys):
+        # the closed forms hold entries past the print limit, which only the
+        # JSON document prints
+        for argv, verdicts in (
+            (
+                ("--f", "x/7^2000", "--n", "2..3", "--size", "3"),
+                ["n=2 size=3: equal", "n=3 size=3: equal"],
+            ),
+            (("--f", "10^1000*x", "--size", "6"), ["n=2 size=6: equal"]),
+        ):
+            code, out, err = run(capsys, "verify", "--g", "1", *argv)
+            assert (code, out.splitlines(), err) == (0, verdicts, "")
+            code, out, err = run(capsys, "verify", "--g", "1", *argv, "--json")
+            assert (code, out, err) == (2, "", self.PRINT_LIMIT)
+
+    def test_json_stops_at_the_first_unprintable_report(self, capsys, monkeypatch):
+        calls, real = [], cli.verify_nth_conjecture
+
+        def counting(e, n, size):
+            calls.append(n)
+            return real(e, n, size)
+
+        monkeypatch.setattr(cli, "verify_nth_conjecture", counting)
+        argv = ("--g", "1", "--f", "x/7^2000", "--n", "2..3", "--size", "3", "--json")
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out, err, calls) == (2, "", self.PRINT_LIMIT, [2])
 
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--family", "pascal", "--n", "4..2")
@@ -434,11 +465,12 @@ class TestCoefficientBudget:
         (("verify", "--family", "binomial:1e4299", "--n", "1..3", "--size", "40"), BUDGET),
         # huge rational denominators, drawn by the fuzz generator; verify takes
         # the closed form only to --size, so the wide coefficients that crossed
-        # the budget are never built and the print limit stops it instead
+        # the budget are never built and the print limit stops the JSON instead
         (
             (
                 "verify", "--n", "1..3", "--size", "2", "--g=1+x*7",
                 f"--f=x*(1+x*(((2*{'7' * 40})-(1+x*8))*(c(x*x)/(3+{'7' * 4300}))))",
+                "--json",
             ),
             "error: a result has an integer of more than 4300 digits, the most "
             "this interpreter prints\n",
@@ -474,7 +506,7 @@ class TestOrderCeiling:
             )
 
     def test_n_is_not_bounded_by_the_order_ceiling(self, capsys):
-        # past n = size + 1 the cut reads the element only to order 2 size + 1
+        # past n = size + 1 the cut reads the element only to order size + 1
         start = time.perf_counter()
         code, out, err = run(
             capsys, "prod", "--family", "catalan", "--n", "100000000", "--size", "2"

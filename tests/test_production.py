@@ -7,9 +7,12 @@ import reference_data as ref
 from helpers import (
     closed_form_by_group,
     closed_form_by_solve,
+    element_battery,
     frac_rows,
     lower_inverse_rows,
     mat_mul_rows,
+    non_normalized_battery,
+    power_by_squaring,
     production_by_series,
     production_by_whole_matrix,
 )
@@ -169,14 +172,35 @@ class TestNthProduction:
                 assert nth_production_matrix(e, n, size) == expected, (n, size)
 
     @pytest.mark.parametrize("name", ["catalan", "non-normalized"])
-    def test_cut_past_size_plus_one_needs_order_2_size_plus_1(self, name):
+    def test_cut_past_size_plus_one_needs_order_size_plus_1(self, name):
         e = self.cut_element(name, 48)
         for size, n in ((1, 3), (3, 5), (4, 40), (8, 11)):
-            low = e.truncate(2 * size + 1)
+            low = e.truncate(size + 1)
             expected = production_by_whole_matrix(e, n, size)
             assert nth_production_matrix(low, n, size) == expected
-            with pytest.raises(PrecisionError, match=f"order >= {2 * size + 1},"):
-                nth_production_matrix(e.truncate(2 * size), n, size)
+            with pytest.raises(PrecisionError, match=f"order >= {size + 1},"):
+                nth_production_matrix(e.truncate(size), n, size)
+
+    def test_nth_is_first_times_toeplitz_of_a_power(self):
+        # with A the A-series of P_1, A(f) = f/x, so (g, f) (A^(n-1), x) is
+        # (g (f/x)^(n-1), f) = M_(n-1), whose rows 1..size are P_n's right-hand
+        # side; dropping M's top row commutes with multiplying on the right
+        elements = element_battery(6, 24, 3) + non_normalized_battery(6, 24, 4)
+        names = ("catalan", "moment:1/2", "binomial:2/3", "a085478")
+        elements += [family_element(name, 24) for name in names]
+        for e in elements:
+            for size in range(1, 10):
+                p1 = production_matrix(e, size + 1)
+                first = [row[: size + 1] for row in p1.rows[:size]]
+                a = TruncatedSeries(p1.a_column())
+                for n in range(1, 9):
+                    s = power_by_squaring(a, n - 1).coefficients
+                    toeplitz = [
+                        [s[i - j] if i >= j else F(0) for j in range(size)]
+                        for i in range(size + 1)
+                    ]
+                    expected = ProductionMatrix(mat_mul_rows(first, toeplitz))
+                    assert nth_production_matrix(e, n, size) == expected, (e, n, size)
 
     def test_precision_error_reports_needed_order(self):
         with pytest.raises(PrecisionError) as err:
