@@ -117,7 +117,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ns = _parse_n_range(args.n)
     top = min(ns[-1], args.size + 1)
     element = _resolve_element(args, _headroom(args.size, top))
-    element.matrix(args.size + top)  # kept on the element; every n reads it
+    # kept on the element for every n: a cut at n <= size + 1 reads rows up
+    # to size + n, one past size + 1 only the leading size x size block
+    element.matrix(args.size + top if ns[0] <= args.size + 1 else args.size)
     # each report is rendered as it is computed, in the one format printed:
     # an entry past the print limit fails only if printed, at its first report
     docs, lines, all_equal = [], [], True
@@ -305,7 +307,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "size", 1) < 1:
+        if args.size < 1:
             raise RiordanError("--size must be at least 1")
         return args.handler(args)
     except RiordanError as err:

@@ -87,6 +87,15 @@ GfExpression = Union[Lit, Var, Neg, Pow, BinOp, Call]
 _SYMBOLS = set("+-*/^()")
 _DIGITS = set("0123456789")
 
+# binding levels, loosest first: the parser's _binary and the printer's
+# _render both read them, so to_text's output re-parses to the same tree
+_LEVEL_NEG = 0
+_LEVEL_SUM = 1
+_LEVEL_TERM = 2
+_LEVEL_POW = 3
+_LEVEL_ATOM = 4
+_BINARY_LEVEL = {"+": _LEVEL_SUM, "-": _LEVEL_SUM, "*": _LEVEL_TERM, "/": _LEVEL_TERM}
+
 # folded exponents must fit in this many bits, so towers such as 2^2^2^2^2^2
 # fail before their value is computed
 _EXPONENT_BITS = 64
@@ -178,20 +187,16 @@ class _Parser:
         if self._tok.kind == "-":
             minus = self._advance()
             return Neg(self._expr(), pos=minus.pos)
-        return self._sum()
+        return self._binary(_LEVEL_SUM)
 
-    def _sum(self) -> GfExpression:
-        node = self._term()
-        while self._tok.kind in ("+", "-"):
+    def _binary(self, level: int) -> GfExpression:
+        # operators of one level associate to the left; each operand binds
+        # tighter, and at _LEVEL_TERM it is a factor
+        node = self._factor() if level == _LEVEL_TERM else self._binary(level + 1)
+        while _BINARY_LEVEL.get(self._tok.kind) == level:
             op = self._advance()
-            node = BinOp(op.kind, node, self._term(), pos=op.pos)
-        return node
-
-    def _term(self) -> GfExpression:
-        node = self._factor()
-        while self._tok.kind in ("*", "/"):
-            op = self._advance()
-            node = BinOp(op.kind, node, self._factor(), pos=op.pos)
+            right = self._factor() if level == _LEVEL_TERM else self._binary(level + 1)
+            node = BinOp(op.kind, node, right, pos=op.pos)
         return node
 
     def _factor(self) -> GfExpression:
@@ -329,11 +334,8 @@ def _eval_div(node: BinOp, order: int, memo: dict) -> TruncatedSeries:
             node.pos,
         )
     shift = den.valuation()
-    if shift == 0:
-        num = _eval(node.left, order, memo)
-        return num / den
-    # cancel x^shift from both sides; re-evaluate with enough working
-    # precision that the result is exact at the requested order
+    # cancel x^shift from both sides at order + shift, so the result is exact
+    # at the requested order; at shift 0 both operands come from the memo
     num = _eval(node.left, order + shift, memo)
     den = _eval(node.right, order + shift, memo)
     for i in range(shift):
@@ -358,14 +360,6 @@ def _positioned(pos: int):
 # ---------------------------------------------------------------------------
 # printing
 # ---------------------------------------------------------------------------
-
-_LEVEL_NEG = 0
-_LEVEL_SUM = 1
-_LEVEL_TERM = 2
-_LEVEL_POW = 3
-_LEVEL_ATOM = 4
-_BINARY_LEVEL = {"+": _LEVEL_SUM, "-": _LEVEL_SUM, "*": _LEVEL_TERM, "/": _LEVEL_TERM}
-
 
 def to_text(expr: GfExpression) -> str:
     """Render a tree back to source text; ``parse(to_text(e))`` is

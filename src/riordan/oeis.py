@@ -50,9 +50,9 @@ class OeisIndex:
     by :func:`query` and :func:`triangle_query`, which need no dump.
     """
 
-    def __init__(self, entries: Mapping[str, Sequence[int]], skipped_lines: int = 0):
+    def __init__(self, entries: Mapping[str, Sequence[int]]):
         self._records = {key: _text(seq) for key, seq in entries.items()}
-        self._skipped = skipped_lines
+        self._skipped = 0
 
     def __len__(self) -> int:
         return len(self._records)

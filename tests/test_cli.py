@@ -9,7 +9,7 @@ import pytest
 
 import reference_data as ref
 from helpers import frac_rows
-from riordan import RiordanError, TriMatrix, VerificationReport, cli, pascal
+from riordan import RiordanError, TriMatrix, VerificationReport, arrays, cli, pascal
 from riordan.cli import main
 
 
@@ -241,6 +241,35 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--family", "catalan", "--n", "2..5", "--size", "8")
         assert code == 0 and out.count(": equal") == 4
         assert [s for s in sizes if s > 8] == [13]
+
+    @staticmethod
+    def chain_counts(monkeypatch):
+        # the size of every matrix built: each build runs one column chain
+        counts, chain = [], arrays._chain
+
+        def recording(start, factor, count):
+            counts.append(count)
+            return chain(start, factor, count)
+
+        monkeypatch.setattr(arrays, "_chain", recording)
+        return counts
+
+    def test_element_matrix_is_built_once_and_cached(self, capsys, monkeypatch):
+        counts = self.chain_counts(monkeypatch)
+        code, out, _ = run(capsys, "verify", "--family", "catalan", "--n", "2..5", "--size", "32")
+        assert code == 0 and out.count(": equal") == 4
+        assert sorted(counts) == [32, 32, 32, 32, 37]
+
+    def test_warm_up_past_size_plus_one_builds_only_the_leading_block(
+        self, capsys, monkeypatch
+    ):
+        # every n of 30..60 is past size + 1 = 25: each cut reads the
+        # element's 24 x 24 block and a matrix of its own at 25
+        counts = self.chain_counts(monkeypatch)
+        argv = ("--family", "moment:1/2", "--n", "30..60", "--size", "24")
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0 and out.count(": equal") == 31
+        assert set(counts) == {24, 25}
 
     PRINT_LIMIT = (
         "error: a result has an integer of more than 4300 digits, the most "
