@@ -196,7 +196,7 @@ class TriMatrix(ExactMatrix):
 class RiordanElement:
     """A validated pair (g, f) representing a Riordan group element."""
 
-    __slots__ = ("_g", "_f", "_frev", "_built")
+    __slots__ = ("_g", "_f", "_frev", "_az")
 
     def __init__(self, g: TruncatedSeries, f: TruncatedSeries):
         if g.order != f.order:
@@ -213,7 +213,8 @@ class RiordanElement:
         self._g = g
         self._f = f
         self._frev: TruncatedSeries | None = None
-        self._built: TriMatrix | None = None
+        # A- and Z-series, kept by riordan.production
+        self._az: tuple[TruncatedSeries, TruncatedSeries] | None = None
 
     @classmethod
     def identity(cls, order: int) -> "RiordanElement":
@@ -247,23 +248,13 @@ class RiordanElement:
                 f"a {size}x{size} matrix needs the element at order >= {size - 1}, "
                 f"but it has order {self.order}"
             )
-        big = self._at_least(size)
-        if big.size == size:
-            return big
-        return TriMatrix(row[:size] for row in big.rows[:size])
-
-    def _at_least(self, size: int) -> TriMatrix:
-        # the largest matrix built so far, kept since elements are immutable,
-        # or a new one of this size; column k is g * f^k, one integer chain
-        built = self._built
-        if built is None or built.size < size:
-            rows = [[_ZERO] * size for _ in range(size)]
-            g, f = lift(self._g.coefficients[:size]), lift(self._f.coefficients[:size])
-            for k, (column, d) in enumerate(_chain(g, f, size)):
-                for n in range(k, size):
-                    rows[n][k] = _ratio(column[n], d)
-            built = self._built = TriMatrix(rows)
-        return built
+        # column k is g * f^k, one integer chain
+        rows = [[_ZERO] * size for _ in range(size)]
+        g, f = lift(self._g.coefficients[:size]), lift(self._f.coefficients[:size])
+        for k, (column, d) in enumerate(_chain(g, f, size)):
+            for n in range(k, size):
+                rows[n][k] = _ratio(column[n], d)
+        return TriMatrix(rows)
 
     # -- group structure ---------------------------------------------------------
 

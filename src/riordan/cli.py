@@ -115,11 +115,7 @@ def _cmd_prod(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     ns = _parse_n_range(args.n)
-    top = min(ns[-1], args.size + 1)
-    element = _resolve_element(args, _headroom(args.size, top))
-    # kept on the element for every n: a cut at n <= size + 1 reads rows up
-    # to size + n, one past size + 1 only the leading size x size block
-    element.matrix(args.size + top if ns[0] <= args.size + 1 else args.size)
+    element = _resolve_element(args, _headroom(args.size, min(ns[-1], args.size + 1)))
     # each report is rendered as it is computed, in the one format printed:
     # an entry past the print limit fails only if printed, at its first report
     docs, lines, all_equal = [], [], True
@@ -189,8 +185,6 @@ def _cmd_family(args: argparse.Namespace) -> int:
     if steps < 0:
         raise RiordanError("--iterate must be non-negative")
     element = family_element(args.name, _headroom(args.size, steps))
-    # the production matrix builds the element's matrix at size + 1, and
-    # matrix(size) is then its leading block
     p = production_matrix(element, args.size)
     matrix = element.matrix(args.size)
     doc = {
@@ -327,3 +321,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -6,10 +6,11 @@ The n-th production matrix generalizes this: remove the top n rows, multiply
 by M^-1, then drop the first n-1 columns.  For a Riordan element the result
 is lower Hessenberg, its column 0 is a Z-sequence and its later columns are
 shifted copies of an A-sequence, so it generates another Riordan matrix.
-This module computes these objects exactly by matrix arithmetic (the tests
-check that route against an independent one on column generating
-functions), together with the closed-form element that the n-th production
-matrix generates, and a verifier comparing the two.
+This module computes these objects exactly, every n-th production matrix
+from the A- and Z-series of the first (the tests check that route against
+the definition and against column generating functions), together with the
+closed-form element that the n-th production matrix generates, and a
+verifier comparing the two.
 """
 
 from __future__ import annotations
@@ -62,23 +63,23 @@ def _require_order(e: RiordanElement, needed: int, what: str) -> None:
         )
 
 
-def _cut(e: RiordanElement, n: int, size: int, col0: int, what: str) -> Rows:
-    # M^-1 times M without its top n rows: the size x size block from column
-    # col0.  Entry (r, c) of M is [x^(r-c)] g phi^c with phi = f/x, so for
-    # c >= j it is entry (r-j, c-j) of M_j, the matrix of (g phi^j, f): past
-    # n = size + 1 the cut is rows 1..size of M_(n-1) at size + 1, whatever n is
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if size < 1:
-        raise ValueError("size must be positive")
-    j = col0 if n > size + 1 else 0
-    _require_order(e, size + n - max(1, j), what)
-    lead = src = e._at_least(size if j else size + n)  # solve reads its leading rows
-    if j:
-        phi = e.f.truncate(size + 1).shift_down(1)
-        low = e.truncate(size)  # M_j's order at size + 1
-        src = RiordanElement(low.g * phi**j, low.f)._at_least(size + 1)
-    return lead.solve(src.block(n - j, col0 - j, size, size))
+def _nth_az(e: RiordanElement, n: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    # A_n to ``order`` and Z_n to order - 1 (to ``order`` for n = 1), from P_1's
+    # columns 1 and 0, A and Z: a two-column solve M X = (M without its top
+    # row), kept on the element (elements are immutable) and solved again
+    # only for a higher order
+    az = e._az
+    if az is None or az[0].order < order:
+        m = e.matrix(order + 2)
+        cols = m.solve(m.block(1, 0, order + 1, 2))
+        az = e._az = TruncatedSeries(r[1] for r in cols), TruncatedSeries(r[0] for r in cols)
+    a, z = (s.truncate(order) for s in az)
+    if n == 1:
+        return a, z
+    # P_n = P_1 T(B) with B = A^(n-1) (derivation step 3)
+    b = a ** (n - 1)
+    b0 = b.constant_term
+    return a * b, b0 * z + a * (b - b0).shift_down(1)
 
 
 def production_block(e: RiordanElement, n: int, size: int) -> Rows:
@@ -88,7 +89,13 @@ def production_block(e: RiordanElement, n: int, size: int) -> Rows:
     first n-1 columns have not yet been removed, so it is generally not
     Hessenberg.
     """
-    return _cut(e, n, size, 0, f"a size-{size} block with {n} rows removed")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if size < 1:
+        raise ValueError("size must be positive")
+    _require_order(e, size + n - 1, f"a size-{size} block with {n} rows removed")
+    m = e.matrix(size + n)  # the solve reads its leading size rows
+    return m.solve(m.block(n, 0, size, size))
 
 
 def production_matrix(e: RiordanElement, size: int) -> ProductionMatrix:
@@ -99,9 +106,17 @@ def production_matrix(e: RiordanElement, size: int) -> ProductionMatrix:
 def nth_production_matrix(e: RiordanElement, n: int, size: int) -> ProductionMatrix:
     """The n-th production matrix: drop n top rows, multiply by the inverse,
     then drop the first n-1 columns (n=1 is the classical production matrix).
-    Needs e at order size + n - 1, or only size + 1 once n > size + 1."""
+    Column 0 is Z_n and column j >= 1 is A_n shifted down j - 1 places.
+    Needs e at order size, or size + 1 for n >= 2, whatever n is."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if size < 1:
+        raise ValueError("size must be positive")
     what = f"the order-{n} production matrix at size {size}"
-    return ProductionMatrix(_cut(e, n, size, n - 1, what))
+    _require_order(e, size + 1 if n > 1 else size, what)
+    # at order size where e allows, so every n at this size shares one solve
+    a, z = (s.coefficients for s in _nth_az(e, n, min(size, e.order - 1)))
+    return ProductionMatrix.from_rows([((z[i],) + a[i::-1])[:size] for i in range(size)])
 
 
 def generate_from_production(p: ProductionMatrix, size: int) -> TriMatrix:
@@ -128,22 +143,17 @@ def generate_from_production(p: ProductionMatrix, size: int) -> TriMatrix:
 # ---------------------------------------------------------------------------
 
 def nth_az(e: RiordanElement, n: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """A- and Z-series of the n-th production matrix, from the reverted f.
+    """A- and Z-series of the n-th production matrix, from columns 1 and 0
+    of the classical one (derivation step 3).
 
-    With w = x/rev(f):  A = w^n, and Z = (w^(n-1) - g(0) f'(0)^(n-1) /
-    g(rev f)) / rev(f).  For n=1 these are the classical A- and Z-sequences;
-    the returned orders are e.order-1 and e.order-2.
+    For n=1 these are the classical A- and Z-sequences; the returned orders
+    are e.order-1 and e.order-2.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     _require_order(e, 2, "A/Z extraction")
-    frev = e.reverted_f()
-    u = frev.shift_down(1)  # 1/w
-    a = u**-n
-    unit = e.g.constant_term * e.f.coefficient(1) ** (n - 1) / e.g.compose(frev)
-    diff = u ** (1 - n) - unit
-    z = diff.shift_down(1) / u
-    return a, z
+    a, z = _nth_az(e, n, e.order - 1)
+    return a, z.truncate(e.order - 2)
 
 
 def produced_matrix_closed_form(e: RiordanElement, n: int) -> RiordanElement:

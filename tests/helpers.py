@@ -143,12 +143,23 @@ def production_by_series(e, n, size):
 def production_by_whole_matrix(e, n, size):
     """The n-th production matrix by its definition on the element's whole
     matrix at size + n: solve M * X = (M without its top n rows), then keep
-    the size x size block from column n - 1.  The library's former route, an
-    oracle for its cut, which for n > size + 1 reads rows 1..size of the
-    matrix of (g * (f/x)^(n-1), f) at size size + 1 instead."""
+    the size x size block from column n - 1.  A former route of the library,
+    an oracle for the one it takes now, which reads every n-th production
+    matrix from the A- and Z-series of the first."""
     m = e.matrix(size + n)
     x = m.solve(m.block(n, 0, size, size + n))
     return ProductionMatrix(row[n - 1 : n - 1 + size] for row in x)
+
+
+def az_by_reversion(e, n):
+    """A- and Z-series of the n-th production matrix from the reverted f,
+    the library's former route, an oracle for ``nth_az``: with w = x/rev(f),
+    A = w^n and Z = (w^(n-1) - g(0) f'(0)^(n-1) / g(rev f)) / rev(f), at
+    orders e.order - 1 and e.order - 2 (derivation step 3)."""
+    frev = e.f.revert()
+    u = frev.shift_down(1)  # 1/w
+    unit = e.g.constant_term * e.f.coefficient(1) ** (n - 1) / e.g.compose(frev)
+    return u**-n, (u ** (1 - n) - unit).shift_down(1) / u
 
 
 def power_by_squaring(s, exponent):

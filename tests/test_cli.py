@@ -1,9 +1,12 @@
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 import traceback
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +157,20 @@ class TestShow:
         assert code == 2
         assert "--size" in err
 
+    def test_python_dash_m_runs_the_command(self):
+        # python -m riordan.cli runs the command and exits with its code
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        for argv, code, out in (
+            (("show", "--family", "pascal", "--size", "3"), 0, "1  0  0\n1  1  0\n1  2  1\n"),
+            (("verify", "--n", "1..1000000000000"), 2, ""),
+        ):
+            done = subprocess.run(
+                [sys.executable, "-m", "riordan.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert (done.returncode, done.stdout) == (code, out), argv
+            assert bool(done.stderr) == bool(code), argv
+
 
 class TestProd:
     def test_catalan_second_production(self, capsys):
@@ -228,8 +245,8 @@ class TestVerify:
         assert [r["scale"] for r in doc["reports"]] == ["2/3", "1/2", "3/8"]
 
     def test_one_element_matrix_per_command(self, capsys, monkeypatch):
-        # the element's matrix is built once, at size + 5, and every n cuts
-        # its blocks from it; the closed forms' matrices have size 8
+        # the element's matrix is built once, at size + 2, for the A- and
+        # Z-series that serve every n; the other matrices have size 8
         sizes = []
         init = TriMatrix.__init__
 
@@ -240,7 +257,7 @@ class TestVerify:
         monkeypatch.setattr(TriMatrix, "__init__", recording)
         code, out, _ = run(capsys, "verify", "--family", "catalan", "--n", "2..5", "--size", "8")
         assert code == 0 and out.count(": equal") == 4
-        assert [s for s in sizes if s > 8] == [13]
+        assert [s for s in sizes if s > 8] == [10]
 
     @staticmethod
     def chain_counts(monkeypatch):
@@ -255,21 +272,16 @@ class TestVerify:
         return counts
 
     def test_element_matrix_is_built_once_and_cached(self, capsys, monkeypatch):
+        # whatever the range: one element matrix at size + 2, and a closed
+        # form's matrix at size for each n
         counts = self.chain_counts(monkeypatch)
-        code, out, _ = run(capsys, "verify", "--family", "catalan", "--n", "2..5", "--size", "32")
-        assert code == 0 and out.count(": equal") == 4
-        assert sorted(counts) == [32, 32, 32, 32, 37]
-
-    def test_warm_up_past_size_plus_one_builds_only_the_leading_block(
-        self, capsys, monkeypatch
-    ):
-        # every n of 30..60 is past size + 1 = 25: each cut reads the
-        # element's 24 x 24 block and a matrix of its own at 25
-        counts = self.chain_counts(monkeypatch)
-        argv = ("--family", "moment:1/2", "--n", "30..60", "--size", "24")
-        code, out, _ = run(capsys, "verify", *argv)
-        assert code == 0 and out.count(": equal") == 31
-        assert set(counts) == {24, 25}
+        for first, last in ((1, 5), (2, 5), (1, 1), (20, 40), (30, 60), (10**6, 10**6)):
+            counts.clear()
+            argv = ("--family", "moment:1/2", "--n", f"{first}..{last}", "--size", "24")
+            code, out, _ = run(capsys, "verify", *argv)
+            reports = last - first + 1
+            assert code == 0 and out.count(": equal") == reports, argv
+            assert sorted(counts) == [24] * reports + [26], argv
 
     PRINT_LIMIT = (
         "error: a result has an integer of more than 4300 digits, the most "
@@ -535,7 +547,7 @@ class TestOrderCeiling:
             )
 
     def test_n_is_not_bounded_by_the_order_ceiling(self, capsys):
-        # past n = size + 1 the cut reads the element only to order size + 1
+        # every n >= 2 reads the element only to order size + 1
         start = time.perf_counter()
         code, out, err = run(
             capsys, "prod", "--family", "catalan", "--n", "100000000", "--size", "2"

@@ -5,6 +5,7 @@ import pytest
 
 import reference_data as ref
 from helpers import (
+    az_by_reversion,
     closed_form_by_group,
     closed_form_by_solve,
     element_battery,
@@ -96,9 +97,14 @@ class TestClassicalProduction:
                         expected = a.coefficient(i - k + 1) if i + 1 >= k else 0
                         assert p[i, k] == expected, (e, n)
 
-    def test_needs_one_row_of_headroom(self):
+    def test_needs_one_row_of_headroom(self, non_normalized):
         with pytest.raises(PrecisionError):
             production_matrix(pascal(5), 6)
+        # and no more: order size is enough
+        for e in (catalan_array(12), a085478_element(12), non_normalized[0]):
+            for size in range(1, 10):
+                p = production_matrix(e.truncate(size), size)
+                assert p == production_by_whole_matrix(e, 1, size), (e, size)
 
 
 class TestProductionBlock:
@@ -162,19 +168,19 @@ class TestNthProduction:
         "name", ["pascal", "catalan", "a085478", "binomial:2", "moment:1/2", "non-normalized"]
     )
     def test_cut_matches_whole_matrix_route(self, name):
-        # n = 1..40 at size 1..8 takes both sides of the shift at n = size + 1
+        # n = 1..40 at size 1..8, on both sides of n = size + 1
         e = self.cut_element(name, 48)
-        whole = RiordanElement(e.g, e.f)  # a matrix cache of its own
-        whole.matrix(48)
         for size in range(1, 9):
             for n in range(1, 41):
-                expected = production_by_whole_matrix(whole, n, size)
+                expected = production_by_whole_matrix(e, n, size)
                 assert nth_production_matrix(e, n, size) == expected, (n, size)
 
     @pytest.mark.parametrize("name", ["catalan", "non-normalized"])
-    def test_cut_past_size_plus_one_needs_order_size_plus_1(self, name):
+    def test_n_past_1_needs_order_size_plus_1(self, name):
+        # whatever n is; below n = size + 2 the definition reads order size + n - 1
         e = self.cut_element(name, 48)
-        for size, n in ((1, 3), (3, 5), (4, 40), (8, 11)):
+        pairs = [(size, n) for size in (1, 3, 8) for n in range(2, size + 3)]
+        for size, n in pairs + [(4, 40), (8, 11)]:
             low = e.truncate(size + 1)
             expected = production_by_whole_matrix(e, n, size)
             assert nth_production_matrix(low, n, size) == expected
@@ -188,19 +194,23 @@ class TestNthProduction:
         elements = element_battery(6, 24, 3) + non_normalized_battery(6, 24, 4)
         names = ("catalan", "moment:1/2", "binomial:2/3", "a085478")
         elements += [family_element(name, 24) for name in names]
-        for e in elements:
-            for size in range(1, 10):
-                p1 = production_matrix(e, size + 1)
-                first = [row[: size + 1] for row in p1.rows[:size]]
-                a = TruncatedSeries(p1.a_column())
-                for n in range(1, 9):
-                    s = power_by_squaring(a, n - 1).coefficients
-                    toeplitz = [
-                        [s[i - j] if i >= j else F(0) for j in range(size)]
-                        for i in range(size + 1)
-                    ]
-                    expected = ProductionMatrix(mat_mul_rows(first, toeplitz))
-                    assert nth_production_matrix(e, n, size) == expected, (e, n, size)
+        cases = [(e, size, n) for e in elements for size in range(1, 10) for n in range(1, 9)]
+        # large n at size 64, binary powering against the library's Miller power
+        large = [family_element(name, 66) for name in ("catalan", "moment:1/2")]
+        large.append(RiordanElement(  # g(0) = 2, f'(0) = -1
+            2 / TruncatedSeries([1, F(-1, 3)], 66), TruncatedSeries([0, -1, F(1, 2), F(1, 7)], 66)
+        ))
+        cases += [(e, 64, n) for e in large for n in (10, 70, 1000, 10**6)]
+        for e, size, n in cases:
+            p1 = production_matrix(e, size + 1)
+            s = power_by_squaring(TruncatedSeries(p1.a_column()), n - 1).coefficients
+            # entry (i, j) of P_1 T(s), summed where P_1 (Hessenberg) and T are nonzero
+            expected = ProductionMatrix(
+                [sum((p1[i, k] * s[k - j] for k in range(j, min(i + 2, size + 1))), F(0))
+                 for j in range(size)]
+                for i in range(size)
+            )
+            assert nth_production_matrix(e, n, size) == expected, (e, n, size)
 
     def test_precision_error_reports_needed_order(self):
         with pytest.raises(PrecisionError) as err:
@@ -274,6 +284,17 @@ class TestNthAZ:
                 a, z = nth_az(e, n)
                 assert z.coefficients[:6] == p.z_column()
                 assert a.coefficients[:6] == p.a_column()
+
+    def test_matches_reversion_oracle(self, battery, non_normalized):
+        rational = RiordanElement(
+            TruncatedSeries([F(2, 3), F(-1, 2), 1], 12),
+            TruncatedSeries([0, F(3, 2), F(1, 4), -1], 12),
+        )
+        for e in [*battery[:4], *non_normalized[:4], rational, RiordanElement.identity(2)]:
+            for n in range(1, 7):
+                a, z = nth_az(e, n)
+                assert (a.order, z.order) == (e.order - 1, e.order - 2), (e, n)
+                assert (a, z) == az_by_reversion(e, n), (e, n)
 
     def test_reconstruction_matches_generated(self, battery):
         for e in battery[:5]:
