@@ -275,13 +275,25 @@ class TestVerify:
         # whatever the range: one element matrix at size + 2, and a closed
         # form's matrix at size for each n
         counts = self.chain_counts(monkeypatch)
-        for first, last in ((1, 5), (2, 5), (1, 1), (20, 40), (30, 60), (10**6, 10**6)):
+        for first, last in ((1, 5), (2, 5), (1, 1), (20, 40), (10**6, 10**6)):
             counts.clear()
             argv = ("--family", "moment:1/2", "--n", f"{first}..{last}", "--size", "24")
             code, out, _ = run(capsys, "verify", *argv)
             reports = last - first + 1
             assert code == 0 and out.count(": equal") == reports, argv
             assert sorted(counts) == [24] * reports + [26], argv
+
+    def test_warm_up_past_size_plus_one_builds_only_the_leading_block(
+        self, capsys, monkeypatch
+    ):
+        # every n of 30..60 is past size + 1 = 25: the element's matrix is
+        # built once, at size + 2 for its A- and Z-series, never at
+        # size + n - 1, and each n builds one closed-form matrix at size
+        counts = self.chain_counts(monkeypatch)
+        argv = ("--family", "moment:1/2", "--n", "30..60", "--size", "24")
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0 and out.count(": equal") == 31
+        assert sorted(counts) == [24] * 31 + [26]
 
     PRINT_LIMIT = (
         "error: a result has an integer of more than 4300 digits, the most "
