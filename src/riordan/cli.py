@@ -2,9 +2,8 @@
 
 Elements are named either by ``--family`` (pascal, binomial:r, catalan,
 moment:r, a085478) or by a pair of generating-function expressions ``--g``
-and ``--f``.  Expressions are evaluated with automatic precision headroom
-(order = size + min(n, size + 1) + 2, at most ``MAX_ORDER``) so users never
-manage truncation orders by hand.
+and ``--f``, evaluated to order size + 2 (plus ``--iterate`` for ``family``,
+at most ``MAX_ORDER``) so users never manage truncation orders by hand.
 
 Exit codes: 0 on success (and when ``verify`` finds every instance equal,
 up to the closed form's scalar factor), 1 when ``verify`` finds a mismatch,
@@ -44,8 +43,8 @@ MAX_ORDER = 1000
 OEIS_PATH_ENV = "OEIS_STRIPPED_PATH"
 
 
-def _headroom(size: int, n: int = 0) -> int:
-    order = size + n + 2
+def _headroom(size: int, iterate: int = 0) -> int:
+    order = size + iterate + 2
     if order > MAX_ORDER:
         raise RiordanError(
             f"this needs truncation order {order}, above the limit of "
@@ -54,7 +53,8 @@ def _headroom(size: int, n: int = 0) -> int:
     return order
 
 
-def _resolve_element(args: argparse.Namespace, order: int) -> RiordanElement:
+def _resolve_element(args: argparse.Namespace) -> RiordanElement:
+    order = _headroom(args.size)
     has_expr = args.g is not None or args.f is not None
     if args.family and has_expr:
         raise RiordanError("give either --family or --g/--f, not both")
@@ -94,7 +94,7 @@ def _emit(doc: dict, text: str, as_json: bool) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    element = _resolve_element(args, _headroom(args.size))
+    element = _resolve_element(args)
     matrix = element.matrix(args.size)
     _emit({"matrix": matrix.to_json_entries()}, matrix.to_text(), args.json)
     return EXIT_OK
@@ -103,7 +103,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
 def _cmd_prod(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise RiordanError("--n must be at least 1")
-    element = _resolve_element(args, _headroom(args.size, min(args.n, args.size + 1)))
+    element = _resolve_element(args)
     p = nth_production_matrix(element, args.n, args.size)
     _emit(
         {"n": args.n, "production_matrix": p.to_json_entries()},
@@ -115,7 +115,7 @@ def _cmd_prod(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     ns = _parse_n_range(args.n)
-    element = _resolve_element(args, _headroom(args.size, min(ns[-1], args.size + 1)))
+    element = _resolve_element(args)
     # each report is rendered as it is computed, in the one format printed:
     # an entry past the print limit fails only if printed, at its first report
     docs, lines, all_equal = [], [], True
@@ -149,7 +149,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
         )
     # every rule of the query (riordan.oeis) is checked before the slow dump read
     if args.values is None:
-        element = _resolve_element(args, _headroom(args.size))
+        element = _resolve_element(args)
         values = triangle_query(element.matrix(args.size))
     elif args.family or args.g is not None or args.f is not None:
         raise RiordanError(
@@ -230,8 +230,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_element_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--g", help="generating-function expression for g")
-    sub.add_argument("--f", help="generating-function expression for f")
+    sub.add_argument("--g", help="expression for g; write --g=EXPR if it starts with '-'")
+    sub.add_argument("--f", help="expression for f; write --f=EXPR if it starts with '-'")
     sub.add_argument(
         "--family",
         help=f"named element: {', '.join(FAMILY_NAMES)}",

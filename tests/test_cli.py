@@ -157,6 +157,17 @@ class TestShow:
         assert code == 2
         assert "--size" in err
 
+    def test_leading_minus_needs_the_equals_form(self, capsys):
+        # argparse takes "-x" after "--f" for an option and exits 2 before any
+        # expression is parsed; "--f=-x" hands it over as the value
+        with pytest.raises(SystemExit) as exit_info:
+            main(["show", "--g", "1", "--f", "-x", "--size", "3"])
+        assert exit_info.value.code == 2
+        assert "argument --f: expected one argument" in capsys.readouterr().err
+        code, out, err = run(capsys, "show", "--g", "1", "--f=-x", "--size", "3")
+        assert (code, err) == (0, "")
+        assert out.split() == ["1", "0", "0", "0", "-1", "0", "0", "0", "1"]
+
     def test_python_dash_m_runs_the_command(self):
         # python -m riordan.cli runs the command and exits with its code
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
@@ -516,6 +527,12 @@ class TestCoefficientBudget:
         (("show", "--family", "binomial:1e4299", "--size", "40"), BUDGET),
         (("show", "--g", "1/(1-10^4299*x)", "--f", "x", "--size", "40"), BUDGET),
         (("verify", "--family", "binomial:1e4299", "--n", "1..3", "--size", "40"), BUDGET),
+        # entries of P_5 really pass 4300 digits; the print limit stops them
+        (
+            ("prod", "--g", "1", "--f", "x/(1-10^3000*x)", "--n", "5", "--size", "2"),
+            "error: a result has an integer of more than 4300 digits, the most "
+            "this interpreter prints\n",
+        ),
         # huge rational denominators, drawn by the fuzz generator; verify takes
         # the closed form only to --size, so the wide coefficients that crossed
         # the budget are never built and the print limit stops the JSON instead
@@ -539,6 +556,61 @@ class TestCoefficientBudget:
             assert code == 2 and out == "", argv[:3]
             assert err == message, argv[:3]
 
+    def test_coefficients_no_command_reads_are_not_built(self, capsys):
+        # f's coefficient of x^k is 10^(3000(k-1)): past the budget from
+        # x^7, but P_n at size 2 reads the element only to order 3
+        code, out, err = run(
+            capsys, "verify", "--g", "1", "--f", "x/(1-10^3000*x)", "--n", "2..5", "--size", "2"
+        )
+        assert (code, err) == (0, "")
+        assert out == "".join(f"n={n} size=2: equal\n" for n in range(2, 6))
+
+
+class TestEvaluationOrder:
+    """Every element the CLI reads is evaluated to one order, size + 2 (plus
+    --iterate for family), whatever --n."""
+
+    @staticmethod
+    def recorded_orders(monkeypatch):
+        orders = []
+
+        def recording(function):
+            def wrapper(text, order):
+                orders.append(order)
+                return function(text, order)
+            return wrapper
+
+        monkeypatch.setattr(cli, "evaluate_text", recording(cli.evaluate_text))
+        monkeypatch.setattr(cli, "family_element", recording(cli.family_element))
+        return orders
+
+    def test_every_element_command_asks_for_size_plus_two(
+        self, capsys, monkeypatch, oeis_fixture_path
+    ):
+        orders = self.recorded_orders(monkeypatch)
+        size = 4
+        commands = [("show",), ("identify", "--oeis", str(oeis_fixture_path))]
+        for n in (1, 2, size + 1, size + 2, 10**6):
+            commands += [("prod", "--n", str(n)), ("verify", "--n", str(n))]
+        for command in commands:
+            for element in (("--family", "catalan"), ("--g", "1/(1-x)", "--f", "x/(1-x)^2")):
+                orders.clear()
+                code, _, err = run(capsys, *command, *element, "--size", str(size))
+                assert (code, err) == (0, ""), command
+                # one family_element call, or one evaluate_text call each for g and f
+                assert orders == [size + 2] * (len(element) // 2), command
+
+    def test_family_asks_for_size_plus_iterate_plus_two(self, capsys, monkeypatch):
+        orders = self.recorded_orders(monkeypatch)
+        for steps in (None, 0, 1, 3):
+            orders.clear()
+            argv = ("family", "moment:1/2", "--size", "4")
+            if steps is not None:
+                argv += ("--iterate", str(steps))
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert orders == [4 + (steps or 0) + 2], argv
+
 
 class TestOrderCeiling:
     def test_orders_above_the_ceiling_exit_2(self, capsys):
@@ -547,16 +619,19 @@ class TestOrderCeiling:
         with pytest.raises(RiordanError):
             cli._headroom(2, 10**8)
         assert cli._headroom(cli.MAX_ORDER - 2) == cli.MAX_ORDER
-        for argv in (
-            ("family", "catalan", "--size", "3", "--iterate", "100000000"),
-            ("show", "--g", "1", "--f", "x", "--size", "100000000"),
+        for argv, order in (
+            (("family", "catalan", "--size", "3", "--iterate", "100000000"), 100000005),
+            (("show", "--g", "1", "--f", "x", "--size", "100000000"), 100000002),
+            # --n does not enter the order: size 998 is the largest for any n
+            (("prod", "--family", "catalan", "--size", "999"), 1001),
+            (("verify", "--family", "catalan", "--size", "999", "--n", "600"), 1001),
         ):
             code, out, err = run(capsys, *argv)
-            assert code == 2 and out == ""
-            assert err.startswith("error: this needs truncation order ")
-            assert err.endswith(
-                f"above the limit of {cli.MAX_ORDER}; lower --size or --iterate\n"
-            )
+            assert code == 2 and out == "", argv
+            assert err == (
+                f"error: this needs truncation order {order}, above the limit of "
+                f"{cli.MAX_ORDER}; lower --size or --iterate\n"
+            ), argv
 
     def test_n_is_not_bounded_by_the_order_ceiling(self, capsys):
         # every n >= 2 reads the element only to order size + 1
