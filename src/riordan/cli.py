@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .arrays import RiordanElement
 from .errors import RiordanError
@@ -27,8 +27,6 @@ from .families import (
     iterate_second_production,
     orthogonal_polys,
 )
-from .gfexpr import evaluate_text
-from .oeis import query, scan_stripped, triangle_query
 from .production import nth_production_matrix, production_matrix, verify_nth_conjecture
 
 EXIT_OK = 0
@@ -43,12 +41,15 @@ MAX_ORDER = 1000
 OEIS_PATH_ENV = "OEIS_STRIPPED_PATH"
 
 
-def _headroom(size: int, iterate: int = 0) -> int:
-    order = size + iterate + 2
+def _headroom(size: int, iterate: int | None = None) -> int:
+    """The order to evaluate an element at; ``iterate`` is family's --iterate
+    count, 0 when not given, and None for every other command."""
+    order = size + (iterate or 0) + 2
     if order > MAX_ORDER:
+        options = "--size" if iterate is None else "--size or --iterate"
         raise RiordanError(
             f"this needs truncation order {order}, above the limit of "
-            f"{MAX_ORDER}; lower --size or --iterate"
+            f"{MAX_ORDER}; lower {options}"
         )
     return order
 
@@ -62,6 +63,8 @@ def _resolve_element(args: argparse.Namespace) -> RiordanElement:
         return family_element(args.family, order)
     if args.g is None or args.f is None:
         raise RiordanError("an element needs --family, or both --g and --f")
+    from .gfexpr import evaluate_text  # the expression parser, only for --g/--f
+
     return RiordanElement(
         evaluate_text(args.g, order), evaluate_text(args.f, order)
     )
@@ -85,8 +88,9 @@ def _parse_n_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _emit(doc: dict, text: str, as_json: bool) -> None:
-    print(json.dumps(doc, indent=2) if as_json else text)
+def _emit(as_json: bool, doc: Callable[[], dict], text: Callable[[], str]) -> None:
+    """Print the JSON document or the text, rendering only the one printed."""
+    print(json.dumps(doc(), indent=2) if as_json else text())
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +100,7 @@ def _emit(doc: dict, text: str, as_json: bool) -> None:
 def _cmd_show(args: argparse.Namespace) -> int:
     element = _resolve_element(args)
     matrix = element.matrix(args.size)
-    _emit({"matrix": matrix.to_json_entries()}, matrix.to_text(), args.json)
+    _emit(args.json, lambda: {"matrix": matrix.to_json_entries()}, matrix.to_text)
     return EXIT_OK
 
 
@@ -105,11 +109,7 @@ def _cmd_prod(args: argparse.Namespace) -> int:
         raise RiordanError("--n must be at least 1")
     element = _resolve_element(args)
     p = nth_production_matrix(element, args.n, args.size)
-    _emit(
-        {"n": args.n, "production_matrix": p.to_json_entries()},
-        p.to_text(),
-        args.json,
-    )
+    _emit(args.json, lambda: {"n": args.n, "production_matrix": p.to_json_entries()}, p.to_text)
     return EXIT_OK
 
 
@@ -136,7 +136,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
             lines += ["produced:", report.produced.to_text()]
             lines += ["closed form:", report.closed_form.to_text()]
-    _emit({"reports": docs, "all_equal": all_equal}, "\n".join(lines), args.json)
+    _emit(args.json, lambda: {"reports": docs, "all_equal": all_equal}, lambda: "\n".join(lines))
     return EXIT_OK if all_equal else EXIT_MISMATCH
 
 
@@ -147,6 +147,8 @@ def _cmd_identify(args: argparse.Namespace) -> int:
             "no OEIS dump configured: pass --oeis PATH or set the "
             f"{OEIS_PATH_ENV} environment variable to a stripped file"
         )
+    from .oeis import query, scan_stripped, triangle_query
+
     # every rule of the query (riordan.oeis) is checked before the slow dump read
     if args.values is None:
         element = _resolve_element(args)
@@ -168,15 +170,15 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     if skipped:
         # "no matches" then covers only the records that were read
         print(f"warning: skipped {skipped} malformed line(s) in {dump}", file=sys.stderr)
-    text = (
-        "\n".join(f"{m.anumber} (offset {m.offset})" for m in matches)
-        or "no matches"
+    _emit(
+        args.json,
+        lambda: {
+            "values": values,
+            "matches": [{"anumber": m.anumber, "offset": m.offset} for m in matches],
+        },
+        lambda: "\n".join(f"{m.anumber} (offset {m.offset})" for m in matches)
+        or "no matches",
     )
-    doc = {
-        "values": values,
-        "matches": [{"anumber": m.anumber, "offset": m.offset} for m in matches],
-    }
-    _emit(doc, text, args.json)
     return EXIT_OK
 
 
@@ -187,41 +189,40 @@ def _cmd_family(args: argparse.Namespace) -> int:
     element = family_element(args.name, _headroom(args.size, steps))
     p = production_matrix(element, args.size)
     matrix = element.matrix(args.size)
-    doc = {
-        "name": args.name,
-        "size": args.size,
-        "matrix": matrix.to_json_entries(),
-        "production_matrix": p.to_json_entries(),
-    }
-    blocks = [matrix.to_text(), "production matrix:", p.to_text()]
+    # each part is rendered as it is computed, in the one format printed
+    if args.json:
+        doc = {
+            "name": args.name,
+            "size": args.size,
+            "matrix": matrix.to_json_entries(),
+            "production_matrix": p.to_json_entries(),
+        }
+    else:
+        blocks = [matrix.to_text(), "production matrix:", p.to_text()]
     name, _, param = args.name.partition(":")
     if name == "moment":
-        rows = orthogonal_polys(family_parameter(name, param), args.size)
-        doc["polynomial_rows"] = [[str(c) for c in row.coeffs] for row in rows]
-        blocks.append("orthogonal polynomial coefficient rows:")
-        blocks.extend(
-            "  ".join(str(c) for c in row.coeffs) for row in rows
-        )
+        polys = orthogonal_polys(family_parameter(name, param), args.size)
+        rows = [[str(c) for c in row.coeffs] for row in polys]
+        if args.json:
+            doc["polynomial_rows"] = rows
+        else:
+            blocks.append("orthogonal polynomial coefficient rows:")
+            blocks.extend("  ".join(row) for row in rows)
     if args.iterate is not None:
-        chain = iterate_second_production(element, steps)
-        doc["iterates"] = []
-        blocks.append(f"iterated second-production chain ({steps} steps):")
-        for j, stage in enumerate(chain):
+        iterates = []
+        if not args.json:
+            blocks.append(f"iterated second-production chain ({steps} steps):")
+        for j, stage in enumerate(iterate_second_production(element, steps)):
             inv = stage.inverse()
-            doc["iterates"].append(
-                {
-                    "g": [str(c) for c in stage.g.coefficients],
-                    "f": [str(c) for c in stage.f.coefficients],
-                    "inverse_g": [str(c) for c in inv.g.coefficients],
-                    "inverse_f": [str(c) for c in inv.f.coefficients],
-                }
-            )
-            blocks.append(f"step {j}:")
-            blocks.append(f"  g = {stage.g}")
-            blocks.append(f"  f = {stage.f}")
-            blocks.append(f"  inverse g = {inv.g}")
-            blocks.append(f"  inverse f = {inv.f}")
-    _emit(doc, "\n".join(blocks), args.json)
+            parts = {"g": stage.g, "f": stage.f, "inverse_g": inv.g, "inverse_f": inv.f}
+            if args.json:
+                iterates.append({k: [str(c) for c in v.coefficients] for k, v in parts.items()})
+            else:
+                blocks.append(f"step {j}:")
+                blocks.extend(f"  {k.replace('_', ' ')} = {v}" for k, v in parts.items())
+        if args.json:
+            doc["iterates"] = iterates
+    print(json.dumps(doc, indent=2) if args.json else "\n".join(blocks))
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its record base class.
 
 Everything raised deliberately by this library derives from
 :class:`RiordanError`, so callers (and the CLI) can distinguish domain
@@ -6,6 +6,50 @@ errors from genuine bugs.
 """
 
 from __future__ import annotations
+
+
+class Record:
+    """Base of the package's small immutable value classes.
+
+    A subclass names its fields in ``__slots__`` and passes their values, in
+    that order, to ``Record.__init__``.  Equality (between instances of one
+    class), hash and repr read the fields named by ``_compared``; assigning
+    or deleting a field raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @property
+    def _compared(self) -> tuple[str, ...]:
+        return self.__slots__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 class RiordanError(Exception):

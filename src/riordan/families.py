@@ -9,11 +9,10 @@ polynomials, and the iterated second-production process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrays import RiordanElement, TriMatrix
-from .errors import PrecisionError, UnknownFamilyError
+from .errors import PrecisionError, Record, UnknownFamilyError
 from .production import produced_matrix_closed_form
 from .series import (
     _MAX_LITERAL_DIGITS,
@@ -79,12 +78,14 @@ def moment_array(r: Rational, size: int) -> TriMatrix:
     return moment_element(r, size - 1).matrix(size)
 
 
-@dataclass(frozen=True)
-class PolynomialRow:
+class PolynomialRow(Record):
     """Coefficients of one orthogonal polynomial, ascending in x; the row-n
     polynomial is monic of degree exactly n."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        super().__init__(coeffs)
 
     @property
     def degree(self) -> int:

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import contextlib
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .errors import ExpressionEvalError, ExpressionSyntaxError, RiordanError
+from .errors import ExpressionEvalError, ExpressionSyntaxError, Record, RiordanError
 from .series import _MAX_LITERAL_BITS, _MAX_LITERAL_DIGITS, TruncatedSeries, catalan_gf
 
 
@@ -38,43 +37,57 @@ from .series import _MAX_LITERAL_BITS, _MAX_LITERAL_DIGITS, TruncatedSeries, cat
 # syntax tree
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
-    pos: int = field(default=0, compare=False, repr=False)
+class _Node(Record):
+    """A syntax-tree node; its last field, ``pos``, is the source offset and
+    takes no part in equality, hash or repr."""
+
+    __slots__ = ()
+
+    @property
+    def _compared(self) -> tuple[str, ...]:
+        return self.__slots__[:-1]
 
 
-@dataclass(frozen=True)
-class Var:
-    pos: int = field(default=0, compare=False, repr=False)
+class Lit(_Node):
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value: Fraction, pos: int = 0):
+        super().__init__(value, pos)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "GfExpression"
-    pos: int = field(default=0, compare=False, repr=False)
+class Var(_Node):
+    __slots__ = ("pos",)
+
+    def __init__(self, pos: int = 0):
+        super().__init__(pos)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "GfExpression"
-    exponent: int
-    pos: int = field(default=0, compare=False, repr=False)
+class Neg(_Node):
+    __slots__ = ("arg", "pos")
+
+    def __init__(self, arg: GfExpression, pos: int = 0):
+        super().__init__(arg, pos)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of "+", "-", "*", "/"
-    left: "GfExpression"
-    right: "GfExpression"
-    pos: int = field(default=0, compare=False, repr=False)
+class Pow(_Node):
+    __slots__ = ("base", "exponent", "pos")
+
+    def __init__(self, base: GfExpression, exponent: int, pos: int = 0):
+        super().__init__(base, exponent, pos)
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str  # "sqrt" or "c"
-    arg: "GfExpression"
-    pos: int = field(default=0, compare=False, repr=False)
+class BinOp(_Node):
+    __slots__ = ("op", "left", "right", "pos")  # op is one of "+", "-", "*", "/"
+
+    def __init__(self, op: str, left: GfExpression, right: GfExpression, pos: int = 0):
+        super().__init__(op, left, right, pos)
+
+
+class Call(_Node):
+    __slots__ = ("name", "arg", "pos")  # name is "sqrt" or "c"
+
+    def __init__(self, name: str, arg: GfExpression, pos: int = 0):
+        super().__init__(name, arg, pos)
 
 
 GfExpression = Union[Lit, Var, Neg, Pow, BinOp, Call]
@@ -101,11 +114,11 @@ _BINARY_LEVEL = {"+": _LEVEL_SUM, "-": _LEVEL_SUM, "*": _LEVEL_TERM, "/": _LEVEL
 _EXPONENT_BITS = 64
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int", "ident", one of the symbols, or "end"
-    text: str
-    pos: int
+class _Token(Record):
+    __slots__ = ("kind", "text", "pos")  # kind is "int", "ident", a symbol or "end"
+
+    def __init__(self, kind: str, text: str, pos: int):
+        super().__init__(kind, text, pos)
 
 
 def _tokenize(text: str) -> list[_Token]:

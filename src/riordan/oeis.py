@@ -12,12 +12,11 @@ for callers that run many queries.  Both read this grammar through one reader.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from .arrays import TriMatrix
-from .errors import OeisFormatError, OeisQueryError
+from .errors import OeisFormatError, OeisQueryError, Record
 from .series import _MAX_LITERAL_DIGITS
 
 # shorter queries match uselessly many entries
@@ -32,10 +31,11 @@ _TERM = rf"(?:0|-?+[1-9][0-9]{{0,{_MAX_LITERAL_DIGITS - 1}}}+)"
 _RECORD = re.compile(rf"(A\d+)\s+(,(?:{_TERM},)++)")
 
 
-@dataclass(frozen=True)
-class SequenceMatch:
-    anumber: str
-    offset: int
+class SequenceMatch(Record):
+    __slots__ = ("anumber", "offset")
+
+    def __init__(self, anumber: str, offset: int):
+        super().__init__(anumber, offset)
 
 
 def _text(values: Sequence[int]) -> str:

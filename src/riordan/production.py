@@ -15,11 +15,10 @@ verifier comparing the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrays import ExactMatrix, RiordanElement, Rows, TriMatrix, row_times
-from .errors import PrecisionError, ShapeError
+from .errors import PrecisionError, Record, ShapeError
 from .series import TruncatedSeries, _compose_lists, lift
 
 _ZERO = Fraction(0)
@@ -181,18 +180,22 @@ def produced_matrix_closed_form(e: RiordanElement, n: int) -> RiordanElement:
 # conjecture verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class VerificationReport:
-    """Outcome of comparing the generated matrix against the closed form."""
+class VerificationReport(Record):
+    """Outcome of comparing the generated matrix against the closed form;
+    reports compare by identity."""
 
-    element: RiordanElement
-    n: int
-    size: int
-    produced: TriMatrix
-    closed_form: TriMatrix
-    equal: bool
-    first_mismatch: tuple[int, int] | None
-    scale: Fraction = _ONE
+    __slots__ = (
+        "element", "n", "size", "produced", "closed_form", "equal", "first_mismatch", "scale"
+    )
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self, element: RiordanElement, n: int, size: int, produced: TriMatrix,
+        closed_form: TriMatrix, equal: bool, first_mismatch: tuple[int, int] | None,
+        scale: Fraction = _ONE,
+    ):
+        super().__init__(element, n, size, produced, closed_form, equal, first_mismatch, scale)
 
     def to_json_dict(self) -> dict:
         doc: dict = {

@@ -12,7 +12,7 @@ import pytest
 
 import reference_data as ref
 from helpers import frac_rows
-from riordan import RiordanError, TriMatrix, VerificationReport, arrays, cli, pascal
+from riordan import RiordanError, TriMatrix, VerificationReport, arrays, cli, gfexpr, pascal
 from riordan.cli import main
 
 
@@ -447,7 +447,7 @@ class TestIdentify:
         def unexpected(path, values):
             pytest.fail(f"the dump was read for a malformed query: {path}")
 
-        monkeypatch.setattr("riordan.cli.scan_stripped", unexpected)
+        monkeypatch.setattr("riordan.oeis.scan_stripped", unexpected)
         code, out, err = run(capsys, "identify", *query, "--oeis", str(oeis_fixture_path))
         assert code == 2 and out == ""
         assert err.startswith(message)
@@ -580,7 +580,7 @@ class TestEvaluationOrder:
                 return function(text, order)
             return wrapper
 
-        monkeypatch.setattr(cli, "evaluate_text", recording(cli.evaluate_text))
+        monkeypatch.setattr(gfexpr, "evaluate_text", recording(gfexpr.evaluate_text))
         monkeypatch.setattr(cli, "family_element", recording(cli.family_element))
         return orders
 
@@ -619,18 +619,22 @@ class TestOrderCeiling:
         with pytest.raises(RiordanError):
             cli._headroom(2, 10**8)
         assert cli._headroom(cli.MAX_ORDER - 2) == cli.MAX_ORDER
-        for argv, order in (
-            (("family", "catalan", "--size", "3", "--iterate", "100000000"), 100000005),
-            (("show", "--g", "1", "--f", "x", "--size", "100000000"), 100000002),
+        # only family has --iterate, so only family's message names it
+        both = "--size or --iterate"
+        for argv, order, options in (
+            (("family", "catalan", "--size", "3", "--iterate", "100000000"), 100000005, both),
+            (("family", "catalan", "--size", "999"), 1001, both),
+            (("show", "--g", "1", "--f", "x", "--size", "100000000"), 100000002, "--size"),
             # --n does not enter the order: size 998 is the largest for any n
-            (("prod", "--family", "catalan", "--size", "999"), 1001),
-            (("verify", "--family", "catalan", "--size", "999", "--n", "600"), 1001),
+            (("prod", "--family", "catalan", "--size", "999"), 1001, "--size"),
+            (("verify", "--family", "catalan", "--size", "999", "--n", "600"), 1001, "--size"),
+            (("identify", "--family", "catalan", "--size", "999", "--oeis", "-"), 1001, "--size"),
         ):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "", argv
             assert err == (
                 f"error: this needs truncation order {order}, above the limit of "
-                f"{cli.MAX_ORDER}; lower --size or --iterate\n"
+                f"{cli.MAX_ORDER}; lower {options}\n"
             ), argv
 
     def test_n_is_not_bounded_by_the_order_ceiling(self, capsys):
