@@ -9,9 +9,9 @@ multiplication is (g, f) * (u, v) = (g * u(f), v(f)); the inverse element is
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence, TypeVar
 
 from .errors import InvalidElementError, PrecisionError, ShapeError
 from .series import TruncatedSeries, _chain, _forward, _ratio, as_fraction, lift
@@ -71,9 +71,6 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
     return tuple(row_times(row, columns) for row in a)
 
 
-_M = TypeVar("_M", bound="ExactMatrix")
-
-
 class ExactMatrix:
     """Dense square matrix with exact rational entries that vanish more than
     ``BAND`` places above the diagonal.
@@ -107,7 +104,7 @@ class ExactMatrix:
         self._rows = frozen
 
     @classmethod
-    def from_rows(cls: type[_M], rows: Sequence[Sequence[Fraction | int]]) -> _M:
+    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> ExactMatrix:
         """Build from ragged rows (row i may list only entries 0..i+BAND)."""
         size = len(rows)
         full = []

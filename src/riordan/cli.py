@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .arrays import RiordanElement
 from .errors import RiordanError

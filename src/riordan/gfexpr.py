@@ -27,7 +27,6 @@ from __future__ import annotations
 import contextlib
 import operator
 from fractions import Fraction
-from typing import Union
 
 from .errors import ExpressionEvalError, ExpressionSyntaxError, Record, RiordanError
 from .series import _MAX_LITERAL_BITS, _MAX_LITERAL_DIGITS, TruncatedSeries, catalan_gf
@@ -90,7 +89,7 @@ class Call(_Node):
         super().__init__(name, arg, pos)
 
 
-GfExpression = Union[Lit, Var, Neg, Pow, BinOp, Call]
+GfExpression = Lit | Var | Neg | Pow | BinOp | Call
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,33 @@ One record per line: an A-number, whitespace, then the sequence prefix wrapped
 in commas, each term as ``str(int)`` writes it (ASCII digits, no ``+``, no
 leading zeros, no ``-0``, at most 4300 digits): ``A000108 ,1,1,2,5,14,42,``.
 Other lines but ``#`` comments are skipped and counted; lookups are local.
-``identify`` reads a dump once, line by line, in memory independent of its
-size (:func:`scan_stripped`); :func:`load_stripped` builds an :class:`OeisIndex`
+``identify`` reads a dump in one pass, in memory independent of its size
+(:func:`scan_stripped`); :func:`load_stripped` builds an :class:`OeisIndex`
 for callers that run many queries.  Both read this grammar through one reader.
+
+A full pass of :func:`scan_stripped` checks every line and hashes the bytes it
+reads.  Over a regular file whose records come in strictly increasing A-number
+order, as the OEIS file's do (so no A-number repeats), it then writes a sidecar
+``PATH.riordan-index``: ``{"version": 1, "size", "sha256", "skipped"}``, the
+dump's byte count, SHA-256 and malformed-line count.  A later scan trusts the
+sidecar only if it is a regular file (not a symlink) of this user that no group
+or other may write, with exactly that schema and the dump's size; it then
+hashes the dump again in 64 KiB text blocks but parses only the lines that hold
+the query.  A digest that differs discards that result for a full pass, which
+rewrites the sidecar.  Errors on the sidecar are ignored, so deleting it, or a
+read-only directory, costs only the full pass; :func:`load_stripped` writes
+nothing.
 """
 
 from __future__ import annotations
 
+import io
+import json
+import os
 import re
+import stat
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
 
 from .arrays import TriMatrix
 from .errors import OeisFormatError, OeisQueryError, Record
@@ -29,6 +46,15 @@ MAX_START_OFFSET = 2
 # possessive quantifiers match the same lines: a "," never takes back a digit or "-"
 _TERM = rf"(?:0|-?+[1-9][0-9]{{0,{_MAX_LITERAL_DIGITS - 1}}}+)"
 _RECORD = re.compile(rf"(A\d+)\s+(,(?:{_TERM},)++)")
+
+_SIDECAR = ".riordan-index"
+_SIDECAR_KEYS = {"version", "size", "sha256", "skipped"}
+_SHA256 = re.compile("[0-9a-f]{64}")
+# ownership and O_NOFOLLOW decide whether a sidecar can be trusted
+_SIDECARS = hasattr(os, "getuid") and hasattr(os, "O_NOFOLLOW")
+# bytes per raw read, characters per text block of a sidecar-checked scan;
+# larger blocks were no faster and raised a process's peak memory
+_BLOCK = 1 << 16
 
 
 class SequenceMatch(Record):
@@ -66,22 +92,19 @@ class OeisIndex:
         text = self._records.get(anumber)
         return None if text is None else tuple(map(int, text.split(",")[1:-1]))
 
-    def _read(self, path: str | Path) -> Iterator[tuple[str, str]]:
-        """Yield ``(A-number, text)`` per record of a dump, counting malformed lines."""
+    def _read(self, lines: Iterable[str], path: str | Path) -> Iterator[tuple[str, str]]:
+        """Yield ``(A-number, text)`` per record of the dump ``path``, read as
+        ``lines``, counting malformed lines; a dump with no record is an error."""
         found = False
-        try:
-            with open(path, encoding="utf-8", errors="replace") as lines:
-                for line in lines:
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    if match := _RECORD.fullmatch(line):
-                        found = True
-                        yield match.group(1, 2)
-                    else:
-                        self._skipped += 1
-        except OSError as err:
-            raise OeisFormatError(f"cannot read OEIS dump {path}: {err}") from err
+        for line in lines:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if match := _RECORD.fullmatch(line):
+                found = True
+                yield match.group(1, 2)
+            else:
+                self._skipped += 1
         if not found:
             raise OeisFormatError(f"no parseable records in OEIS dump {path}")
 
@@ -148,22 +171,156 @@ def triangle_query(m: TriMatrix) -> tuple[int, ...]:
     return tuple(v.numerator for v in entries)
 
 
+def _decoded(raw: io.RawIOBase) -> io.TextIOWrapper:
+    """``raw`` decoded as ``open(path, encoding="utf-8", errors="replace")``
+    decodes a file, universal newlines included; closing it closes ``raw``."""
+    return io.TextIOWrapper(io.BufferedReader(raw, _BLOCK), encoding="utf-8", errors="replace")
+
+
+def _unreadable(path: str | Path, err: OSError) -> OeisFormatError:
+    return OeisFormatError(f"cannot read OEIS dump {path}: {err}")
+
+
 def load_stripped(path: str | Path) -> OeisIndex:
     """Read a stripped dump into an index, one line at a time; malformed
     lines are skipped and counted in ``skipped_lines``.  An unreadable file,
     or one with no parseable record, is an error."""
     index = OeisIndex({})  # filled below with record text, which needs no render
-    index._records.update(index._read(path))
+    try:
+        with open(path, "rb", buffering=0) as raw, _decoded(raw) as lines:
+            index._records.update(index._read(lines, path))
+    except OSError as err:
+        raise _unreadable(path, err) from err
     return index
 
 
 def scan_stripped(path: str | Path, values: Sequence[int]) -> tuple[list[SequenceMatch], int]:
     """``load_stripped(path).identify_sequence(values)`` and its ``skipped_lines``,
-    in one pass keeping only records that hold the query and are their A-number's last."""
+    in one pass keeping only records that hold the query and are their A-number's last.
+
+    With a trusted sidecar (see the module docstring) the pass parses only the
+    lines that hold the query; the full pass writes the sidecar."""
     key = _key(values)
-    hits = OeisIndex({})
-    for anumber, text in hits._read(path):
-        hits._records.pop(anumber, None)  # a later record replaces an earlier one
-        if key and key in text:
-            hits._records[anumber] = text
+    side = os.fspath(path) + _SIDECAR
+    try:
+        with open(path, "rb", buffering=0) as raw:
+            info = os.fstat(raw.fileno())
+            regular = _SIDECARS and stat.S_ISREG(info.st_mode)
+            known = regular and _trusted(side, info.st_size)
+            if known:
+                hits = _hit_pass(raw, key, known)
+                if hits is not None:
+                    return hits.identify_sequence(values), known["skipped"]
+                raw.seek(0)
+            hashed = _Hashed(raw)
+            hits = OeisIndex({})
+            ordered, last = True, ""
+            with _decoded(hashed) as lines:
+                for anumber, text in hits._read(lines, path):
+                    hits._records.pop(anumber, None)  # a later record replaces an earlier one
+                    if key and key in text:
+                        hits._records[anumber] = text
+                    ordered = ordered and anumber > last
+                    last = anumber
+    except OSError as err:
+        raise _unreadable(path, err) from err
+    if regular and ordered:  # strictly increasing, so no A-number repeats
+        digest = hashed.sha256.hexdigest()
+        _store(side, {"version": 1, "size": hashed.size, "sha256": digest, "skipped": hits.skipped_lines})
     return hits.identify_sequence(values), hits.skipped_lines
+
+
+class _Hashed(io.RawIOBase):
+    """A raw reader that passes every byte read through it to a SHA-256 digest."""
+
+    def __init__(self, raw: io.RawIOBase):
+        import hashlib  # loads OpenSSL, ~6 ms and ~4 MiB, which load_stripped never needs
+
+        self._raw, self.sha256, self.size = raw, hashlib.sha256(), 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._raw.readinto(buffer)
+        if n:
+            self.sha256.update(buffer[:n])
+            self.size += n
+        return n
+
+
+def _hit_pass(raw: io.RawIOBase, key: str | None, known: dict) -> OeisIndex | None:
+    """The records of ``raw`` that hold ``key``, fullmatched on only the lines
+    that hold it, or None if the bytes read are not those ``known`` names."""
+    hashed = _Hashed(raw)
+    hits = OeisIndex({})
+    rest = []  # the pieces of a line begun in earlier blocks
+    with _decoded(hashed) as text:
+        while block := text.read(_BLOCK):
+            cut = block.rfind("\n") + 1
+            if cut:
+                _collect(hits, "".join([*rest, block[:cut]]), key)
+                rest = []
+            rest.append(block[cut:])
+    _collect(hits, "".join(rest) + "\n", key)
+    if (hashed.size, hashed.sha256.hexdigest()) != (known["size"], known["sha256"]):
+        return None
+    return hits
+
+
+def _collect(hits: OeisIndex, lines: str, key: str | None) -> None:
+    """Add to ``hits`` the records among ``lines`` (each ending in a newline)
+    that hold ``key``."""
+    at = lines.find(key) if key else -1
+    while at >= 0:
+        end = lines.find("\n", at)
+        if match := _RECORD.fullmatch(lines[lines.rfind("\n", 0, at) + 1 : end].strip()):
+            hits._records[match[1]] = match[2]
+        at = lines.find(key, end)
+
+
+def _trusted(side: str, size: int) -> dict | None:
+    """The sidecar at ``side`` if it may be trusted for a dump of ``size``
+    bytes, else None."""
+    try:
+        fd = os.open(side, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+    except OSError:
+        return None
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode) or info.st_uid != os.getuid() or info.st_mode & 0o022:
+            return None
+        doc = json.loads(os.read(fd, 4096))
+    except (OSError, ValueError, RecursionError):  # RecursionError: nested JSON
+        return None
+    finally:
+        os.close(fd)
+    if (
+        type(doc) is dict
+        and doc.keys() == _SIDECAR_KEYS
+        and all(type(doc[k]) is int and doc[k] >= 0 for k in ("version", "size", "skipped"))
+        and (doc["version"], doc["size"]) == (1, size)
+        and type(doc["sha256"]) is str
+        and _SHA256.fullmatch(doc["sha256"])
+    ):
+        return doc
+    return None
+
+
+def _store(side: str, doc: dict) -> None:
+    """Write the sidecar ``doc`` to ``side`` atomically, or leave it be on any
+    OSError; the file is created 0644 (less under the umask), as trust needs."""
+    tmp = f"{side}.{os.getpid()}.tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+    except OSError:  # a read-only directory, or the name is taken
+        return
+    try:
+        with open(fd, "w", encoding="ascii") as out:
+            out.write(json.dumps(doc))
+        os.replace(tmp, side)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass

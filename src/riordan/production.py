@@ -16,10 +16,11 @@ verifier comparing the two.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
-from .arrays import ExactMatrix, RiordanElement, Rows, TriMatrix, row_times
+from .arrays import ExactMatrix, RiordanElement, Rows, TriMatrix
 from .errors import PrecisionError, Record, ShapeError
-from .series import TruncatedSeries, _compose_lists, lift
+from .series import TruncatedSeries, _compose_lists, _ratio, lift
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -131,9 +132,16 @@ def generate_from_production(p: ProductionMatrix, size: int) -> TriMatrix:
             f"need size >= {size}"
         )
     lead = [lift(p.column(j)[:size]) for j in range(size)]
+    # row i is zero past column i, and column j of p is zero above row j - 1
+    starts = [0, *range(size - 1)]
     rows = [(_ONE,) + (_ZERO,) * (size - 1)]
-    for _ in range(size - 1):
-        rows.append(row_times(rows[-1], lead))
+    for i in range(size - 1):
+        ints, d = lift(rows[i][: i + 1])
+        band = [
+            _ratio(sum(map(mul, ints[lo:], col[lo : i + 1])), d * dc)
+            for (col, dc), lo in zip(lead[: i + 2], starts)
+        ]
+        rows.append((*band, *(_ZERO,) * (size - i - 2)))
     return TriMatrix(rows)
 
 

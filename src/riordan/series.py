@@ -21,10 +21,10 @@ Values are immutable; every operation returns a new series.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import partialmethod
 from operator import add, mul, sub
-from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import (
     CoefficientSizeError,
@@ -36,7 +36,7 @@ from .errors import (
     SqrtError,
 )
 
-Rational = Union[Fraction, int]
+Rational = Fraction | int
 
 _ZERO = Fraction(0)
 

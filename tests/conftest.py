@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,12 @@ DATA_DIR = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="session")
-def oeis_fixture_path() -> Path:
-    return DATA_DIR / "oeis_stripped.txt"
+def oeis_fixture_path(tmp_path_factory) -> Path:
+    """A copy of ``data/oeis_stripped.txt``: ``identify`` writes its sidecar
+    next to the dump, which must not land in the checkout."""
+    copy = tmp_path_factory.mktemp("data") / "oeis_stripped.txt"
+    shutil.copyfile(DATA_DIR / "oeis_stripped.txt", copy)
+    return copy
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,9 @@
 
 Each case in ``data/cli_golden.json`` is one in-process ``main`` call with
 its exact stdout, stderr and exit code; ``{data}`` in an argument stands for
-the ``tests/data`` directory.  A case that differs is an output change, which
-must be named and justified before the file is re-recorded.
+the directory of the copy of the ``tests/data`` OEIS fixture (``conftest.py``).
+A case that differs is an output change, which must be named and justified
+before the file is re-recorded.
 """
 
 import json
@@ -18,8 +19,8 @@ CASES = json.loads((DATA_DIR / "cli_golden.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
-def test_output_is_byte_identical(case, capsys):
-    argv = [arg.replace("{data}", str(DATA_DIR)) for arg in case["argv"]]
+def test_output_is_byte_identical(case, capsys, oeis_fixture_path):
+    argv = [arg.replace("{data}", str(oeis_fixture_path.parent)) for arg in case["argv"]]
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (

@@ -1,6 +1,7 @@
-"""What each entry point imports, checked in a fresh interpreter: the CLI
-loads the expression parser and the OEIS reader only for the commands that
-run them, and nothing loads ``dataclasses``."""
+"""What each entry point imports, checked in a fresh interpreter without
+``site`` (which may import ``typing`` itself): the CLI loads the expression
+parser, and the OEIS reader with ``hashlib``, only for the commands that run
+them, and nothing loads ``dataclasses`` or ``typing``."""
 
 import json
 import os
@@ -11,14 +12,14 @@ from pathlib import Path
 import riordan
 
 SRC = Path(riordan.__file__).resolve().parents[1]
-ON_DEMAND = ("dataclasses", "riordan.gfexpr", "riordan.oeis")
+ON_DEMAND = ("dataclasses", "hashlib", "riordan.gfexpr", "riordan.oeis", "typing")
 
 
 def run_python(code, *argv):
     """Run ``code`` in a fresh interpreter; return its exit code and the
     JSON document it prints last on stdout."""
     done = subprocess.run(
-        [sys.executable, "-c", code, *argv],
+        [sys.executable, "-S", "-c", code, *argv],
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
@@ -43,16 +44,15 @@ def test_commands_load_what_they_run_on_demand(oeis_fixture_path):
         f"print({LOADED})\n"
         "sys.exit(code)\n"
     )
+    none = dict.fromkeys(ON_DEMAND, False)
     show = ("show", "--g", "1/(1-x)", "--f", "x/(1-x)", "--size", "3")
-    assert run_python(script, *show) == (
-        0, {"dataclasses": False, "riordan.gfexpr": True, "riordan.oeis": False}
-    )
+    assert run_python(script, *show) == (0, dict(none, **{"riordan.gfexpr": True}))
     identify = ("identify", "--values", "1,1,2,5,14,42,132", "--oeis", str(oeis_fixture_path))
     assert run_python(script, *identify) == (
-        0, {"dataclasses": False, "riordan.gfexpr": False, "riordan.oeis": True}
+        0, dict(none, **{"hashlib": True, "riordan.oeis": True})
     )
     prod = ("prod", "--family", "catalan", "--n", "2", "--size", "4", "--json")
-    assert run_python(script, *prod) == (0, dict.fromkeys(ON_DEMAND, False))
+    assert run_python(script, *prod) == (0, none)
 
 
 def test_package_names_load_on_first_use():

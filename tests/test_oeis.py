@@ -1,5 +1,9 @@
+import hashlib
+import json
+import os
 import random
 import sys
+import threading
 
 import pytest
 
@@ -17,7 +21,9 @@ from riordan import (
     load_stripped,
     pascal,
 )
-from riordan.oeis import _RECORD, scan_stripped
+from riordan import oeis
+from riordan.cli import main
+from riordan.oeis import _RECORD, _SIDECAR, scan_stripped
 
 
 @pytest.fixture(scope="module")
@@ -414,3 +420,275 @@ class TestScanAgainstIndex:
     def test_malformed_query_raises_before_the_read(self, tmp_path):
         with pytest.raises(OeisQueryError):
             scan_stripped(tmp_path / "missing.txt", [1, 1])
+
+
+class _CountingRecord:
+    """``oeis._RECORD`` with every line given to ``fullmatch`` recorded."""
+
+    def __init__(self):
+        self.lines = []
+
+    def fullmatch(self, line):
+        self.lines.append(line)
+        return _RECORD.fullmatch(line)
+
+
+def _rewrite(side, **change):
+    """Change fields of the sidecar ``side``; None drops a field."""
+    doc = json.loads(side.read_text())
+    doc.update(change)
+    side.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+
+
+class TestSidecar:
+    """``scan_stripped`` with its sidecar ``PATH.riordan-index``: a scan that
+    trusts it parses only the lines holding the query and answers exactly as
+    the full pass does; any doubt about it means a full pass."""
+
+    RUN = TestScanAgainstIndex.RUN
+    KEY = ",1,1,2,5,14,42,132,"
+
+    def dump(self, rng):
+        """Bytes of a dump whose records come in increasing A-number order,
+        with comments, blank and malformed lines, bytes that are not UTF-8,
+        all three line ends and whitespace around lines; its last line holds
+        the run and may end without a line end."""
+
+        def seq():
+            out = [rng.randint(-2, 3) for _ in range(rng.randint(1, 12))]
+            if rng.random() < 0.3:
+                at = rng.randint(0, 4)
+                out[at:at] = self.RUN[: rng.randint(6, 7)]
+            return ",".join(map(str, out)).encode()
+
+        lines = []
+        for k in sorted(rng.sample(range(1, 10**6 - 1), 199)):
+            kind = rng.random()
+            if kind < 0.05:
+                lines.append(rng.choice((b"# comment \xff", b"  # indented", b"", b"   ")))
+            elif kind < 0.12:
+                lines.append(rng.choice((
+                    b"B%06d ,1,2,3," % k, b"A%06d 1,2,3" % k, b"A%06d ,1,two," % k,
+                    b"A%06d ,1,\xff\xfe,2," % k, b"A%06d ,%s,\x80" % (k, seq()),
+                )))
+            else:
+                lines.append(rng.choice((b"", b" ", b"\t")) + b"A%06d ,%s," % (k, seq()))
+        lines.append(b" A999999 ,%s,\t" % ",".join(map(str, self.RUN)).encode())
+        data = b"".join(line + rng.choice((b"\n", b"\r\n", b"\r")) for line in lines)
+        return data.rstrip(b"\r\n") if rng.random() < 0.5 else data
+
+    def queries(self, rng, entries):
+        stored = list(entries.values())
+        out = [self.RUN, self.RUN[1:], [0] * 6, [1] * 6, self.RUN[:6] + [10**4300]]
+        for _ in range(30):
+            seq = rng.choice(stored)
+            start = rng.randrange(4)
+            values = list(seq[start : start + rng.randint(6, 8)])
+            out.append(values + [rng.randint(-2, 3) for _ in range(6 - len(values))])
+        return out
+
+    @staticmethod
+    def sidecar(path):
+        return path.with_name(path.name + _SIDECAR)
+
+    @staticmethod
+    def full(path, values):
+        """The answer of a pass over every line, which writes nothing."""
+        index = load_stripped(path)
+        return index.identify_sequence(values), index.skipped_lines
+
+    def counted(self, monkeypatch, path, values):
+        """``scan_stripped(path, values)`` and the lines it fullmatched."""
+        counting = _CountingRecord()
+        monkeypatch.setattr(oeis, "_RECORD", counting)
+        try:
+            return scan_stripped(path, values), counting.lines
+        finally:
+            monkeypatch.undo()
+
+    @pytest.fixture
+    def seeded(self, tmp_path):
+        data = self.dump(random.Random(7))
+        path = tmp_path / "dump.txt"
+        path.write_bytes(data)
+        return path, data
+
+    @pytest.mark.parametrize("block", [7, oeis._BLOCK], ids=["7-byte-blocks", "default-blocks"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hit_answers_as_the_full_pass(self, tmp_path, monkeypatch, seed, block):
+        # 7-byte blocks split lines, and CR LF pairs, across blocks
+        monkeypatch.setattr(oeis, "_BLOCK", block)
+        rng = random.Random(seed)
+        data = self.dump(rng)
+        path = tmp_path / "dump.txt"
+        path.write_bytes(data)
+        entries, skipped = stripped_by_int_tuples(data.decode("utf-8", "replace"))
+        side = self.sidecar(path)
+        hits = 0
+        for values in self.queries(rng, entries):
+            want = (identify_by_slices(entries, values), skipped)
+            assert self.full(path, values) == want, values
+            side.unlink(missing_ok=True)
+            assert scan_stripped(path, values) == want, values  # the write
+            assert side.is_file()
+            assert scan_stripped(path, values) == want, values  # a hit
+            hits += bool(want[0])
+        assert hits >= 5 and skipped > 0
+
+    def test_sidecar_holds_size_digest_and_skipped_count(self, seeded):
+        path, data = seeded
+        old = os.umask(0)  # the sidecar's own mode keeps it trusted
+        try:
+            scan_stripped(path, self.RUN)
+        finally:
+            os.umask(old)
+        side = self.sidecar(path)
+        doc = json.loads(side.read_text())
+        assert doc == {
+            "version": 1,
+            "size": len(data),
+            "sha256": hashlib.sha256(data).hexdigest(),
+            "skipped": load_stripped(path).skipped_lines,
+        }
+        assert side.stat().st_mode & 0o777 == 0o644
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name, side.name]
+
+    def test_a_hit_fullmatches_only_lines_holding_the_key(self, seeded, monkeypatch):
+        path, data = seeded
+        want = self.full(path, self.RUN)
+        lines = [line.strip() for line in data.decode("utf-8", "replace").splitlines()]
+        holding = [line for line in lines if self.KEY in line]
+        assert len(holding) >= 5 and len(lines) == 200
+
+        # the write validates every line; the hit only those holding the key
+        found, checked = self.counted(monkeypatch, path, self.RUN)
+        assert found == want and len(checked) > 180
+        found, checked = self.counted(monkeypatch, path, self.RUN)
+        assert found == want and checked == holding
+
+    def edit_same_size(self, path, side):
+        """Make a record that holds no query malformed, keeping size and mtime."""
+        info = path.stat()
+        lines = path.read_bytes().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines)
+                  if line.startswith(b"A") and b" ," in line and self.KEY.encode() not in line)
+        lines[at] = lines[at].replace(b" ,", b" x", 1)
+        path.write_bytes(b"".join(lines))
+        os.utime(path, ns=(info.st_atime_ns, info.st_mtime_ns))
+
+    def append_line(self, path, side):
+        with open(path, "ab") as out:
+            out.write(b"\nA9999990 ,1,1,2,5,14,42,132,\n")
+
+    def symlink(self, path, side):
+        target = path.parent / "elsewhere"
+        side.rename(target)
+        side.symlink_to(target)
+
+    STALE = {
+        "same-size-edit": edit_same_size,
+        "appended-line": append_line,
+        "corrupt": lambda self, path, side: side.write_bytes(b"{not json"),
+        "truncated": lambda self, path, side: side.write_bytes(side.read_bytes()[:40]),
+        "nested": lambda self, path, side: side.write_bytes(b"[" * 4000),
+        "extra-key": lambda self, path, side: _rewrite(side, extra=1),
+        "missing-key": lambda self, path, side: _rewrite(side, skipped=None),
+        "wrong-version": lambda self, path, side: _rewrite(side, version=2),
+        "boolean-version": lambda self, path, side: _rewrite(side, version=True),
+        "string-size": lambda self, path, side: _rewrite(side, size=str(path.stat().st_size)),
+        "short-digest": lambda self, path, side: _rewrite(side, sha256="0" * 63),
+        "group-writable": lambda self, path, side: side.chmod(0o664),
+        "world-writable": lambda self, path, side: side.chmod(0o646),
+        "symlinked": symlink,
+    }
+
+    @pytest.mark.parametrize("stale", STALE)
+    def test_any_doubt_means_a_full_pass(self, seeded, monkeypatch, stale):
+        path, _ = seeded
+        side = self.sidecar(path)
+        scan_stripped(path, self.RUN)
+        self.STALE[stale](self, path, side)
+        target = (path.parent / "elsewhere").read_bytes() if side.is_symlink() else None
+
+        want = self.full(path, self.RUN)
+        text = path.read_text(encoding="utf-8", errors="replace")
+        every = [line.strip() for line in text.splitlines()]
+        every = [line for line in every if line and not line.startswith("#")]
+        found, checked = self.counted(monkeypatch, path, self.RUN)
+        assert found == want
+        # every line is validated; only a same-size edit costs a hit pass first
+        assert checked[-len(every) :] == every
+        assert (len(checked) > len(every)) == (stale == "same-size-edit")
+        # the full pass wrote a sidecar that the next scan trusts
+        assert side.is_file() and not side.is_symlink()
+        found, checked = self.counted(monkeypatch, path, self.RUN)
+        assert found == want and all(self.KEY in line for line in checked)
+        if target is not None:
+            assert (path.parent / "elsewhere").read_bytes() == target
+
+    def test_stale_hits_differ_from_the_answer(self, seeded):
+        """The same-size edit and the appended line change the answer, so a
+        sidecar trusted past them would be seen."""
+        path, _ = seeded
+        before = self.full(path, self.RUN)
+        self.edit_same_size(path, None)
+        assert self.full(path, self.RUN)[1] == before[1] + 1
+        self.append_line(path, None)
+        assert len(self.full(path, self.RUN)[0]) == len(before[0]) + 1
+
+    @pytest.mark.parametrize(
+        "text",
+        ["A000002 ,1,1,2,5,14,42,132,\nA000002 ,9,9,\n",
+         "A000002 ,1,1,2,5,14,42,132,\nA000001 ,9,9,\n"],
+        ids=["repeated", "decreasing"],
+    )
+    def test_only_increasing_a_numbers_get_a_sidecar(self, tmp_path, text):
+        path = tmp_path / "dump.txt"
+        path.write_text(text)
+        assert scan_stripped(path, self.RUN) == self.full(path, self.RUN)
+        assert not self.sidecar(path).exists()
+
+    def identify(self, capsys, path):
+        code = main(["identify", "--values", ",".join(map(str, self.RUN)), "--oeis", str(path)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_read_only_directory(self, seeded, capsys, monkeypatch):
+        path, _ = seeded
+        want = self.identify(capsys, path)
+        self.sidecar(path).unlink()
+        path.parent.chmod(0o555)
+        try:
+            if os.access(path.parent, os.W_OK):  # root: refuse as the directory would
+                real_open = os.open
+
+                def refusing(name, flags, *args):
+                    if flags & os.O_CREAT:
+                        raise PermissionError(13, "Permission denied", name)
+                    return real_open(name, flags, *args)
+
+                monkeypatch.setattr(os, "open", refusing)
+            assert self.identify(capsys, path) == want
+            monkeypatch.undo()
+            assert os.listdir(path.parent) == [path.name]
+        finally:
+            path.parent.chmod(0o755)
+        assert want[0] == 0 and "skipped" in want[2]
+
+    def test_non_regular_dump(self, seeded, tmp_path, capsys):
+        path, data = seeded
+        want = self.identify(capsys, path)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as out:
+                out.write(data)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        got = self.identify(capsys, fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert got == (want[0], want[1], want[2].replace(str(path), str(fifo)))
+        assert not self.sidecar(fifo).exists()
