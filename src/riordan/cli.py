@@ -230,20 +230,6 @@ def _cmd_family(args: argparse.Namespace) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_element_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--g", help="expression for g; write --g=EXPR if it starts with '-'")
-    sub.add_argument("--f", help="expression for f; write --f=EXPR if it starts with '-'")
-    sub.add_argument(
-        "--family",
-        help=f"named element: {', '.join(FAMILY_NAMES)}",
-    )
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--size", type=int, default=DEFAULT_SIZE, help="rows to compute (default 8)")
-    sub.add_argument("--json", action="store_true", help="emit a JSON document")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riordan",
@@ -252,42 +238,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    show = commands.add_parser("show", help="print the matrix of an element")
-    _add_element_options(show)
-    _add_common(show)
+    # options that several subcommands share
+    element = argparse.ArgumentParser(add_help=False)
+    element.add_argument("--g", help="expression for g; write --g=EXPR if it starts with '-'")
+    element.add_argument("--f", help="expression for f; write --f=EXPR if it starts with '-'")
+    element.add_argument("--family", help=f"named element: {', '.join(FAMILY_NAMES)}")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--size", type=int, default=DEFAULT_SIZE, help="rows to compute (default 8)")
+    common.add_argument("--json", action="store_true", help="emit a JSON document")
+
+    show = commands.add_parser(
+        "show", help="print the matrix of an element", parents=[element, common]
+    )
     show.set_defaults(handler=_cmd_show)
 
-    prod = commands.add_parser("prod", help="print an n-th production matrix")
-    _add_element_options(prod)
-    _add_common(prod)
+    prod = commands.add_parser(
+        "prod", help="print an n-th production matrix", parents=[element, common]
+    )
     prod.add_argument("--n", type=int, default=1, help="production order (default 1)")
     prod.set_defaults(handler=_cmd_prod)
 
     verify = commands.add_parser(
         "verify",
         help="compare generated matrices against their closed forms",
+        parents=[element, common],
     )
-    _add_element_options(verify)
-    _add_common(verify)
     verify.add_argument(
         "--n", default="2", help="production order, a single value or a range like 2..4"
     )
     verify.set_defaults(handler=_cmd_verify)
 
     identify = commands.add_parser(
-        "identify", help="look up a triangle or sequence in a local OEIS dump"
+        "identify",
+        help="look up a triangle or sequence in a local OEIS dump",
+        parents=[element, common],
     )
-    _add_element_options(identify)
-    _add_common(identify)
     identify.add_argument("--values", help="comma-separated integers to look up directly")
     identify.add_argument("--oeis", help="path to an OEIS 'stripped' file")
     identify.set_defaults(handler=_cmd_identify)
 
     family = commands.add_parser(
-        "family", help="print a named family with its production matrix"
+        "family", help="print a named family with its production matrix", parents=[common]
     )
     family.add_argument("name", help=f"one of: {', '.join(FAMILY_NAMES)}")
-    _add_common(family)
     family.add_argument(
         "--iterate",
         type=int,

@@ -6,7 +6,10 @@ leading zeros, no ``-0``, at most 4300 digits): ``A000108 ,1,1,2,5,14,42,``.
 Other lines but ``#`` comments are skipped and counted; lookups are local.
 ``identify`` reads a dump in one pass, in memory independent of its size
 (:func:`scan_stripped`); :func:`load_stripped` builds an :class:`OeisIndex`
-for callers that run many queries.  Both read this grammar through one reader.
+for callers that run many queries.  Every read goes through one reader, which
+decodes the dump in 64 KiB text blocks cut at line ends and gives lines to one
+record rule: blank and ``#`` lines skipped, others parsed or counted, and a
+later record of an A-number replacing an earlier one.
 
 A full pass of :func:`scan_stripped` checks every line and hashes the bytes it
 reads.  Over a regular file whose records come in strictly increasing A-number
@@ -15,11 +18,11 @@ order, as the OEIS file's do (so no A-number repeats), it then writes a sidecar
 dump's byte count, SHA-256 and malformed-line count.  A later scan trusts the
 sidecar only if it is a regular file (not a symlink) of this user that no group
 or other may write, with exactly that schema and the dump's size; it then
-hashes the dump again in 64 KiB text blocks but parses only the lines that hold
-the query.  A digest that differs discards that result for a full pass, which
-rewrites the sidecar.  Errors on the sidecar are ignored, so deleting it, or a
-read-only directory, costs only the full pass; :func:`load_stripped` writes
-nothing.
+hashes the dump again through the same reader, but gives the record rule only
+the lines that hold the query.  A digest that differs discards that result for
+a full pass, which rewrites the sidecar.  Errors on the sidecar are ignored, so
+deleting it, or a read-only directory, costs only the full pass.
+:func:`load_stripped` neither hashes a dump nor reads or writes a sidecar.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import json
 import os
 import re
 import stat
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from pathlib import Path
 
 from .arrays import TriMatrix
@@ -52,7 +55,7 @@ _SIDECAR_KEYS = {"version", "size", "sha256", "skipped"}
 _SHA256 = re.compile("[0-9a-f]{64}")
 # ownership and O_NOFOLLOW decide whether a sidecar can be trusted
 _SIDECARS = hasattr(os, "getuid") and hasattr(os, "O_NOFOLLOW")
-# bytes per raw read, characters per text block of a sidecar-checked scan;
+# bytes per raw read and characters per text block of every read of a dump;
 # larger blocks were no faster and raised a process's peak memory
 _BLOCK = 1 << 16
 
@@ -91,22 +94,6 @@ class OeisIndex:
     def get(self, anumber: str) -> tuple[int, ...] | None:
         text = self._records.get(anumber)
         return None if text is None else tuple(map(int, text.split(",")[1:-1]))
-
-    def _read(self, lines: Iterable[str], path: str | Path) -> Iterator[tuple[str, str]]:
-        """Yield ``(A-number, text)`` per record of the dump ``path``, read as
-        ``lines``, counting malformed lines; a dump with no record is an error."""
-        found = False
-        for line in lines:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if match := _RECORD.fullmatch(line):
-                found = True
-                yield match.group(1, 2)
-            else:
-                self._skipped += 1
-        if not found:
-            raise OeisFormatError(f"no parseable records in OEIS dump {path}")
 
     def identify_sequence(self, values: Sequence[int]) -> list[SequenceMatch]:
         """Entries whose stored prefix contains ``values`` as a contiguous
@@ -171,27 +158,19 @@ def triangle_query(m: TriMatrix) -> tuple[int, ...]:
     return tuple(v.numerator for v in entries)
 
 
-def _decoded(raw: io.RawIOBase) -> io.TextIOWrapper:
-    """``raw`` decoded as ``open(path, encoding="utf-8", errors="replace")``
-    decodes a file, universal newlines included; closing it closes ``raw``."""
-    return io.TextIOWrapper(io.BufferedReader(raw, _BLOCK), encoding="utf-8", errors="replace")
-
-
 def _unreadable(path: str | Path, err: OSError) -> OeisFormatError:
     return OeisFormatError(f"cannot read OEIS dump {path}: {err}")
 
 
 def load_stripped(path: str | Path) -> OeisIndex:
-    """Read a stripped dump into an index, one line at a time; malformed
-    lines are skipped and counted in ``skipped_lines``.  An unreadable file,
-    or one with no parseable record, is an error."""
-    index = OeisIndex({})  # filled below with record text, which needs no render
+    """Read a stripped dump into an index; malformed lines are skipped and
+    counted in ``skipped_lines``.  An unreadable file, or one with no
+    parseable record, is an error."""
     try:
-        with open(path, "rb", buffering=0) as raw, _decoded(raw) as lines:
-            index._records.update(index._read(lines, path))
+        with open(path, "rb", buffering=0) as raw:
+            return _index(raw, path, "")[0]
     except OSError as err:
         raise _unreadable(path, err) from err
-    return index
 
 
 def scan_stripped(path: str | Path, values: Sequence[int]) -> tuple[list[SequenceMatch], int]:
@@ -200,7 +179,8 @@ def scan_stripped(path: str | Path, values: Sequence[int]) -> tuple[list[Sequenc
 
     With a trusted sidecar (see the module docstring) the pass parses only the
     lines that hold the query; the full pass writes the sidecar."""
-    key = _key(values)
+    # universal newlines leave no "\r" in the text read, so no line holds it
+    key = _key(values) or "\r"
     side = os.fspath(path) + _SIDECAR
     try:
         with open(path, "rb", buffering=0) as raw:
@@ -208,26 +188,73 @@ def scan_stripped(path: str | Path, values: Sequence[int]) -> tuple[list[Sequenc
             regular = _SIDECARS and stat.S_ISREG(info.st_mode)
             known = regular and _trusted(side, info.st_size)
             if known:
-                hits = _hit_pass(raw, key, known)
-                if hits is not None:
+                hashed = _Hashed(raw)
+                hits = _index(hashed, path, key, every=False)[0]
+                if (hashed.size, hashed.sha256.hexdigest()) == (known["size"], known["sha256"]):
                     return hits.identify_sequence(values), known["skipped"]
                 raw.seek(0)
             hashed = _Hashed(raw)
-            hits = OeisIndex({})
-            ordered, last = True, ""
-            with _decoded(hashed) as lines:
-                for anumber, text in hits._read(lines, path):
-                    hits._records.pop(anumber, None)  # a later record replaces an earlier one
-                    if key and key in text:
-                        hits._records[anumber] = text
-                    ordered = ordered and anumber > last
-                    last = anumber
+            hits, ordered = _index(hashed, path, key)
     except OSError as err:
         raise _unreadable(path, err) from err
     if regular and ordered:  # strictly increasing, so no A-number repeats
         digest = hashed.sha256.hexdigest()
         _store(side, {"version": 1, "size": hashed.size, "sha256": digest, "skipped": hits.skipped_lines})
     return hits.identify_sequence(values), hits.skipped_lines
+
+
+def _index(raw: io.RawIOBase, path: str | Path, key: str, every: bool = True) -> tuple[OeisIndex, bool]:
+    """The dump ``path``, read from ``raw``, as an index of its records that
+    hold ``key`` and are their A-number's last, and whether their A-numbers
+    strictly increase.  Each line goes to the record rule, and a dump with no
+    record is an error; with ``every`` false, only the lines that hold ``key``
+    do, and ``skipped_lines`` counts only those."""
+    index = OeisIndex({})
+    records, skipped, ordered, last = index._records, 0, True, ""
+    # decoded as open(path, encoding="utf-8", errors="replace") decodes a file,
+    # universal newlines included; closing it closes raw
+    with io.TextIOWrapper(io.BufferedReader(raw, _BLOCK), encoding="utf-8", errors="replace") as text:
+        for block in _blocks(text):
+            for line in block.split("\n") if every else _holding(block, key):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if match := _RECORD.fullmatch(line):
+                    anumber, record = match.group(1, 2)
+                    if key in record:  # a later record replaces an earlier one
+                        records[anumber] = record
+                    else:
+                        records.pop(anumber, None)
+                    if anumber <= last:
+                        ordered = False
+                    last = anumber
+                else:
+                    skipped += 1
+    if every and not last:
+        raise OeisFormatError(f"no parseable records in OEIS dump {path}")
+    index._skipped = skipped
+    return index, ordered
+
+
+def _blocks(text: io.TextIOWrapper) -> Iterator[str]:
+    """``text`` in blocks of whole lines, each ending in a newline."""
+    rest = []  # the pieces of a line begun in earlier blocks
+    while block := text.read(_BLOCK):
+        cut = block.rfind("\n") + 1
+        if cut:
+            yield "".join([*rest, block[:cut]])
+            rest = []
+        rest.append(block[cut:])
+    yield "".join(rest) + "\n"
+
+
+def _holding(lines: str, key: str) -> Iterator[str]:
+    """The lines among ``lines`` (each ending in a newline) that hold ``key``."""
+    at = lines.find(key)
+    while at >= 0:
+        end = lines.find("\n", at)
+        yield lines[lines.rfind("\n", 0, at) + 1 : end]
+        at = lines.find(key, end)
 
 
 class _Hashed(io.RawIOBase):
@@ -247,36 +274,6 @@ class _Hashed(io.RawIOBase):
             self.sha256.update(buffer[:n])
             self.size += n
         return n
-
-
-def _hit_pass(raw: io.RawIOBase, key: str | None, known: dict) -> OeisIndex | None:
-    """The records of ``raw`` that hold ``key``, fullmatched on only the lines
-    that hold it, or None if the bytes read are not those ``known`` names."""
-    hashed = _Hashed(raw)
-    hits = OeisIndex({})
-    rest = []  # the pieces of a line begun in earlier blocks
-    with _decoded(hashed) as text:
-        while block := text.read(_BLOCK):
-            cut = block.rfind("\n") + 1
-            if cut:
-                _collect(hits, "".join([*rest, block[:cut]]), key)
-                rest = []
-            rest.append(block[cut:])
-    _collect(hits, "".join(rest) + "\n", key)
-    if (hashed.size, hashed.sha256.hexdigest()) != (known["size"], known["sha256"]):
-        return None
-    return hits
-
-
-def _collect(hits: OeisIndex, lines: str, key: str | None) -> None:
-    """Add to ``hits`` the records among ``lines`` (each ending in a newline)
-    that hold ``key``."""
-    at = lines.find(key) if key else -1
-    while at >= 0:
-        end = lines.find("\n", at)
-        if match := _RECORD.fullmatch(lines[lines.rfind("\n", 0, at) + 1 : end].strip()):
-            hits._records[match[1]] = match[2]
-        at = lines.find(key, end)
 
 
 def _trusted(side: str, size: int) -> dict | None:

@@ -272,12 +272,21 @@ def non_normalized_battery(count: int, order: int, seed: int) -> list[RiordanEle
     return [random_non_normalized_element(rng, order) for _ in range(count)]
 
 
+def dump_lines(text):
+    r"""The lines of a dump's text, split where the library splits them: at
+    "\r\n", "\r" and "\n" only (``str.splitlines`` also splits at "\x0b",
+    "\x0c", "\x1c"-"\x1e", "\x85", "\u2028" and "\u2029"); no empty last
+    line after a final line end."""
+    lines = re.split(r"\r\n|\r|\n", text)
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def stripped_by_int_tuples(text):
     """A stripped dump read the way the library once read it, every record
     parsed by ``int()`` into a tuple: ``(entries, skipped_lines)``.  It agrees
     with ``load_stripped`` on dumps whose integers are canonical."""
     entries, skipped = {}, 0
-    for line in text.splitlines():
+    for line in dump_lines(text):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

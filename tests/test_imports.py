@@ -55,6 +55,18 @@ def test_commands_load_what_they_run_on_demand(oeis_fixture_path):
     assert run_python(script, *prod) == (0, none)
 
 
+def test_load_stripped_loads_no_hashlib(oeis_fixture_path):
+    script = (
+        "import json, sys\n"
+        "from riordan import load_stripped\n"
+        "load_stripped(sys.argv[1])\n"
+        f"print({LOADED})\n"
+    )
+    code, loaded = run_python(script, str(oeis_fixture_path))
+    assert code == 0
+    assert loaded == dict(dict.fromkeys(ON_DEMAND, False), **{"riordan.oeis": True})
+
+
 def test_package_names_load_on_first_use():
     code, names = run_python(
         "import json, sys, riordan\n"

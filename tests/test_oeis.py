@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from helpers import RECORD_ORACLE, identify_by_slices, stripped_by_int_tuples
+from helpers import RECORD_ORACLE, dump_lines, identify_by_slices, stripped_by_int_tuples
 from riordan import (
     MIN_QUERY_VALUES,
     OeisFormatError,
@@ -447,12 +447,16 @@ class TestSidecar:
 
     RUN = TestScanAgainstIndex.RUN
     KEY = ",1,1,2,5,14,42,132,"
+    # characters str.splitlines takes for line ends and the library does not
+    SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
     def dump(self, rng):
         """Bytes of a dump whose records come in increasing A-number order,
         with comments, blank and malformed lines, bytes that are not UTF-8,
         all three line ends and whitespace around lines; its last line holds
-        the run and may end without a line end."""
+        the run and may end without a line end.  A quarter of the records
+        hold one of ``SPLITLINES_ONLY`` around them, after their A-number, or
+        between two digits (a malformed line)."""
 
         def seq():
             out = [rng.randint(-2, 3) for _ in range(rng.randint(1, 12))]
@@ -472,7 +476,12 @@ class TestSidecar:
                     b"A%06d ,1,\xff\xfe,2," % k, b"A%06d ,%s,\x80" % (k, seq()),
                 )))
             else:
-                lines.append(rng.choice((b"", b" ", b"\t")) + b"A%06d ,%s," % (k, seq()))
+                line = rng.choice((b"", b" ", b"\t")) + b"A%06d ,%s," % (k, seq())
+                if rng.random() < 0.25:
+                    inner = [i for i in range(1, len(line)) if line[i - 1 : i + 1].isdigit()]
+                    at = rng.choice([0, line.index(b" ,"), len(line), *inner])
+                    line = line[:at] + rng.choice(self.SPLITLINES_ONLY).encode() + line[at:]
+                lines.append(line)
         lines.append(b" A999999 ,%s,\t" % ",".join(map(str, self.RUN)).encode())
         data = b"".join(line + rng.choice((b"\n", b"\r\n", b"\r")) for line in lines)
         return data.rstrip(b"\r\n") if rng.random() < 0.5 else data
@@ -556,9 +565,10 @@ class TestSidecar:
     def test_a_hit_fullmatches_only_lines_holding_the_key(self, seeded, monkeypatch):
         path, data = seeded
         want = self.full(path, self.RUN)
-        lines = [line.strip() for line in data.decode("utf-8", "replace").splitlines()]
+        lines = [line.strip() for line in dump_lines(data.decode("utf-8", "replace"))]
         holding = [line for line in lines if self.KEY in line]
         assert len(holding) >= 5 and len(lines) == 200
+        assert any(c in line for line in holding for c in self.SPLITLINES_ONLY)
 
         # the write validates every line; the hit only those holding the key
         found, checked = self.counted(monkeypatch, path, self.RUN)
@@ -612,7 +622,7 @@ class TestSidecar:
 
         want = self.full(path, self.RUN)
         text = path.read_text(encoding="utf-8", errors="replace")
-        every = [line.strip() for line in text.splitlines()]
+        every = [line.strip() for line in dump_lines(text)]
         every = [line for line in every if line and not line.startswith("#")]
         found, checked = self.counted(monkeypatch, path, self.RUN)
         assert found == want
@@ -635,6 +645,15 @@ class TestSidecar:
         assert self.full(path, self.RUN)[1] == before[1] + 1
         self.append_line(path, None)
         assert len(self.full(path, self.RUN)[0]) == len(before[0]) + 1
+
+    def test_load_stripped_neither_writes_nor_reads_a_sidecar(self, seeded):
+        path, _ = seeded
+        skipped = load_stripped(path).skipped_lines
+        assert os.listdir(path.parent) == [path.name]
+        scan_stripped(path, self.RUN)
+        _rewrite(self.sidecar(path), skipped=skipped + 5)
+        assert scan_stripped(path, self.RUN)[1] == skipped + 5  # trusted, and wrong
+        assert load_stripped(path).skipped_lines == skipped
 
     @pytest.mark.parametrize(
         "text",
