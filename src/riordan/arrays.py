@@ -54,21 +54,16 @@ def rows_to_strings(rows: Sequence[Sequence[Fraction]]) -> list[list[str]]:
     return [[str(c) for c in row] for row in rows]
 
 
-def row_times(
-    row: Sequence[Fraction], columns: list[tuple[list[int], int]]
-) -> tuple[Fraction, ...]:
-    """The row vector ``row`` times the matrix whose columns are given lifted,
-    each as integer numerators over its own denominator (``series.lift``)."""
-    ints, d = lift(row)
-    return tuple(_ratio(sum(map(mul, ints, col)), d * dc) for col, dc in columns)
-
-
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Rows:
-    """Dense product of two row-major rational matrices, lifting each once."""
+    """Dense product of two row-major rational matrices, lifting each row and
+    each column once (``series.lift``)."""
     if not a or len(a[0]) != len(b):
         raise ShapeError("inner dimensions do not match")
     columns = [lift(col) for col in zip(*b)]
-    return tuple(row_times(row, columns) for row in a)
+    return tuple(
+        tuple(_ratio(sum(map(mul, ints, col)), d * dc) for col, dc in columns)
+        for ints, d in map(lift, a)
+    )
 
 
 class ExactMatrix:

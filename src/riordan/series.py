@@ -5,9 +5,9 @@ modulo x^(N+1); N is the *order* of the truncation.  All arithmetic is exact:
 coefficients are ``fractions.Fraction`` in lowest terms at the API, while the
 kernel multiplies integer numerators over one common denominator (:func:`lift`)
 and normalizes once per output coefficient; a chain of products (the powers
-in a reversion or a composition, the columns of a matrix) stays integer,
-reduced by one gcd per step.  Quotients, powers and square roots (Miller's
-recurrence) and triangular matrix solves are one forward substitution over
+in a composition, the columns of a matrix) stays integer, reduced by one gcd
+per step.  Quotients, powers and square roots (Miller's recurrence),
+reversions and triangular matrix solves are one forward substitution over
 such integers (:func:`_forward`).  No operation ever fabricates a
 coefficient beyond the known order: binary operations return results at the
 smaller operand order, and reading past the order raises
@@ -423,7 +423,8 @@ class TruncatedSeries:
     def revert(self) -> "TruncatedSeries":
         """Compositional inverse: the series r with self(r(x)) = x.
 
-        By Lagrange inversion, [x^n] r = (1/n) [x^(n-1)] (x/self)^n.
+        In the Riordan group (1, f)^-1 = (1, rev f), so rev f is column 1 of
+        (1, f)^-1: the solution X of M X = e_1, where column k of M holds f^k.
         """
         if self._coeffs[0]:
             raise ReversionError(
@@ -437,13 +438,13 @@ class TruncatedSeries:
             raise ReversionError(
                 "reversion requires a nonzero linear coefficient"
             )
-        # the powers (x/self)^n as integers, one coefficient read from each
-        u = (1 / self.shift_down(1)).coefficients  # x/self to order self.order - 1
-        lu = lift(u)
-        out = [_ZERO]
-        for n, (power, d) in enumerate(_chain(lu, lu, self.order), 1):
-            out.append(_ratio(power[n - 1], d * n))
-        return TruncatedSeries(out)
+        # the columns f^0..f^N of (1, f) over one denominator, solved against e_1
+        n = self.order + 1
+        cols = list(_chain(([1] + [0] * (n - 1), 1), lift(self._coeffs), n))
+        d = math.lcm(*[dk for _, dk in cols])
+        rows = (([c[i] * (d // dk) for c, dk in cols[: i + 1]], d) for i in range(n))
+        e1 = ([0, 1] + [0] * (n - 2), 1)
+        return TruncatedSeries([v for v, in _forward(rows, [e1])])
 
     def sqrt(self) -> "TruncatedSeries":
         """Square root with positive constant term, which must be the square

@@ -83,6 +83,18 @@ def revert_by_recurrence(f, order):
     return r
 
 
+def revert_by_lagrange(f):
+    """Compositional inverse of the series f (f0 = 0, f1 != 0) at f's order
+    by Lagrange inversion, the library's former route: [x^n] rev f is
+    (1/n) [x^(n-1)] (x/f)^n, each power of x/f the product of the last."""
+    u = 1 / f.shift_down(1)
+    out, power = [Fraction(0)], u
+    for n in range(1, f.order + 1):
+        out.append(power.coefficient(n - 1) / n)
+        power = power * u
+    return out
+
+
 def gf_entry(g, f, n, k):
     """[x^n] g * f^k computed by repeated naive convolution."""
     acc = [Fraction(c) for c in g[: n + 1]] + [Fraction(0)] * max(0, n + 1 - len(g))

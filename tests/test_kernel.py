@@ -23,6 +23,7 @@ from helpers import (
     power_by_squaring,
     random_rationals,
     random_wide,
+    revert_by_lagrange,
     revert_by_recurrence,
     sqrt_by_recurrence,
 )
@@ -131,6 +132,14 @@ class TestSeriesKernel:
                 assert list(got) == revert_by_recurrence(f, n)
             assert_normalized(got)
 
+    def test_revert_matches_lagrange_and_recurrence(self):
+        # rev f is column 1 of (1, f)^-1; both oracles take other routes
+        rng = random.Random(106)
+        for n in lengths(rng):
+            f = [F(0), unit(rng)] + random_rationals(rng, n - 1)
+            got = list(TruncatedSeries(f).revert().coefficients)
+            assert got == revert_by_lagrange(TruncatedSeries(f)) == revert_by_recurrence(f, n)
+
 
 class TestMatrixKernel:
     def test_mat_mul(self):
@@ -211,7 +220,7 @@ class TestCoefficientBudget:
     @pytest.mark.parametrize(
         "compute",
         [
-            # the third Lagrange power of x/f = HALF; rev f = HALF*x fits
+            # the column f^3 = x^3/HALF^3 of (1, f); rev f = HALF*x fits
             lambda: TruncatedSeries([0, F(1, HALF)], 3).revert(),
             # the power b^3 = HALF^3 x^3 of the inner series; the result HALF x^3 fits
             lambda: TruncatedSeries([0, 0, 0, F(1, HALF**2)]).compose(

@@ -576,6 +576,33 @@ class TestSidecar:
         found, checked = self.counted(monkeypatch, path, self.RUN)
         assert found == want and checked == holding
 
+    def test_a_scan_keeps_only_the_records_holding_the_query(self, tmp_path, monkeypatch):
+        # what bounds a scan's memory: of 2000 records, both passes keep the
+        # three that hold the run, one of them at an offset no answer takes
+        rng = random.Random(11)
+        at = {17: 0, 900: 2, 1500: 4}
+        lines = []
+        for k in range(1, 2001):
+            seq = [rng.randint(-2, 3) for _ in range(rng.randint(6, 12))]
+            if k in at:
+                seq[at[k] : at[k]] = self.RUN
+            lines.append(f"A{k:06d} ,{','.join(map(str, seq))},\n")
+        path = tmp_path / "dump.txt"
+        path.write_text("".join(lines))
+        kept = []
+        identify = OeisIndex.identify_sequence
+
+        def counting(index, values):
+            kept.append(len(index))
+            return identify(index, values)
+
+        monkeypatch.setattr(OeisIndex, "identify_sequence", counting)
+        want = ([SequenceMatch("A000017", 0), SequenceMatch("A000900", 2)], 0)
+        assert scan_stripped(path, self.RUN) == want  # the full pass
+        assert self.sidecar(path).is_file()
+        assert scan_stripped(path, self.RUN) == want  # the trusted pass
+        assert kept == [3, 3]
+
     def edit_same_size(self, path, side):
         """Make a record that holds no query malformed, keeping size and mtime."""
         info = path.stat()
