@@ -14,11 +14,10 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import InvalidElementError, PrecisionError, ShapeError
-from .series import TruncatedSeries, _chain, _forward, _ratio, as_fraction, lift
+from .series import _ZERO, TruncatedSeries, _chain, _forward, _ratio, as_fraction, lift
 
 Rows = tuple[tuple[Fraction, ...], ...]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -106,7 +105,7 @@ class ExactMatrix:
         for i, row in enumerate(rows):
             if len(row) > size:
                 raise ShapeError(f"row {i} is longer than the matrix size {size}")
-            full.append([as_fraction(c) for c in row] + [_ZERO] * (size - len(row)))
+            full.append([*row, *(_ZERO,) * (size - len(row))])
         return cls(full)
 
     @property

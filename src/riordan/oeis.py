@@ -6,13 +6,14 @@ leading zeros, no ``-0``, at most 4300 digits): ``A000108 ,1,1,2,5,14,42,``.
 Other lines but ``#`` comments are skipped and counted; lookups are local.
 ``identify`` reads a dump in one pass, in memory independent of its size
 (:func:`scan_stripped`); :func:`load_stripped` builds an :class:`OeisIndex`
-for callers that run many queries.  Every read goes through one reader, which
-decodes the dump in 64 KiB text blocks cut at line ends and gives lines to one
-record rule: blank and ``#`` lines skipped, others parsed or counted, and a
-later record of an A-number replacing an earlier one.
+for callers that run many queries.  Every read is one loop over raw 64 KiB
+reads, each hashed if a sidecar is kept, decoded as UTF-8 with universal
+newlines and cut at line ends for one record rule: blank and ``#`` lines
+skipped, others parsed or counted, a later record of an A-number replacing an
+earlier one.
 
-A full pass of :func:`scan_stripped` checks every line and hashes the bytes it
-reads.  Over a regular file whose records come in strictly increasing A-number
+A full pass of :func:`scan_stripped` checks every line, and over a regular file
+hashes the bytes it reads; if the records come in strictly increasing A-number
 order, as the OEIS file's do (so no A-number repeats), it then writes a sidecar
 ``PATH.riordan-index``: ``{"version": 1, "size", "sha256", "skipped"}``, the
 dump's byte count, SHA-256 and malformed-line count.  A later scan trusts the
@@ -22,11 +23,13 @@ hashes the dump again through the same reader, but gives the record rule only
 the lines that hold the query.  A digest that differs discards that result for
 a full pass, which rewrites the sidecar.  Errors on the sidecar are ignored, so
 deleting it, or a read-only directory, costs only the full pass.
-:func:`load_stripped` neither hashes a dump nor reads or writes a sidecar.
+:func:`load_stripped`, and a scan of a dump that is not a regular file, neither
+hash the dump nor read or write a sidecar.
 """
 
 from __future__ import annotations
 
+import codecs
 import io
 import json
 import os
@@ -55,8 +58,8 @@ _SIDECAR_KEYS = {"version", "size", "sha256", "skipped"}
 _SHA256 = re.compile("[0-9a-f]{64}")
 # ownership and O_NOFOLLOW decide whether a sidecar can be trusted
 _SIDECARS = hasattr(os, "getuid") and hasattr(os, "O_NOFOLLOW")
-# bytes per raw read and characters per text block of every read of a dump;
-# larger blocks were no faster and raised a process's peak memory
+# bytes per raw read of every read of a dump; larger reads were no faster and
+# raised a process's peak memory
 _BLOCK = 1 << 16
 
 
@@ -185,67 +188,73 @@ def scan_stripped(path: str | Path, values: Sequence[int]) -> tuple[list[Sequenc
     try:
         with open(path, "rb", buffering=0) as raw:
             info = os.fstat(raw.fileno())
-            regular = _SIDECARS and stat.S_ISREG(info.st_mode)
-            known = regular and _trusted(side, info.st_size)
-            if known:
-                hashed = _Hashed(raw)
-                hits = _index(hashed, path, key, every=False)[0]
-                if (hashed.size, hashed.sha256.hexdigest()) == (known["size"], known["sha256"]):
-                    return hits.identify_sequence(values), known["skipped"]
-                raw.seek(0)
-            hashed = _Hashed(raw)
-            hits, ordered = _index(hashed, path, key)
+            sha = None
+            if _SIDECARS and stat.S_ISREG(info.st_mode):
+                import hashlib  # loads OpenSSL, ~6 ms and ~4 MiB, which only a sidecar needs
+
+                if known := _trusted(side, info.st_size):
+                    hits = _index(raw, path, key, sha := hashlib.sha256(), every=False)[0]
+                    if (raw.tell(), sha.hexdigest()) == (known["size"], known["sha256"]):
+                        return hits.identify_sequence(values), known["skipped"]
+                    raw.seek(0)
+                sha = hashlib.sha256()
+            hits, ordered = _index(raw, path, key, sha)
+            if sha and ordered:  # strictly increasing, so no A-number repeats
+                doc = {"version": 1, "size": raw.tell(), "sha256": sha.hexdigest(), "skipped": hits.skipped_lines}
+                _store(side, doc)
     except OSError as err:
         raise _unreadable(path, err) from err
-    if regular and ordered:  # strictly increasing, so no A-number repeats
-        digest = hashed.sha256.hexdigest()
-        _store(side, {"version": 1, "size": hashed.size, "sha256": digest, "skipped": hits.skipped_lines})
     return hits.identify_sequence(values), hits.skipped_lines
 
 
-def _index(raw: io.RawIOBase, path: str | Path, key: str, every: bool = True) -> tuple[OeisIndex, bool]:
+def _index(raw: io.RawIOBase, path: str | Path, key: str, sha=None, every: bool = True) -> tuple[OeisIndex, bool]:
     """The dump ``path``, read from ``raw``, as an index of its records that
     hold ``key`` and are their A-number's last, and whether their A-numbers
-    strictly increase.  Each line goes to the record rule, and a dump with no
-    record is an error; with ``every`` false, only the lines that hold ``key``
-    do, and ``skipped_lines`` counts only those."""
+    strictly increase; ``sha``, if given, takes every byte read.  Each line goes
+    to the record rule, and a dump with no record is an error; with ``every``
+    false, only the lines that hold ``key`` do, and ``skipped_lines`` counts
+    only those."""
     index = OeisIndex({})
     records, skipped, ordered, last = index._records, 0, True, ""
-    # decoded as open(path, encoding="utf-8", errors="replace") decodes a file,
-    # universal newlines included; closing it closes raw
-    with io.TextIOWrapper(io.BufferedReader(raw, _BLOCK), encoding="utf-8", errors="replace") as text:
-        for block in _blocks(text):
-            for line in block.split("\n") if every else _holding(block, key):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if match := _RECORD.fullmatch(line):
-                    anumber, record = match.group(1, 2)
-                    if key in record:  # a later record replaces an earlier one
-                        records[anumber] = record
-                    else:
-                        records.pop(anumber, None)
-                    if anumber <= last:
-                        ordered = False
-                    last = anumber
+    for block in _blocks(raw, sha):
+        for line in block.split("\n") if every else _holding(block, key):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if match := _RECORD.fullmatch(line):
+                anumber, record = match.group(1, 2)
+                if key in record:  # a later record replaces an earlier one
+                    records[anumber] = record
                 else:
-                    skipped += 1
+                    records.pop(anumber, None)
+                if anumber <= last:
+                    ordered = False
+                last = anumber
+            else:
+                skipped += 1
     if every and not last:
         raise OeisFormatError(f"no parseable records in OEIS dump {path}")
     index._skipped = skipped
     return index, ordered
 
 
-def _blocks(text: io.TextIOWrapper) -> Iterator[str]:
-    """``text`` in blocks of whole lines, each ending in a newline."""
+def _blocks(raw: io.RawIOBase, sha=None) -> Iterator[str]:
+    """The file ``raw`` in blocks of whole lines, each ending in a newline,
+    decoded as open(path, encoding="utf-8", errors="replace") decodes a file,
+    universal newlines included; ``sha``, if given, takes every byte read."""
+    utf8 = codecs.getincrementaldecoder("utf-8")("replace")
+    decode = io.IncrementalNewlineDecoder(utf8, translate=True).decode
     rest = []  # the pieces of a line begun in earlier blocks
-    while block := text.read(_BLOCK):
+    while chunk := raw.read(_BLOCK):
+        if sha:
+            sha.update(chunk)
+        block = decode(chunk)
         cut = block.rfind("\n") + 1
         if cut:
             yield "".join([*rest, block[:cut]])
             rest = []
         rest.append(block[cut:])
-    yield "".join(rest) + "\n"
+    yield "".join([*rest, decode(b"", final=True), "\n"])
 
 
 def _holding(lines: str, key: str) -> Iterator[str]:
@@ -255,25 +264,6 @@ def _holding(lines: str, key: str) -> Iterator[str]:
         end = lines.find("\n", at)
         yield lines[lines.rfind("\n", 0, at) + 1 : end]
         at = lines.find(key, end)
-
-
-class _Hashed(io.RawIOBase):
-    """A raw reader that passes every byte read through it to a SHA-256 digest."""
-
-    def __init__(self, raw: io.RawIOBase):
-        import hashlib  # loads OpenSSL, ~6 ms and ~4 MiB, which load_stripped never needs
-
-        self._raw, self.sha256, self.size = raw, hashlib.sha256(), 0
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._raw.readinto(buffer)
-        if n:
-            self.sha256.update(buffer[:n])
-            self.size += n
-        return n
 
 
 def _trusted(side: str, size: int) -> dict | None:

@@ -18,12 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .arrays import ExactMatrix, RiordanElement, Rows, TriMatrix
+from .arrays import _ONE, ExactMatrix, RiordanElement, Rows, TriMatrix
 from .errors import PrecisionError, Record, ShapeError
-from .series import TruncatedSeries, _compose_lists, _ratio, lift
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .series import _ZERO, TruncatedSeries, _compose_lists, _ratio, lift
 
 
 class ProductionMatrix(ExactMatrix):

@@ -1,7 +1,8 @@
 """What each entry point imports, checked in a fresh interpreter without
 ``site`` (which may import ``typing`` itself): the CLI loads the expression
-parser, and the OEIS reader with ``hashlib``, only for the commands that run
-them, and nothing loads ``dataclasses`` or ``typing``."""
+parser and the OEIS reader only for the commands that run them, the reader
+loads ``hashlib`` only for a dump that can have a sidecar, and nothing loads
+``dataclasses`` or ``typing``."""
 
 import json
 import os
@@ -15,12 +16,12 @@ SRC = Path(riordan.__file__).resolve().parents[1]
 ON_DEMAND = ("dataclasses", "hashlib", "riordan.gfexpr", "riordan.oeis", "typing")
 
 
-def run_python(code, *argv):
-    """Run ``code`` in a fresh interpreter; return its exit code and the
-    JSON document it prints last on stdout."""
+def run_python(code, *argv, stdin=None):
+    """Run ``code`` in a fresh interpreter, ``stdin`` piped in; return its
+    exit code and the JSON document it prints last on stdout."""
     done = subprocess.run(
         [sys.executable, "-S", "-c", code, *argv],
-        capture_output=True, text=True, timeout=60,
+        input=stdin, capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert done.stderr == "", done.stderr
@@ -64,6 +65,29 @@ def test_load_stripped_loads_no_hashlib(oeis_fixture_path):
     )
     code, loaded = run_python(script, str(oeis_fixture_path))
     assert code == 0
+    assert loaded == dict(dict.fromkeys(ON_DEMAND, False), **{"riordan.oeis": True})
+
+
+def test_a_dump_that_cannot_have_a_sidecar_loads_no_hashlib(oeis_fixture_path):
+    # piped in, /dev/stdin is a pipe; a shell redirect from a file would make
+    # it a regular file, which is hashed for its sidecar
+    from riordan.oeis import scan_stripped
+
+    values = [1, 1, 2, 5, 14, 42, 132]
+    script = (
+        "import json, sys\n"
+        "from riordan.oeis import scan_stripped\n"
+        f"matches, skipped = scan_stripped('/dev/stdin', {values})\n"
+        "found = [[m.anumber, m.offset] for m in matches]\n"
+        f"loaded = {{name: name in sys.modules for name in {ON_DEMAND!r}}}\n"
+        "print(json.dumps([found, skipped, loaded]))\n"
+    )
+    matches, skipped = scan_stripped(oeis_fixture_path, values)
+    want = [[[m.anumber, m.offset] for m in matches], skipped]
+    assert ["A000108", 0] in want[0]
+    code, (*got, loaded) = run_python(script, stdin=oeis_fixture_path.read_text())
+    assert code == 0
+    assert got == want
     assert loaded == dict(dict.fromkeys(ON_DEMAND, False), **{"riordan.oeis": True})
 
 

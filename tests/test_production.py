@@ -29,6 +29,7 @@ from riordan import (
     catalan_array,
     family_element,
     generate_from_production,
+    iterate_second_production,
     nth_az,
     nth_production_matrix,
     pascal,
@@ -403,6 +404,46 @@ class TestClosedForm:
             left = RiordanElement(poly, poly.shift_up(1).truncate(12))
             assert produced_matrix_closed_form(b, n) == left.inverse().mul(b)
 
+
+
+def coefficients(e):
+    return e.order, e.g.coefficients, e.f.coefficients
+
+
+class TestClosedFormLaw:
+    """``docs/derivation.md``, remark "closed forms compose": for m, n >= 1,
+    Pi_m(Pi_n(e)) = Pi_(mn)(e) at their common order, for any element."""
+
+    @staticmethod
+    def law_elements(order):
+        x = TruncatedSeries.x(order)
+        families = ["pascal", "catalan", "a085478", "binomial:2", "moment:1/2"]
+        return [family_element(name, order) for name in families] + [
+            RiordanElement(TruncatedSeries([2, 1], order), 3 * x / TruncatedSeries([1, -1], order)),
+            RiordanElement(3 / TruncatedSeries([3, -1], order), 2 * x / TruncatedSeries([1, F(-1, 5)], order)),
+        ]
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5)])
+    def test_closed_forms_compose(self, m, n):
+        for e in self.law_elements(14):
+            twice = produced_matrix_closed_form(produced_matrix_closed_form(e, n), m)
+            once = produced_matrix_closed_form(e, m * n)
+            assert twice.order == e.order - 2
+            assert coefficients(twice) == coefficients(once.truncate(twice.order)), (e, m, n)
+
+    def test_second_of_second_is_not_third(self):
+        # the law multiplies the orders; adding them would be a different law
+        for e in self.law_elements(14):
+            twice = produced_matrix_closed_form(produced_matrix_closed_form(e, 2), 2)
+            third = produced_matrix_closed_form(e, 3)
+            assert coefficients(twice) != coefficients(third.truncate(twice.order)), e
+
+    def test_iterated_second_production_is_a_power_of_two(self):
+        for e in self.law_elements(14):
+            chain = iterate_second_production(e, 5)
+            for j, step in enumerate(chain):
+                want = produced_matrix_closed_form(e, 2**j).truncate(e.order - j)
+                assert coefficients(step) == coefficients(want), (e, j)
 
 class TestVerification:
     def test_a085478_second_equal(self):
