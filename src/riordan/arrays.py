@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import InvalidElementError, PrecisionError, ShapeError
-from .series import _ZERO, TruncatedSeries, _chain, _forward, _ratio, as_fraction, lift
+from .series import _ZERO, TruncatedSeries, _chain, _compose_lists, _forward, _ratio, as_fraction, lift
 
 Rows = tuple[tuple[Fraction, ...], ...]
 
@@ -255,10 +255,9 @@ class RiordanElement:
             raise PrecisionError(
                 "group multiplication needs equal orders; truncate explicitly"
             )
-        return RiordanElement(
-            self._g * other._g.compose(self._f),
-            other._f.compose(self._f),
-        )
+        # one chain of the powers of self.f serves both series of other
+        u, v = _compose_lists([other._g.coefficients, other._f.coefficients], self._f.coefficients)
+        return RiordanElement(self._g * TruncatedSeries(u), TruncatedSeries(v))
 
     __mul__ = mul
 

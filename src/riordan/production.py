@@ -20,7 +20,7 @@ from operator import mul
 
 from .arrays import _ONE, ExactMatrix, RiordanElement, Rows, TriMatrix
 from .errors import PrecisionError, Record, ShapeError
-from .series import _ZERO, TruncatedSeries, _compose_lists, _ratio, lift
+from .series import _ZERO, TruncatedSeries, _ratio, lift
 
 
 class ProductionMatrix(ExactMatrix):
@@ -173,12 +173,10 @@ def produced_matrix_closed_form(e: RiordanElement, n: int) -> RiordanElement:
     if n == 1:
         return e
     _require_order(e, 2, "the produced-matrix closed form")
-    # with r = rev(x*(x/f)^(n-1)) the product is (g(r) * r/x, f(r)); x/f is
-    # known to order e.order - 1, so x*(x/f)^(n-1) and r to order e.order
+    # (h, x*h)^-1 = (r/x, r) with h = (x/f)^(n-1) and r = rev(x*h) (derivation
+    # step 4); x/f is known to order e.order - 1, so x*h and r to order e.order
     r = (e.f.shift_down(1) ** (1 - n)).shift_up(1).revert()
-    # g(r) * r/x is (x*g)(r) / x, so one chain of the powers of r serves both
-    xg, f = _compose_lists([e.g.shift_up(1).coefficients, e.f.coefficients], r.coefficients)
-    return RiordanElement(TruncatedSeries(xg[1:]), TruncatedSeries(f[:-1]))
+    return RiordanElement(r.shift_down(1), r.truncate(e.order - 1)).mul(e.truncate(e.order - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,8 @@ def closed_form_by_solve(e, n):
     """((x/f)^(n-1), x(x/f)^(n-1))^-1 * (g, f) for n >= 2 by one triangular
     solve of the left factor's matrix against the columns g and g*f, an
     oracle for the library's closed form, which takes r = rev(x(x/f)^(n-1))
-    and returns (g(r) r/x, f(r)) (a reversion and two compositions)."""
+    and returns the group product (r/x, r) * (g, f); it shares neither the
+    reversion nor ``RiordanElement.mul`` with the library."""
     p = (1 / e.f.shift_down(1)) ** (n - 1)
     left = RiordanElement(p, p.shift_up(1).truncate(p.order)).matrix(p.order + 1)
     m = e.truncate(p.order)
@@ -217,7 +218,9 @@ def closed_form_by_solve(e, n):
 def closed_form_by_group(e, n):
     """((x/f)^(n-1), x(x/f)^(n-1))^-1 * (g, f) taken in the Riordan group: the
     left factor built as an element, inverted, and multiplied by ``e``; ``e``
-    itself for n = 1.  An oracle for the library's closed form."""
+    itself for n = 1.  An oracle for the library's closed form, whose
+    group product it shares (``RiordanElement.mul``) but whose inverse it
+    takes through ``RiordanElement.inverse``."""
     if n == 1:
         return e
     p = (1 / e.f.shift_down(1)) ** (n - 1)

@@ -12,6 +12,7 @@ from helpers import (
     gf_entry,
     lower_inverse_rows,
     mat_mul_rows,
+    non_normalized_battery,
 )
 from riordan import (
     InvalidElementError,
@@ -23,7 +24,9 @@ from riordan import (
     TriMatrix,
     TruncatedSeries,
     a085478_element,
+    binomial_power,
     catalan_array,
+    moment_element,
     nth_az,
     pascal,
 )
@@ -111,13 +114,24 @@ class TestGroupOps:
 
     def test_homomorphism_battery(self):
         rng = random.Random(99)
-        for e1, e2 in zip(
-            element_battery(8, 12, seed=101), element_battery(8, 12, seed=202)
-        ):
-            n = rng.randint(2, 12)
+        pairs = list(zip(element_battery(8, 12, seed=101), element_battery(8, 12, seed=202)))
+        # non-normalized and rational factors, whose denominators meet in the
+        # one chain of the powers of e1.f that carries both series of e2
+        for order in (14, 17, 20):
+            x = TruncatedSeries.x(order)
+            rational = non_normalized_battery(3, order, seed=order) + [
+                moment_element(F(1, 3), order),
+                binomial_power(F(2, 3), order),
+                RiordanElement(
+                    3 / TruncatedSeries([3, -1], order), 2 * x / TruncatedSeries([1, F(-1, 5)], order)
+                ),
+            ]
+            pairs += [(e1, rng.choice(rational)) for e1 in rational]
+        for e1, e2 in pairs:
+            n = rng.randint(2, e1.order + 1)
             lhs = e1.mul(e2).matrix(n)
             rhs = e1.matrix(n).mul(e2.matrix(n))
-            assert lhs == rhs
+            assert lhs == rhs, (e1, e2, n)
 
     def test_inverse_of_identity(self):
         e = RiordanElement.identity(6)

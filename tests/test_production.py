@@ -406,6 +406,11 @@ class TestClosedForm:
 
 
 
+def generated(e, n):
+    """The element that the n-th production matrix of ``e`` generates."""
+    return RiordanElement.from_az(*nth_az(e, n))
+
+
 def coefficients(e):
     return e.order, e.g.coefficients, e.f.coefficients
 
@@ -437,6 +442,20 @@ class TestClosedFormLaw:
             twice = produced_matrix_closed_form(produced_matrix_closed_form(e, 2), 2)
             third = produced_matrix_closed_form(e, 3)
             assert coefficients(twice) != coefficients(third.truncate(twice.order)), e
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5)])
+    def test_generated_elements_compose(self, m, n):
+        # the generated side (remark "generated elements compose"): the
+        # element G_n(e) that P_n(e) generates has P_m(G_n(e)) = P_(mn)(e)
+        for e in self.law_elements(20):
+            twice = nth_az(generated(e, n), m)
+            once = nth_az(e, m * n)
+            assert [s.order for s in twice] == [e.order - 2, e.order - 3]
+            assert twice == once, (e, m, n)
+
+    def test_generated_second_of_second_is_not_third(self):
+        for e in self.law_elements(20):
+            assert nth_az(generated(e, 2), 2) != nth_az(e, 3), e
 
     def test_iterated_second_production_is_a_power_of_two(self):
         for e in self.law_elements(14):
