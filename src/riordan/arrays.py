@@ -56,8 +56,10 @@ def rows_to_strings(rows: Sequence[Sequence[Fraction]]) -> list[list[str]]:
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Rows:
     """Dense product of two row-major rational matrices, lifting each row and
     each column once (``series.lift``)."""
-    if not a or len(a[0]) != len(b):
+    if not a or any(len(row) != len(b) for row in a):
         raise ShapeError("inner dimensions do not match")
+    if any(len(row) != len(b[0]) for row in b):  # zip(*b) would cut b short
+        raise ShapeError("the right operand has ragged rows")
     columns = [lift(col) for col in zip(*b)]
     return tuple(
         tuple(_ratio(sum(map(mul, ints, col)), d * dc) for col, dc in columns)
@@ -170,6 +172,8 @@ class TriMatrix(ExactMatrix):
         only the first len(rhs) rows of self are read."""
         if len(rhs) > self.size:
             raise ShapeError(f"{len(rhs)} right-hand rows for a size-{self.size} matrix")
+        if any(len(row) != len(rhs[0]) for row in rhs):  # zip(*rhs) would cut rhs short
+            raise ShapeError("the right-hand side has ragged rows")
         rows = (lift(self._rows[i][: i + 1]) for i in range(len(rhs)))
         return tuple(_forward(rows, [lift(col) for col in zip(*rhs)]))
 

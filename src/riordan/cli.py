@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from collections.abc import Callable, Sequence
 
@@ -158,8 +159,13 @@ def _cmd_identify(args: argparse.Namespace) -> int:
             "give either --values or an element (--family, or --g and --f), not both"
         )
     else:
+        # int() would also take "1_0" and non-ASCII digits
+        terms = [part.strip() for part in args.values.split(",")]
         try:
-            values = query([int(part) for part in args.values.split(",")])
+            bad = next((t for t in terms if not re.fullmatch("[+-]?[0-9]+", t)), None)
+            if bad is not None:
+                raise ValueError(f"{bad!r} is not an integer")
+            values = query([int(t) for t in terms])
         except ValueError as err:
             wide = "integer string conversion" in str(err)  # CPython's digit limit
             reason = f"a term has more than {sys.get_int_max_str_digits()} digits" if wide else err

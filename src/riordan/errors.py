@@ -93,7 +93,7 @@ class SingularMatrixError(RiordanError):
 
 
 class ShapeError(RiordanError):
-    """Matrix entries violate the required triangular/Hessenberg shape."""
+    """A matrix or operand is ragged, of mismatched size, or nonzero off its band."""
 
 
 class UnknownFamilyError(RiordanError):

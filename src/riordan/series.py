@@ -4,15 +4,16 @@ A :class:`TruncatedSeries` holds coefficients c0..cN of a power series known
 modulo x^(N+1); N is the *order* of the truncation.  All arithmetic is exact:
 coefficients are ``fractions.Fraction`` in lowest terms at the API, while the
 kernel multiplies integer numerators over one common denominator (:func:`lift`)
-and normalizes once per output coefficient; a chain of products (the powers
-in a composition, the columns of a matrix) stays integer, reduced by one gcd
-per step.  Quotients, powers and square roots (Miller's recurrence),
-reversions and triangular matrix solves are one forward substitution over
-such integers (:func:`_forward`).  No operation ever fabricates a
-coefficient beyond the known order: binary operations return results at the
-smaller operand order, and reading past the order raises
-:class:`~riordan.errors.PrecisionError` rather than returning zero.  No result
-may hold a numerator or denominator past a budget
+and normalizes once per output coefficient; a chain of products stays integer,
+reduced by one gcd per step.  Composing a with b multiplies a by the matrix of
+(1, b), whose columns are the powers of b; reversion solves against it, since
+(1, f)^-1 = (1, rev f), and one builder makes it (:func:`_powers`).  Quotients,
+powers and square roots (Miller's recurrence), reversions and triangular
+solves are one forward substitution over such integers (:func:`_forward`).
+No operation ever fabricates a coefficient beyond the known order: binary
+operations return results at the smaller operand order, and reading past the
+order raises :class:`~riordan.errors.PrecisionError` rather than returning
+zero.  No result may hold a numerator or denominator past a budget
 (:class:`~riordan.errors.CoefficientSizeError`).
 
 Values are immutable; every operation returns a new series.
@@ -170,33 +171,28 @@ def _power_lists(c: Sequence[Fraction], alpha: Fraction, lead: Fraction) -> list
     return [v for v, in _forward(rows, [lifted])]
 
 
+def _powers(b: Sequence[Fraction], n: int, count: int) -> list[tuple[list[int], int]]:
+    """The columns b^0..b^(count-1) of the matrix of (1, b) to size ``n``, by
+    rows over one denominator, each row up to its diagonal (b[0] == 0)."""
+    cols = list(_chain(([1] + [0] * (n - 1), 1), lift(b[:n]), count))
+    d = math.lcm(*[dk for _, dk in cols])
+    scaled = [(c, d // dk) for c, dk in cols]
+    return [([c[i] * w for c, w in scaled[: i + 1]], d) for i in range(n)]
+
+
 def _compose_lists(
     outers: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
 ) -> list[list[Fraction]]:
     """Each series of ``outers`` with ``b`` substituted for x, all at the
     length of the shortest; requires b[0] == 0 (checked by callers).
 
-    One chain of the powers of b serves every outer series.  Each sum
-    gathers as integers over ``da * e``, with ``da`` the outer series' own
-    denominator and ``e`` the lcm of the power denominators so far, and
-    becomes Fractions once, at the end."""
+    Substituting b multiplies each outer series by the matrix of (1, b)
+    (:func:`_powers`), built up to the outers' last nonzero term only."""
     n = min(len(b), *map(len, outers))
     lifted = [lift(a[:n]) for a in outers]
     top = max((i for ia, _ in lifted for i in range(n) if ia[i]), default=0)
-    lb = lift(b[:n])
-    sums = [[ia[0]] + [0] * (n - 1) for ia, _ in lifted]
-    e = 1
-    for k, (ip, dp) in enumerate(_chain(lb, lb, top), 1):
-        grown = math.lcm(e, dp)
-        if grown != e:
-            sums = [[v * (grown // e) for v in s] for s in sums]
-            e = grown
-        w = e // dp
-        for s, (ia, _) in zip(sums, lifted):
-            c = ia[k] * w
-            if c:
-                s[k:] = [v + c * w for v, w in zip(s[k:], ip[k:])]
-    return [[_ratio(v, da * e) for v in s] for s, (_, da) in zip(sums, lifted)]
+    rows = _powers(b, n, top + 1)
+    return [[_ratio(sum(map(mul, r, ia)), d * da) for r, d in rows] for ia, da in lifted]
 
 
 def as_fraction(c: Rational) -> Fraction:
@@ -424,7 +420,7 @@ class TruncatedSeries:
         """Compositional inverse: the series r with self(r(x)) = x.
 
         In the Riordan group (1, f)^-1 = (1, rev f), so rev f is column 1 of
-        (1, f)^-1: the solution X of M X = e_1, where column k of M holds f^k.
+        (1, f)^-1: X with M X = e_1, M the matrix of (1, f) (:func:`_powers`).
         """
         if self._coeffs[0]:
             raise ReversionError(
@@ -438,13 +434,9 @@ class TruncatedSeries:
             raise ReversionError(
                 "reversion requires a nonzero linear coefficient"
             )
-        # the columns f^0..f^N of (1, f) over one denominator, solved against e_1
         n = self.order + 1
-        cols = list(_chain(([1] + [0] * (n - 1), 1), lift(self._coeffs), n))
-        d = math.lcm(*[dk for _, dk in cols])
-        rows = (([c[i] * (d // dk) for c, dk in cols[: i + 1]], d) for i in range(n))
         e1 = ([0, 1] + [0] * (n - 2), 1)
-        return TruncatedSeries([v for v, in _forward(rows, [e1])])
+        return TruncatedSeries([v for v, in _forward(_powers(self._coeffs, n, n), [e1])])
 
     def sqrt(self) -> "TruncatedSeries":
         """Square root with positive constant term, which must be the square

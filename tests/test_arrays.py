@@ -30,6 +30,7 @@ from riordan import (
     nth_az,
     pascal,
 )
+from riordan.arrays import mat_mul
 
 
 def element(g_coeffs, f_coeffs, order):
@@ -287,6 +288,18 @@ class TestTriMatrix:
             m.solve([[F(1)], [F(1)]])
         with pytest.raises(ShapeError):
             m.solve([[F(1)]] * 4)
+
+    def test_ragged_operands_rejected(self):
+        # zip(*rows) would cut a ragged operand short: one column for two,
+        # a short row read as if padded with zeros, a 1x1 product
+        m = pascal(3).matrix(3)
+        with pytest.raises(ShapeError, match="the right-hand side has ragged rows"):
+            m.solve([[F(1), F(2)], [F(3)], [F(4), F(5)]])
+        with pytest.raises(ShapeError, match="inner dimensions do not match"):
+            mat_mul([[F(1), F(2)], [F(3)]], [[F(1)], [F(2)]])
+        with pytest.raises(ShapeError, match="the right operand has ragged rows"):
+            mat_mul([[F(1), F(2)]], [[F(1), F(2)], [F(3)]])
+        assert mat_mul([[F(1), F(2)]], [[F(1), F(2)], [F(3), F(4)]]) == ((F(7), F(10)),)
 
     def test_solve_zero_width_rhs(self):
         # one empty row per right-hand row, and the diagonal is still checked

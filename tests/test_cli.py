@@ -452,6 +452,28 @@ class TestIdentify:
         assert code == 2 and out == ""
         assert err.startswith(message)
 
+    @pytest.mark.parametrize(
+        "values, term",
+        [
+            ("1_0,1,2,5,14,42,132", "'1_0'"),  # int() reads 10
+            ("\u0661,1,2,5,14,42,132", "'\u0661'"),  # an Arabic-Indic digit one
+            ("1,1,2,5,14,42,132,", "''"),
+            ("1,1,2,+-5,14,42,132", "'+-5'"),
+        ],
+    )
+    def test_values_terms_are_ascii_integers(
+        self, capsys, monkeypatch, oeis_fixture_path, values, term
+    ):
+        def unexpected(path, values):
+            pytest.fail(f"the dump was read for a malformed query: {path}")
+
+        monkeypatch.setattr("riordan.oeis.scan_stripped", unexpected)
+        code, out, err = run(capsys, "identify", "--values", values, "--oeis", str(oeis_fixture_path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: bad --values: {term} is not an integer; expected comma-separated integers\n"
+        )
+
     def test_skipped_lines_are_reported_on_stderr(self, capsys, tmp_path):
         path = tmp_path / "dump.txt"
         path.write_text("A000108 ,1,1,2,5,14,42,132,\nA000001 ,1,+2,3,\n")

@@ -88,6 +88,11 @@ class TestSeriesKernel:
             got = TruncatedSeries(a).compose(TruncatedSeries(b)).coefficients
             assert list(got) == poly_compose(a, b, n - 1)
             assert_normalized(got)
+            # a polynomial outer, zero past its term n // 4
+            poly = a[: n // 4 + 1] + [F(0)] * (n - n // 4 - 1)
+            got = TruncatedSeries(poly).compose(TruncatedSeries(b)).coefficients
+            assert list(got) == poly_compose(poly, b, n - 1)
+            assert_normalized(got)
 
     def test_sqrt(self):
         rng = random.Random(104)
@@ -257,6 +262,12 @@ class TestCoefficientBudget:
     def test_values_inside_the_budget_pass(self):
         assert (TruncatedSeries([BIG, 1]) * 1).coefficients == (BIG, 1)
         assert mat_mul([[BIG]], [[1]]) == ((BIG,),)
+
+    def test_compose_builds_no_power_past_the_outer(self):
+        # the outer is zero past x, so b^2 = BIG^2 x^2, past the budget, is
+        # never built
+        got = TruncatedSeries([1, 1, 0, 0]).compose(TruncatedSeries([0, BIG, 0, 0]))
+        assert got.coefficients == (1, BIG, 0, 0)
 
     def test_chain_entries_inside_the_budget_pass(self):
         # (x/f)^2 = [1/P^2, 2/(P*Q)] keeps both entries inside the budget,
