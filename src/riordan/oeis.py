@@ -12,19 +12,20 @@ newlines and cut at line ends for one record rule: blank and ``#`` lines
 skipped, others parsed or counted, a later record of an A-number replacing an
 earlier one.
 
-A full pass of :func:`scan_stripped` checks every line, and over a regular file
-hashes the bytes it reads; if the records come in strictly increasing A-number
-order, as the OEIS file's do (so no A-number repeats), it then writes a sidecar
+A full pass of either reader checks every line, and over a regular file hashes
+the bytes it reads; if the records come in strictly increasing A-number order,
+as the OEIS file's do (so no A-number repeats), it then writes a sidecar
 ``PATH.riordan-index``: ``{"version": 1, "size", "sha256", "skipped"}``, the
-dump's byte count, SHA-256 and malformed-line count.  A later scan trusts the
+dump's byte count, SHA-256 and malformed-line count.  A later read trusts the
 sidecar only if it is a regular file (not a symlink) of this user that no group
 or other may write, with exactly that schema and the dump's size; it then
-hashes the dump again through the same reader, but gives the record rule only
-the lines that hold the query.  A digest that differs discards that result for
-a full pass, which rewrites the sidecar.  Errors on the sidecar are ignored, so
-deleting it, or a read-only directory, costs only the full pass.
-:func:`load_stripped`, and a scan of a dump that is not a regular file, neither
-hash the dump nor read or write a sidecar.
+hashes the dump again through the same reader, but reads only the lines that
+hold the query (a load reads all), and if the sidecar counts no malformed line,
+cuts each at its first whitespace instead of giving it to the record rule.  A
+digest that differs discards that result for a full pass, which rewrites the
+sidecar.  Errors on the sidecar are ignored, so deleting it, or a read-only
+directory, costs only the full pass.  A dump that is not a regular file is
+neither hashed nor given a sidecar.
 """
 
 from __future__ import annotations
@@ -168,12 +169,9 @@ def _unreadable(path: str | Path, err: OSError) -> OeisFormatError:
 def load_stripped(path: str | Path) -> OeisIndex:
     """Read a stripped dump into an index; malformed lines are skipped and
     counted in ``skipped_lines``.  An unreadable file, or one with no
-    parseable record, is an error."""
-    try:
-        with open(path, "rb", buffering=0) as raw:
-            return _index(raw, path, "")[0]
-    except OSError as err:
-        raise _unreadable(path, err) from err
+    parseable record, is an error.  It may write the sidecar
+    ``PATH.riordan-index`` (see the module docstring)."""
+    return _read(path, "")
 
 
 def scan_stripped(path: str | Path, values: Sequence[int]) -> tuple[list[SequenceMatch], int]:
@@ -183,7 +181,13 @@ def scan_stripped(path: str | Path, values: Sequence[int]) -> tuple[list[Sequenc
     With a trusted sidecar (see the module docstring) the pass parses only the
     lines that hold the query; the full pass writes the sidecar."""
     # universal newlines leave no "\r" in the text read, so no line holds it
-    key = _key(values) or "\r"
+    hits = _read(path, _key(values) or "\r")
+    return hits.identify_sequence(values), hits.skipped_lines
+
+
+def _read(path: str | Path, key: str) -> OeisIndex:
+    """:func:`_index` of the dump ``path``, from a pass that trusts its sidecar
+    or from a full pass, which writes it (see the module docstring)."""
     side = os.fspath(path) + _SIDECAR
     try:
         with open(path, "rb", buffering=0) as raw:
@@ -193,9 +197,9 @@ def scan_stripped(path: str | Path, values: Sequence[int]) -> tuple[list[Sequenc
                 import hashlib  # loads OpenSSL, ~6 ms and ~4 MiB, which only a sidecar needs
 
                 if known := _trusted(side, info.st_size):
-                    hits = _index(raw, path, key, sha := hashlib.sha256(), every=False)[0]
+                    hits = _index(raw, path, key, sha := hashlib.sha256(), known)[0]
                     if (raw.tell(), sha.hexdigest()) == (known["size"], known["sha256"]):
-                        return hits.identify_sequence(values), known["skipped"]
+                        return hits
                     raw.seek(0)
                 sha = hashlib.sha256()
             hits, ordered = _index(raw, path, key, sha)
@@ -204,25 +208,31 @@ def scan_stripped(path: str | Path, values: Sequence[int]) -> tuple[list[Sequenc
                 _store(side, doc)
     except OSError as err:
         raise _unreadable(path, err) from err
-    return hits.identify_sequence(values), hits.skipped_lines
+    return hits
 
 
-def _index(raw: io.RawIOBase, path: str | Path, key: str, sha=None, every: bool = True) -> tuple[OeisIndex, bool]:
+def _index(raw: io.RawIOBase, path: str | Path, key: str, sha=None, known: dict | None = None) -> tuple[OeisIndex, bool]:
     """The dump ``path``, read from ``raw``, as an index of its records that
     hold ``key`` and are their A-number's last, and whether their A-numbers
     strictly increase; ``sha``, if given, takes every byte read.  Each line goes
-    to the record rule, and a dump with no record is an error; with ``every``
-    false, only the lines that hold ``key`` do, and ``skipped_lines`` counts
-    only those."""
+    to the record rule, and a dump with no record is an error.  With ``known``,
+    a sidecar trusted for these bytes, only the lines that hold ``key`` are
+    read (every line for ``""``), ``skipped_lines`` is the sidecar's, and if
+    that is 0, each line read is a record, cut at its first whitespace."""
     index = OeisIndex({})
     records, skipped, ordered, last = index._records, 0, True, ""
+    clean = known is not None and known["skipped"] == 0
     for block in _blocks(raw, sha):
-        for line in block.split("\n") if every else _holding(block, key):
+        for line in _holding(block, key) if known and key else block.split("\n"):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if match := _RECORD.fullmatch(line):
-                anumber, record = match.group(1, 2)
+            if clean:
+                fields = line.split(None, 1)
+            else:
+                fields = match.groups() if (match := _RECORD.fullmatch(line)) else ()
+            if len(fields) == 2:  # a changed dump can give a line with no whitespace
+                anumber, record = fields
                 if key in record:  # a later record replaces an earlier one
                     records[anumber] = record
                 else:
@@ -232,9 +242,9 @@ def _index(raw: io.RawIOBase, path: str | Path, key: str, sha=None, every: bool 
                 last = anumber
             else:
                 skipped += 1
-    if every and not last:
+    if not (known or last):
         raise OeisFormatError(f"no parseable records in OEIS dump {path}")
-    index._skipped = skipped
+    index._skipped = known["skipped"] if known else skipped
     return index, ordered
 
 
@@ -258,7 +268,7 @@ def _blocks(raw: io.RawIOBase, sha=None) -> Iterator[str]:
 
 
 def _holding(lines: str, key: str) -> Iterator[str]:
-    """The lines among ``lines`` (each ending in a newline) that hold ``key``."""
+    """The lines among ``lines`` (each ending in a newline) that hold the non-empty ``key``."""
     at = lines.find(key)
     while at >= 0:
         end = lines.find("\n", at)

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import riordan
@@ -56,16 +57,33 @@ def test_commands_load_what_they_run_on_demand(oeis_fixture_path):
     assert run_python(script, *prod) == (0, none)
 
 
-def test_load_stripped_loads_no_hashlib(oeis_fixture_path):
+def test_a_piped_dump_loads_with_no_hashlib_and_writes_nothing(oeis_fixture_path, tmp_path):
+    from riordan import load_stripped
+
+    fifo = tmp_path / "dump"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as out:
+            out.write(oeis_fixture_path.read_bytes())
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
     script = (
         "import json, sys\n"
         "from riordan import load_stripped\n"
-        "load_stripped(sys.argv[1])\n"
-        f"print({LOADED})\n"
+        "index = load_stripped(sys.argv[1])\n"
+        f"loaded = {{name: name in sys.modules for name in {ON_DEMAND!r}}}\n"
+        "print(json.dumps([len(index), index.skipped_lines, loaded]))\n"
     )
-    code, loaded = run_python(script, str(oeis_fixture_path))
+    code, (*got, loaded) = run_python(script, str(fifo))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
     assert code == 0
+    want = load_stripped(oeis_fixture_path)
+    assert got == [len(want), want.skipped_lines] and len(want) > 5
     assert loaded == dict(dict.fromkeys(ON_DEMAND, False), **{"riordan.oeis": True})
+    assert os.listdir(tmp_path) == ["dump"]
 
 
 def test_a_dump_that_cannot_have_a_sidecar_loads_no_hashlib(oeis_fixture_path):

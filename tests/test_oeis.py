@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import json
 import os
 import random
+import re
 import sys
 import threading
 
@@ -441,9 +443,11 @@ def _rewrite(side, **change):
 
 
 class TestSidecar:
-    """``scan_stripped`` with its sidecar ``PATH.riordan-index``: a scan that
-    trusts it parses only the lines holding the query and answers exactly as
-    the full pass does; any doubt about it means a full pass."""
+    """``scan_stripped`` and ``load_stripped`` with their sidecar
+    ``PATH.riordan-index``: a scan that trusts it parses only the lines holding
+    the query, a load every line, and neither matches a line against the record
+    rule if it counts no malformed line; both answer exactly as the full pass
+    does, and any doubt about it means a full pass."""
 
     RUN = TestScanAgainstIndex.RUN
     KEY = ",1,1,2,5,14,42,132,"
@@ -502,18 +506,53 @@ class TestSidecar:
 
     @staticmethod
     def full(path, values):
-        """The answer of a pass over every line, which writes nothing."""
-        index = load_stripped(path)
-        return index.identify_sequence(values), index.skipped_lines
+        """The answer of a pass over every line, by the int-tuple oracle."""
+        entries, skipped = stripped_by_int_tuples(path.read_bytes().decode("utf-8", "replace"))
+        return identify_by_slices(entries, values), skipped
 
     def counted(self, monkeypatch, path, values):
         """``scan_stripped(path, values)`` and the lines it fullmatched."""
         counting = _CountingRecord()
-        monkeypatch.setattr(oeis, "_RECORD", counting)
-        try:
+        with monkeypatch.context() as patch:
+            patch.setattr(oeis, "_RECORD", counting)
             return scan_stripped(path, values), counting.lines
-        finally:
-            monkeypatch.undo()
+
+    def loaded(self, monkeypatch, path):
+        """``load_stripped(path)`` as the oracle gives a dump, ``(entries,
+        skipped_lines)``, and the lines it fullmatched."""
+        counting = _CountingRecord()
+        with monkeypatch.context() as patch:
+            patch.setattr(oeis, "_RECORD", counting)
+            index = load_stripped(path)
+        return ({a: index.get(a) for a in index._records}, index.skipped_lines), counting.lines
+
+    # characters that str.strip, str.split and the record rule's \s take for
+    # whitespace, and the reader does not take for line ends
+    WHITESPACE = " \t" + SPLITLINES_ONLY + "\x1f\xa0\u3000"
+
+    def clean_dump(self, rng):
+        """Bytes of a dump with no malformed line, its records in increasing
+        A-number order: comments, blank lines, all three line ends, and runs of
+        ``WHITESPACE`` around lines and between A-number and terms (a lone
+        space in half of the records).  Its last line, ``A999999 ,RUN,``,
+        holds the run."""
+
+        def ws(least):
+            return "".join(rng.choice(self.WHITESPACE) for _ in range(rng.randint(least, 3)))
+
+        lines = []
+        for k in sorted(rng.sample(range(1, 10**6 - 1), 199)):
+            if rng.random() < 0.1:
+                lines.append(ws(0) + rng.choice(("", "# comment", "#\tA000001 ,1,")))
+                continue
+            seq = [rng.randint(-2, 3) for _ in range(rng.randint(1, 12))]
+            if rng.random() < 0.3:
+                at = rng.randint(0, 4)
+                seq[at:at] = self.RUN[: rng.randint(6, 7)]
+            sep = " " if rng.random() < 0.5 else ws(1)
+            lines.append(f"{ws(0)}A{k:06d}{sep},{','.join(map(str, seq))},{ws(0)}")
+        lines.append(f"A999999 ,{','.join(map(str, self.RUN))},")
+        return "".join(line + rng.choice(("\n", "\r\n", "\r")) for line in lines).encode()
 
     @pytest.fixture
     def seeded(self, tmp_path):
@@ -557,7 +596,7 @@ class TestSidecar:
             "version": 1,
             "size": len(data),
             "sha256": hashlib.sha256(data).hexdigest(),
-            "skipped": load_stripped(path).skipped_lines,
+            "skipped": self.full(path, self.RUN)[1],
         }
         assert side.stat().st_mode & 0o777 == 0o644
         assert sorted(p.name for p in path.parent.iterdir()) == [path.name, side.name]
@@ -613,6 +652,17 @@ class TestSidecar:
         path.write_bytes(b"".join(lines))
         os.utime(path, ns=(info.st_atime_ns, info.st_mtime_ns))
 
+    def edit_unsplittable(self, path, side):
+        """Take the one space out of a record that holds the query, keeping
+        size and mtime: the line then has no whitespace to be cut at."""
+        info = path.stat()
+        lines = path.read_bytes().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines)
+                  if self.KEY.encode() in line and re.fullmatch(rb"\s*A\d+ ,[-0-9,]+,\s*", line))
+        lines[at] = lines[at].replace(b" ,", b",,", 1)
+        path.write_bytes(b"".join(lines))
+        os.utime(path, ns=(info.st_atime_ns, info.st_mtime_ns))
+
     def append_line(self, path, side):
         with open(path, "ab") as out:
             out.write(b"\nA9999990 ,1,1,2,5,14,42,132,\n")
@@ -624,6 +674,7 @@ class TestSidecar:
 
     STALE = {
         "same-size-edit": edit_same_size,
+        "unsplittable-edit": edit_unsplittable,
         "appended-line": append_line,
         "corrupt": lambda self, path, side: side.write_bytes(b"{not json"),
         "truncated": lambda self, path, side: side.write_bytes(side.read_bytes()[:40]),
@@ -655,7 +706,7 @@ class TestSidecar:
         assert found == want
         # every line is validated; only a same-size edit costs a hit pass first
         assert checked[-len(every) :] == every
-        assert (len(checked) > len(every)) == (stale == "same-size-edit")
+        assert (len(checked) > len(every)) == stale.endswith("-edit")
         # the full pass wrote a sidecar that the next scan trusts
         assert side.is_file() and not side.is_symlink()
         found, checked = self.counted(monkeypatch, path, self.RUN)
@@ -664,7 +715,7 @@ class TestSidecar:
             assert (path.parent / "elsewhere").read_bytes() == target
 
     def test_stale_hits_differ_from_the_answer(self, seeded):
-        """The same-size edit and the appended line change the answer, so a
+        """The same-size edits and the appended line change the answer, so a
         sidecar trusted past them would be seen."""
         path, _ = seeded
         before = self.full(path, self.RUN)
@@ -672,15 +723,102 @@ class TestSidecar:
         assert self.full(path, self.RUN)[1] == before[1] + 1
         self.append_line(path, None)
         assert len(self.full(path, self.RUN)[0]) == len(before[0]) + 1
+        self.edit_unsplittable(path, None)
+        assert self.full(path, self.RUN)[1] == before[1] + 2
 
-    def test_load_stripped_neither_writes_nor_reads_a_sidecar(self, seeded):
-        path, _ = seeded
-        skipped = load_stripped(path).skipped_lines
-        assert os.listdir(path.parent) == [path.name]
+    def test_a_load_writes_the_sidecar_a_scan_writes(self, seeded):
+        path, data = seeded
+        side = self.sidecar(path)
+        index = load_stripped(path)
+        written = side.read_bytes()
+        assert json.loads(written) == {
+            "version": 1,
+            "size": len(data),
+            "sha256": hashlib.sha256(data).hexdigest(),
+            "skipped": self.full(path, self.RUN)[1],
+        }
+        assert index.skipped_lines > 0
+        side.unlink()
         scan_stripped(path, self.RUN)
-        _rewrite(self.sidecar(path), skipped=skipped + 5)
-        assert scan_stripped(path, self.RUN)[1] == skipped + 5  # trusted, and wrong
-        assert load_stripped(path).skipped_lines == skipped
+        assert side.read_bytes() == written
+        assert sorted(os.listdir(path.parent)) == [path.name, side.name]
+
+    @pytest.mark.parametrize("block", [7, oeis._BLOCK], ids=["7-byte-blocks", "default-blocks"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_trusted_clean_dump_is_cut_not_matched(self, tmp_path, monkeypatch, seed, block):
+        """With a sidecar that counts no malformed line, a second load and
+        every scan fullmatch no line, and answer as the oracle does."""
+        monkeypatch.setattr(oeis, "_BLOCK", block)
+        rng = random.Random(seed)
+        data = self.clean_dump(rng)
+        path = tmp_path / "dump.txt"
+        path.write_bytes(data)
+        want = stripped_by_int_tuples(data.decode())
+        assert want[1] == 0 and len(want[0]) > 150
+        side = self.sidecar(path)
+        got, checked = self.loaded(monkeypatch, path)  # the full pass
+        assert got == want and len(checked) == len(want[0])
+        written = side.read_bytes()
+        inode = side.stat().st_ino
+        got, checked = self.loaded(monkeypatch, path)  # trusted
+        assert got == want and checked == []
+        hits = 0
+        for values in self.queries(rng, want[0]):
+            found, checked = self.counted(monkeypatch, path, values)
+            assert found == (identify_by_slices(want[0], values), 0), values
+            assert checked == []
+            hits += bool(found[0])
+        assert hits >= 5
+        assert (side.read_bytes(), side.stat().st_ino) == (written, inode)
+
+    def test_a_trusted_load_ends(self, seeded, monkeypatch):
+        """A load's key is empty, and so is found at every offset of a block:
+        the trusted pass still reads each line once, in blocks of 7 bytes."""
+        path, data = seeded
+        monkeypatch.setattr(oeis, "_BLOCK", 7)
+        want = stripped_by_int_tuples(data.decode("utf-8", "replace"))
+        load_stripped(path)  # the full pass
+        inode = self.sidecar(path).stat().st_ino
+        got = []
+        reader = threading.Thread(target=lambda: got.append(self.loaded(monkeypatch, path)[0]), daemon=True)
+        reader.start()
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert got == [want]
+        assert self.sidecar(path).stat().st_ino == inode  # trusted, not rewritten
+
+    @pytest.mark.parametrize("read", ["load", "scan"])
+    @pytest.mark.parametrize("stale", STALE)
+    def test_any_doubt_about_a_clean_dump_means_a_full_pass(self, tmp_path, monkeypatch, stale, read):
+        """On a dump with no malformed line, whose trusted pass cuts lines
+        instead of matching them: after any doubt, a load or a scan answers
+        from a full pass, which rewrites the sidecar."""
+        path = tmp_path / "dump.txt"
+        path.write_bytes(self.clean_dump(random.Random(5)))
+        side = self.sidecar(path)
+        load_stripped(path)
+        self.STALE[stale](self, path, side)
+        target = (path.parent / "elsewhere").read_bytes() if side.is_symlink() else None
+
+        data = path.read_bytes()
+        entries, skipped = stripped_by_int_tuples(data.decode())
+        every = [line.strip() for line in dump_lines(data.decode())]
+        every = [line for line in every if line and not line.startswith("#")]
+        if read == "load":
+            want, trusted = (entries, skipped), every
+            reread = functools.partial(self.loaded, monkeypatch, path)
+        else:
+            want = (identify_by_slices(entries, self.RUN), skipped)
+            trusted = [line for line in every if self.KEY in line]
+            reread = functools.partial(self.counted, monkeypatch, path, self.RUN)
+        assert reread() == (want, every)
+        assert not side.is_symlink() and json.loads(side.read_text()) == {
+            "version": 1, "size": len(data), "sha256": hashlib.sha256(data).hexdigest(), "skipped": skipped,
+        }
+        # the next read trusts it, and cuts every line it reads if it can
+        assert reread() == (want, [] if skipped == 0 else trusted)
+        if target is not None:
+            assert (path.parent / "elsewhere").read_bytes() == target
 
     @pytest.mark.parametrize(
         "text",
