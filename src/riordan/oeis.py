@@ -5,12 +5,12 @@ in commas, each term as ``str(int)`` writes it (ASCII digits, no ``+``, no
 leading zeros, no ``-0``, at most 4300 digits): ``A000108 ,1,1,2,5,14,42,``.
 Other lines but ``#`` comments are skipped and counted; lookups are local.
 ``identify`` reads a dump in one pass, in memory independent of its size
-(:func:`scan_stripped`); :func:`load_stripped` builds an :class:`OeisIndex`
-for callers that run many queries.  Every read is one loop over raw 64 KiB
-reads, each hashed if a sidecar is kept, decoded as UTF-8 with universal
-newlines and cut at line ends for one record rule: blank and ``#`` lines
-skipped, others parsed or counted, a later record of an A-number replacing an
-earlier one.
+(:func:`scan_stripped`); :func:`load_stripped` builds an :class:`OeisIndex`,
+which keeps the records as dump text, for callers that run many queries.
+Every read is one loop over raw 64 KiB reads, each hashed if a sidecar is
+kept, decoded as UTF-8 with universal newlines and cut at line ends for one
+record rule: blank and ``#`` lines skipped, others parsed or counted, a later
+record of an A-number replacing an earlier one.
 
 A full pass of either reader checks every line, and over a regular file hashes
 the bytes it reads; if the records come in strictly increasing A-number order,
@@ -21,11 +21,11 @@ sidecar only if it is a regular file (not a symlink) of this user that no group
 or other may write, with exactly that schema and the dump's size; it then
 hashes the dump again through the same reader, but reads only the lines that
 hold the query (a load reads all), and if the sidecar counts no malformed line,
-cuts each at its first whitespace instead of giving it to the record rule.  A
-digest that differs discards that result for a full pass, which rewrites the
-sidecar.  Errors on the sidecar are ignored, so deleting it, or a read-only
-directory, costs only the full pass.  A dump that is not a regular file is
-neither hashed nor given a sidecar.
+keeps the lines read as the index's text, giving none to the rule.  A digest
+that differs discards that result for a full pass, which rewrites the sidecar.
+Errors on the sidecar are ignored, so deleting it, or a read-only directory,
+costs only the full pass.  A dump that is not a regular file is neither hashed
+nor given a sidecar.
 """
 
 from __future__ import annotations
@@ -77,26 +77,39 @@ def _text(values: Sequence[int]) -> str:
 
 
 class OeisIndex:
-    """Read-only index over a stripped dump, each record kept as its text.
-
-    Built once; safe to share between threads afterwards.  Queries are checked
-    by :func:`query` and :func:`triangle_query`, which need no dump.
+    """Read-only index over a stripped dump, kept as dump text: blocks of whole
+    lines in which every line neither blank nor a ``#`` comment is a record,
+    and no A-number repeats.  A lookup searches the blocks for the query's
+    text; ``get`` and ``len`` read a table of the records, cut from the text on
+    first use.  Safe to share between threads: threads that build the table at
+    once each build the same one.  Queries are checked by :func:`query` and
+    :func:`triangle_query`, which need no dump.
     """
 
     def __init__(self, entries: Mapping[str, Sequence[int]]):
-        self._records = {key: _text(seq) for key, seq in entries.items()}
-        self._skipped = 0
+        for key in entries:  # each key must read back as a record line's first field
+            if not isinstance(key, str) or key.split() != [key] or key.startswith("#"):
+                raise ValueError(f"{key!r} cannot be the A-number of a record line")
+        self._text = ["".join(f"{key} {_text(seq)}\n" for key, seq in entries.items())]
+        self._skipped, self._table = 0, None
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._records())
 
     @property
     def skipped_lines(self) -> int:
         """Count of malformed lines dropped while loading."""
         return self._skipped
 
+    def _records(self) -> dict[str, str]:
+        """Each record's text by its A-number, cut from the index's text once."""
+        if self._table is None:
+            lines = (line.split(None, 1) for block in self._text for line in block.split("\n"))
+            self._table = {fields[0]: fields[1] for fields in lines if fields and fields[0][0] != "#"}
+        return self._table
+
     def get(self, anumber: str) -> tuple[int, ...] | None:
-        text = self._records.get(anumber)
+        text = self._records().get(anumber)
         return None if text is None else tuple(map(int, text.split(",")[1:-1]))
 
     def identify_sequence(self, values: Sequence[int]) -> list[SequenceMatch]:
@@ -110,11 +123,11 @@ class OeisIndex:
         if key is None:
             return []
         matches = []
-        for anumber, text in self._records.items():
+        for fields in (line.split(None, 1) for block in self._text for line in _holding(block, key)):
             # the first hit has the smallest offset: the commas before it
-            at = text.find(key)
-            if at >= 0 and (offset := text.count(",", 0, at)) <= MAX_START_OFFSET:
-                matches.append(SequenceMatch(anumber, offset))
+            if fields[0][0] != "#" and (at := fields[1].find(key)) >= 0:
+                if (offset := fields[1].count(",", 0, at)) <= MAX_START_OFFSET:
+                    matches.append(SequenceMatch(fields[0], offset))
         return sorted(matches, key=lambda m: (m.offset, m.anumber))
 
     def identify_triangle(self, m: TriMatrix) -> list[SequenceMatch]:
@@ -217,34 +230,35 @@ def _index(raw: io.RawIOBase, path: str | Path, key: str, sha=None, known: dict 
     strictly increase; ``sha``, if given, takes every byte read.  Each line goes
     to the record rule, and a dump with no record is an error.  With ``known``,
     a sidecar trusted for these bytes, only the lines that hold ``key`` are
-    read (every line for ``""``), ``skipped_lines`` is the sidecar's, and if
-    that is 0, each line read is a record, cut at its first whitespace."""
-    index = OeisIndex({})
-    records, skipped, ordered, last = index._records, 0, True, ""
-    clean = known is not None and known["skipped"] == 0
+    read (every line for ``""``) and ``skipped_lines`` is the sidecar's; if that
+    is 0, the lines read are the index's text as they are."""
+    index, text, skipped, ordered, last = OeisIndex({}), [], 0, True, ""
+    if known and known["skipped"] == 0:  # certified clean, with no A-number repeated
+        blocks = _blocks(raw, sha)
+        index._text = ["".join(f"{line}\n" for block in blocks for line in _holding(block, key))] if key else [*blocks]
+        return index, True
     for block in _blocks(raw, sha):
+        kept = []
         for line in _holding(block, key) if known and key else block.split("\n"):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if clean:
-                fields = line.split(None, 1)
-            else:
-                fields = match.groups() if (match := _RECORD.fullmatch(line)) else ()
-            if len(fields) == 2:  # a changed dump can give a line with no whitespace
-                anumber, record = fields
-                if key in record:  # a later record replaces an earlier one
-                    records[anumber] = record
-                else:
-                    records.pop(anumber, None)
-                if anumber <= last:
-                    ordered = False
-                last = anumber
+            if match := _RECORD.fullmatch(line):
+                anumber, record = match.groups()
+                ordered, last = ordered and anumber > last, anumber
+                if key in record:
+                    kept.append(f"{anumber} {record}\n")
+                elif not ordered:  # no record: drops an earlier one of the A-number, below
+                    kept.append(f"{anumber}\n")
             else:
                 skipped += 1
+        text.append("".join(kept))
     if not (known or last):
         raise OeisFormatError(f"no parseable records in OEIS dump {path}")
-    index._skipped = known["skipped"] if known else skipped
+    if not ordered:  # a later record of an A-number replaces an earlier one
+        records = dict(line.partition(" ")[::2] for line in "".join(text).splitlines())
+        text = ["".join(f"{anumber} {record}\n" for anumber, record in records.items() if record)]
+    index._text, index._skipped = text, known["skipped"] if known else skipped
     return index, ordered
 
 

@@ -107,6 +107,19 @@ class TestLoading:
         assert idx.get("A000001") == ()
         assert idx.identify_sequence([1, 2, 5, 14, 42, 132]) == [SequenceMatch("A000108", 1)]
 
+    @pytest.mark.parametrize(
+        "key", ["", " ", "A000108 ", "A00 0108", "\tA000108", "A000108\n", "A000\u2028108", "#A000108", 108],
+    )
+    def test_constructor_refuses_a_key_no_record_line_reads_back(self, key):
+        with pytest.raises(ValueError, match="A-number of a record line"):
+            OeisIndex({"A000045": [0, 1, 1, 2], key: [1, 1, 2, 5, 14, 42, 132]})
+
+    def test_a_name_holding_the_run_is_no_match(self):
+        name = ",1,1,2,5,14,42,132,"
+        idx = OeisIndex({name: [9, 9], "A000108": [1, 1, 2, 5, 14, 42, 132]})
+        assert (len(idx), idx.get(name)) == (2, (9, 9))
+        assert idx.identify_sequence([1, 1, 2, 5, 14, 42, 132]) == [SequenceMatch("A000108", 0)]
+
     def test_empty_file_is_an_error(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# only a comment\n")
@@ -517,14 +530,16 @@ class TestSidecar:
             patch.setattr(oeis, "_RECORD", counting)
             return scan_stripped(path, values), counting.lines
 
-    def loaded(self, monkeypatch, path):
+    def loaded(self, monkeypatch, path, entries):
         """``load_stripped(path)`` as the oracle gives a dump, ``(entries,
-        skipped_lines)``, and the lines it fullmatched."""
+        skipped_lines)``, read through ``len`` and ``get`` of the oracle's
+        A-numbers (None if the lengths differ), and the lines it fullmatched."""
         counting = _CountingRecord()
         with monkeypatch.context() as patch:
             patch.setattr(oeis, "_RECORD", counting)
             index = load_stripped(path)
-        return ({a: index.get(a) for a in index._records}, index.skipped_lines), counting.lines
+        got = {a: index.get(a) for a in entries} if len(index) == len(entries) else None
+        return (got, index.skipped_lines), counting.lines
 
     # characters that str.strip, str.split and the record rule's \s take for
     # whitespace, and the reader does not take for line ends
@@ -756,11 +771,11 @@ class TestSidecar:
         want = stripped_by_int_tuples(data.decode())
         assert want[1] == 0 and len(want[0]) > 150
         side = self.sidecar(path)
-        got, checked = self.loaded(monkeypatch, path)  # the full pass
+        got, checked = self.loaded(monkeypatch, path, want[0])  # the full pass
         assert got == want and len(checked) == len(want[0])
         written = side.read_bytes()
         inode = side.stat().st_ino
-        got, checked = self.loaded(monkeypatch, path)  # trusted
+        got, checked = self.loaded(monkeypatch, path, want[0])  # trusted
         assert got == want and checked == []
         hits = 0
         for values in self.queries(rng, want[0]):
@@ -771,6 +786,71 @@ class TestSidecar:
         assert hits >= 5
         assert (side.read_bytes(), side.stat().st_ino) == (written, inode)
 
+    @pytest.mark.parametrize("block", [7, oeis._BLOCK], ids=["7-byte-blocks", "default-blocks"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_trusted_clean_load_answers_as_the_full_pass(self, tmp_path, monkeypatch, seed, block):
+        """A trusted clean load keeps the dump's lines as its text, comments
+        included: ``len``, ``get`` and ``identify_sequence`` answer as the full
+        pass and the oracle do, also for a name or a run that only a comment
+        line holds."""
+        monkeypatch.setattr(oeis, "_BLOCK", block)
+        rng = random.Random(seed)
+        # a run that no record holds: 7 is no term of clean_dump's records
+        data = b"#\tA000002 ,7,7,7,7,7,7,\n" + self.clean_dump(rng)
+        path = tmp_path / "dump.txt"
+        path.write_bytes(data)
+        entries, skipped = stripped_by_int_tuples(data.decode())
+        assert skipped == 0 and b"#\tA000001 ,1," in data and "A000001" not in entries
+        full = load_stripped(path)
+        with monkeypatch.context() as patch:
+            counting = _CountingRecord()
+            patch.setattr(oeis, "_RECORD", counting)
+            trusted = load_stripped(path)
+        assert counting.lines == []
+
+        present = sorted(entries)
+        # only a comment holds it, a proper prefix of a present one, never present
+        absent = ["A000001", present[0][:-1], "A9999999"]
+        want = [entries[a] for a in present] + [None] * len(absent)
+        for index in (full, trusted):
+            assert (len(index), index.skipped_lines) == (len(entries), 0)
+            assert [index.get(a) for a in present + absent] == want
+        for values in [*self.queries(rng, entries), [7] * 6]:
+            found = identify_by_slices(entries, values)
+            assert full.identify_sequence(values) == trusted.identify_sequence(values) == found, values
+
+    def test_threads_share_a_fresh_trusted_load(self, tmp_path):
+        """Eight threads that call ``get`` and ``len`` at once on a trusted
+        load, whose table none has built yet, all see the whole dump."""
+        rng = random.Random(3)
+        lines = [f"A{k:06d} ,{','.join(str(rng.randint(-2, 3)) for _ in range(8))},\n" for k in range(1, 20001)]
+        path = tmp_path / "dump.txt"
+        path.write_text("".join(lines))
+        entries, _ = stripped_by_int_tuples("".join(lines))
+        load_stripped(path)  # the full pass writes the sidecar
+        index = load_stripped(path)
+        names = [*rng.sample(sorted(entries), 500), "A000000", "A0000001"]
+        want = (len(entries), [entries.get(a) for a in names])
+        start = threading.Barrier(8)
+        got = []
+
+        def read():
+            start.wait(timeout=30)
+            got.append((len(index), [index.get(a) for a in names]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=read, daemon=True) for _ in range(8)]
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert got == [want] * 8 and want[0] == 20000
+
     def test_a_trusted_load_ends(self, seeded, monkeypatch):
         """A load's key is empty, and so is found at every offset of a block:
         the trusted pass still reads each line once, in blocks of 7 bytes."""
@@ -780,7 +860,7 @@ class TestSidecar:
         load_stripped(path)  # the full pass
         inode = self.sidecar(path).stat().st_ino
         got = []
-        reader = threading.Thread(target=lambda: got.append(self.loaded(monkeypatch, path)[0]), daemon=True)
+        reader = threading.Thread(target=lambda: got.append(self.loaded(monkeypatch, path, want[0])[0]), daemon=True)
         reader.start()
         reader.join(timeout=30)
         assert not reader.is_alive()
@@ -790,9 +870,9 @@ class TestSidecar:
     @pytest.mark.parametrize("read", ["load", "scan"])
     @pytest.mark.parametrize("stale", STALE)
     def test_any_doubt_about_a_clean_dump_means_a_full_pass(self, tmp_path, monkeypatch, stale, read):
-        """On a dump with no malformed line, whose trusted pass cuts lines
-        instead of matching them: after any doubt, a load or a scan answers
-        from a full pass, which rewrites the sidecar."""
+        """On a dump with no malformed line, whose trusted pass keeps the lines
+        it reads as they are instead of matching them: after any doubt, a load
+        or a scan answers from a full pass, which rewrites the sidecar."""
         path = tmp_path / "dump.txt"
         path.write_bytes(self.clean_dump(random.Random(5)))
         side = self.sidecar(path)
@@ -806,7 +886,7 @@ class TestSidecar:
         every = [line for line in every if line and not line.startswith("#")]
         if read == "load":
             want, trusted = (entries, skipped), every
-            reread = functools.partial(self.loaded, monkeypatch, path)
+            reread = functools.partial(self.loaded, monkeypatch, path, entries)
         else:
             want = (identify_by_slices(entries, self.RUN), skipped)
             trusted = [line for line in every if self.KEY in line]
@@ -815,7 +895,7 @@ class TestSidecar:
         assert not side.is_symlink() and json.loads(side.read_text()) == {
             "version": 1, "size": len(data), "sha256": hashlib.sha256(data).hexdigest(), "skipped": skipped,
         }
-        # the next read trusts it, and cuts every line it reads if it can
+        # the next read trusts it, and matches no line if the dump is clean
         assert reread() == (want, [] if skipped == 0 else trusted)
         if target is not None:
             assert (path.parent / "elsewhere").read_bytes() == target
