@@ -53,6 +53,7 @@ def rows_to_strings(rows: Sequence[Sequence[Fraction]]) -> list[list[str]]:
     return [[str(c) for c in row] for row in rows]
 
 
+# kept public: perfbench/tracer.py binds it, and ROADMAP item 1 moves it out
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Rows:
     """Dense product of two row-major rational matrices, lifting each row and
     each column once (``series.lift``)."""
@@ -122,9 +123,6 @@ class ExactMatrix:
         n, k = index
         return self._rows[n][k]
 
-    def row(self, n: int) -> tuple[Fraction, ...]:
-        return self._rows[n]
-
     def column(self, k: int) -> tuple[Fraction, ...]:
         return tuple(row[k] for row in self._rows)
 
@@ -144,7 +142,6 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(size={self.size})"
-
 
 
 class TriMatrix(ExactMatrix):
@@ -177,15 +174,12 @@ class TriMatrix(ExactMatrix):
         rows = (lift(self._rows[i][: i + 1]) for i in range(len(rhs)))
         return tuple(_forward(rows, [lift(col) for col in zip(*rhs)]))
 
+    # kept public: perfbench/tracer.py binds it, and ROADMAP item 1 moves it out
     def inverse(self) -> "TriMatrix":
         """Exact inverse: a solve against the identity."""
         n = self.size
         identity = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
         return TriMatrix(self.solve(identity))
-
-    def lower_rows(self) -> list[list[Fraction]]:
-        """Ragged rows of the lower triangle (row n has n+1 entries)."""
-        return [list(row[: i + 1]) for i, row in enumerate(self._rows)]
 
 
 class RiordanElement:
@@ -274,13 +268,6 @@ class RiordanElement:
     def inverse(self) -> "RiordanElement":
         frev = self.reverted_f()
         return RiordanElement(1 / self._g.compose(frev), frev)
-
-    def ftra_apply(self, h: TruncatedSeries) -> TruncatedSeries:
-        """Action on a single series: g * h(f).
-
-        Column k of the matrix has generating function ftra_apply(x^k).
-        """
-        return self._g * h.compose(self._f)
 
     # -- A- and Z-sequences -------------------------------------------------------
 

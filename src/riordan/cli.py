@@ -4,6 +4,7 @@ Elements are named either by ``--family`` (pascal, binomial:r, catalan,
 moment:r, a085478) or by a pair of generating-function expressions ``--g``
 and ``--f``, evaluated to order size + 2 (plus ``--iterate`` for ``family``,
 at most ``MAX_ORDER``) so users never manage truncation orders by hand.
+Every integer the CLI reads is ASCII, ``[+-]?[0-9]+``.
 
 Exit codes: 0 on success (and when ``verify`` finds every instance equal,
 up to the closed form's scalar factor), 1 when ``verify`` finds a mismatch,
@@ -29,17 +30,25 @@ from .families import (
     orthogonal_polys,
 )
 from .production import nth_production_matrix, production_matrix, verify_nth_conjecture
+from .series import _MAX_ORDER as MAX_ORDER  # the highest order a command may ask for
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_ERROR = 2
 
 DEFAULT_SIZE = 8
-# the highest truncation order a command may ask for; exact matrix work grows
-# with the cube of the order (show at size 200: 0.5-1.4 s on a Xeon), and a larger
-# order from a few typed digits would only allocate series until memory runs out
-MAX_ORDER = 1000
 OEIS_PATH_ENV = "OEIS_STRIPPED_PATH"
+
+
+def _integer(text: str) -> int:
+    """The one rule for every integer the CLI reads, ``[+-]?[0-9]+``: int()
+    alone would also take "1_0" and non-ASCII digits."""
+    if not re.fullmatch("[+-]?[0-9]+", text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
+_integer.__name__ = "int"  # argparse refuses an option as an "invalid int value"
 
 
 def _headroom(size: int, iterate: int | None = None) -> int:
@@ -75,9 +84,9 @@ def _parse_n_range(text: str) -> range:
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
+            lo, hi = _integer(lo_text), _integer(hi_text)
         else:
-            lo = hi = int(text)
+            lo = hi = _integer(text)
     except ValueError as err:
         raise RiordanError(
             f"bad --n value {text!r}: use a single integer or a range like 2..4"
@@ -159,13 +168,8 @@ def _cmd_identify(args: argparse.Namespace) -> int:
             "give either --values or an element (--family, or --g and --f), not both"
         )
     else:
-        # int() would also take "1_0" and non-ASCII digits
-        terms = [part.strip() for part in args.values.split(",")]
         try:
-            bad = next((t for t in terms if not re.fullmatch("[+-]?[0-9]+", t)), None)
-            if bad is not None:
-                raise ValueError(f"{bad!r} is not an integer")
-            values = query([int(t) for t in terms])
+            values = query([_integer(part.strip()) for part in args.values.split(",")])
         except ValueError as err:
             wide = "integer string conversion" in str(err)  # CPython's digit limit
             reason = f"a term has more than {sys.get_int_max_str_digits()} digits" if wide else err
@@ -250,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     element.add_argument("--f", help="expression for f; write --f=EXPR if it starts with '-'")
     element.add_argument("--family", help=f"named element: {', '.join(FAMILY_NAMES)}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--size", type=int, default=DEFAULT_SIZE, help="rows to compute (default 8)")
+    common.add_argument("--size", type=_integer, default=DEFAULT_SIZE, help="rows to compute (default 8)")
     common.add_argument("--json", action="store_true", help="emit a JSON document")
 
     show = commands.add_parser(
@@ -261,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     prod = commands.add_parser(
         "prod", help="print an n-th production matrix", parents=[element, common]
     )
-    prod.add_argument("--n", type=int, default=1, help="production order (default 1)")
+    prod.add_argument("--n", type=_integer, default=1, help="production order (default 1)")
     prod.set_defaults(handler=_cmd_prod)
 
     verify = commands.add_parser(
@@ -289,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     family.add_argument("name", help=f"one of: {', '.join(FAMILY_NAMES)}")
     family.add_argument(
         "--iterate",
-        type=int,
+        type=_integer,
         help="also run this many steps of the iterated second-production process",
     )
     family.set_defaults(handler=_cmd_family)

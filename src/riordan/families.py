@@ -2,8 +2,9 @@
 
 Covers the binomial powers B^r = (1/(1-rx), x/(1-rx)), the Catalan array
 (c, xc), the element behind the binomial-coefficient triangle A085478, the
-one-parameter moment arrays M(r) = (c(rx)^2, x c(rx)^2) with their orthogonal
-polynomials, and the iterated second-production process.
+one-parameter moment elements M(r) = (c(rx)^2, x c(rx)^2), whose matrices are
+the moment arrays, with their orthogonal polynomials, and the iterated
+second-production process.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arrays import RiordanElement, TriMatrix
+from .arrays import RiordanElement
 from .errors import PrecisionError, Record, UnknownFamilyError
 from .production import produced_matrix_closed_form
 from .series import (
@@ -70,14 +71,6 @@ def moment_entry(r: Rational, n: int, k: int) -> Fraction:
     )
 
 
-def moment_array(r: Rational, size: int) -> TriMatrix:
-    """The size x size block of M(r), the matrix of ``moment_element``; its
-    entries are those of ``moment_entry``."""
-    if size < 1:
-        raise ValueError("size must be positive")
-    return moment_element(r, size - 1).matrix(size)
-
-
 class PolynomialRow(Record):
     """Coefficients of one orthogonal polynomial, ascending in x; the row-n
     polynomial is monic of degree exactly n."""
@@ -105,10 +98,8 @@ def orthogonal_polys(r: Rational, count: int) -> list[PolynomialRow]:
     if count == 1:
         return [PolynomialRow((g.constant_term,))]
     f = g.shift_up(1).truncate(order)
-    inverse_matrix = RiordanElement(g, f).matrix(count)
-    return [
-        PolynomialRow(tuple(inverse_matrix.row(n)[: n + 1])) for n in range(count)
-    ]
+    rows = RiordanElement(g, f).matrix(count).rows
+    return [PolynomialRow(row[: n + 1]) for n, row in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +165,9 @@ def family_parameter(name: str, param: str) -> Fraction:
 
     Its numerator and denominator may have as many digits as an integer
     literal in an expression.  ``Fraction`` computes ``10**k`` for a decimal
-    exponent ``k``, so a wider exponent is refused before that power is.
+    exponent ``k``, so a wider exponent is refused before that power is; it
+    also reads "1_0" and non-ASCII digits, which are refused as the CLI's
+    integers are.
     """
     _, e, exponent = param.lower().partition("e")
     try:
@@ -182,6 +175,8 @@ def family_parameter(name: str, param: str) -> Fraction:
     except ValueError:
         wide = False  # not a decimal exponent; Fraction names the fault
     try:
+        if not param.isascii() or "_" in param:
+            raise ValueError("it must be ASCII, without '_'")
         if wide:
             raise ValueError(f"its decimal exponent exceeds {_MAX_LITERAL_DIGITS}")
         r = Fraction(param)

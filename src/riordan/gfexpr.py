@@ -19,7 +19,8 @@ Division is valuation-aware: a common power of x is cancelled between
 numerator and denominator first, so quotients like ``(1-sqrt(1-4*x))/(2*x)``
 evaluate to honest power series.  Operands are re-evaluated with extra
 working precision when that happens, so the result is still exact at the
-requested order.
+requested order; a division that would raise the working order more than
+``series._MAX_ORDER`` past the requested order is an error.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import operator
 from fractions import Fraction
 
 from .errors import ExpressionEvalError, ExpressionSyntaxError, Record, RiordanError
-from .series import _MAX_LITERAL_BITS, _MAX_LITERAL_DIGITS, TruncatedSeries, catalan_gf
+from .series import _MAX_LITERAL_BITS, _MAX_LITERAL_DIGITS, _MAX_ORDER, TruncatedSeries, catalan_gf
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +278,7 @@ def evaluate(expr: GfExpression, order: int) -> TruncatedSeries:
     if order < 0:
         raise ValueError("order must be non-negative")
     try:
-        return _eval(expr, order, {})
+        return _eval(expr, order, {}, order + _MAX_ORDER)
     except RecursionError:
         raise ExpressionEvalError("expression nests too deeply", expr.pos) from None
 
@@ -291,8 +292,9 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 # ``memo`` maps (id(node), order) to the node's value at that order for one
 # evaluation, so a subtree that a shifted division re-evaluates at a higher
-# order is still computed once per order rather than once per path to it
-def _eval(node: GfExpression, order: int, memo: dict) -> TruncatedSeries:
+# order is still computed once per order rather than once per path to it;
+# ``ceiling`` is the highest working order a shifted division may ask for
+def _eval(node: GfExpression, order: int, memo: dict, ceiling: int) -> TruncatedSeries:
     key = (id(node), order)
     if key in memo:
         return memo[key]
@@ -301,9 +303,9 @@ def _eval(node: GfExpression, order: int, memo: dict) -> TruncatedSeries:
     elif isinstance(node, Var):
         result = TruncatedSeries.x(order)
     elif isinstance(node, Neg):
-        result = -_eval(node.arg, order, memo)
+        result = -_eval(node.arg, order, memo, ceiling)
     elif isinstance(node, Pow):
-        base = _eval(node.base, order, memo)
+        base = _eval(node.base, order, memo, ceiling)
         c = base.constant_term
         # c^e has a numerator or denominator of at least 2^((bits - 1) |e|);
         # for c other than 0 and +-1 that can outgrow memory before it is
@@ -319,13 +321,13 @@ def _eval(node: GfExpression, order: int, memo: dict) -> TruncatedSeries:
             result = base**node.exponent
     elif isinstance(node, BinOp):
         if node.op == "/":
-            result = _eval_div(node, order, memo)
+            result = _eval_div(node, order, memo, ceiling)
         else:
             result = _ARITHMETIC[node.op](
-                _eval(node.left, order, memo), _eval(node.right, order, memo)
+                _eval(node.left, order, memo, ceiling), _eval(node.right, order, memo, ceiling)
             )
     elif isinstance(node, Call):
-        arg = _eval(node.arg, order, memo)
+        arg = _eval(node.arg, order, memo, ceiling)
         with _positioned(node.pos):
             if node.name == "sqrt":
                 result = arg.sqrt()
@@ -337,8 +339,8 @@ def _eval(node: GfExpression, order: int, memo: dict) -> TruncatedSeries:
     return result
 
 
-def _eval_div(node: BinOp, order: int, memo: dict) -> TruncatedSeries:
-    den = _eval(node.right, order, memo)
+def _eval_div(node: BinOp, order: int, memo: dict, ceiling: int) -> TruncatedSeries:
+    den = _eval(node.right, order, memo, ceiling)
     if den.is_zero():
         raise ExpressionEvalError(
             f"division by a series that is zero up to the working order x^{order}; "
@@ -346,10 +348,16 @@ def _eval_div(node: BinOp, order: int, memo: dict) -> TruncatedSeries:
             node.pos,
         )
     shift = den.valuation()
+    if order + shift > ceiling:  # each nested level could almost double it
+        raise ExpressionEvalError(
+            f"dividing by x^{shift} needs working order {order + shift}, more "
+            f"than {_MAX_ORDER} past the order asked for",
+            node.pos,
+        )
     # cancel x^shift from both sides at order + shift, so the result is exact
     # at the requested order; at shift 0 both operands come from the memo
-    num = _eval(node.left, order + shift, memo)
-    den = _eval(node.right, order + shift, memo)
+    num = _eval(node.left, order + shift, memo, ceiling)
+    den = _eval(node.right, order + shift, memo, ceiling)
     for i in range(shift):
         if num.coefficient(i):
             raise ExpressionEvalError(

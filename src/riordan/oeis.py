@@ -130,6 +130,7 @@ class OeisIndex:
                     matches.append(SequenceMatch(fields[0], offset))
         return sorted(matches, key=lambda m: (m.offset, m.anumber))
 
+    # kept public: perfbench/tracer.py binds it, and ROADMAP item 1 moves it out
     def identify_triangle(self, m: TriMatrix) -> list[SequenceMatch]:
         """Identify a triangle read by rows; see :func:`triangle_query`."""
         return self.identify_sequence(triangle_query(m))
@@ -165,7 +166,7 @@ def triangle_query(m: TriMatrix) -> tuple[int, ...]:
             "triangle lookup needs size >= 3 (at least "
             f"{MIN_QUERY_VALUES} values)"
         )
-    entries = [v for row in m.lower_rows() for v in row]
+    entries = [v for n, row in enumerate(m.rows) for v in row[: n + 1]]
     for v in entries:
         if v.denominator != 1:
             raise OeisQueryError(

@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import mul
 
 from .arrays import _ONE, ExactMatrix, RiordanElement, Rows, TriMatrix
-from .errors import PrecisionError, Record, ShapeError
+from .errors import PrecisionError, Record
 from .series import _ZERO, TruncatedSeries, _ratio, lift
 
 
@@ -28,24 +28,12 @@ class ProductionMatrix(ExactMatrix):
 
     For production matrices of Riordan elements, column 0 holds the
     Z-sequence and each column k >= 1 holds the A-sequence shifted down
-    k - 1 places.
+    k - 1 places, so ``column(0)`` and ``column(1)`` read them off.
     """
 
     __slots__ = ()
 
     BAND = 1
-
-    def z_column(self) -> tuple[Fraction, ...]:
-        return self.column(0)
-
-    def a_column(self) -> tuple[Fraction, ...]:
-        """Column 1, which reads off the A-sequence a0, a1, ..."""
-        if self.size < 2:
-            raise ShapeError("need size >= 2 to read the A-column")
-        return self.column(1)
-
-    def superdiagonal(self) -> tuple[Fraction, ...]:
-        return tuple(self._rows[i][i + 1] for i in range(self.size - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def production_by_series(e, n, size):
     rows = [[Fraction(0)] * size for _ in range(size)]
     gfk = e.g * e.f ** (n - 1)
     for j in range(size):
-        column = inv.ftra_apply(TruncatedSeries(gfk.coefficients[n:]))
+        column = inv.g * TruncatedSeries(gfk.coefficients[n:]).compose(inv.f)
         for i in range(size):
             rows[i][j] = column.coefficient(i)
         gfk = gfk * e.f

@@ -79,7 +79,7 @@ class TestMatrix:
     def test_a085478_block(self):
         m = a085478_element(8).matrix(7)
         assert m == TriMatrix.from_rows(ref.A085478_TRIANGLE_7)
-        assert m.row(4) == frac_rows(ref.A085478_TRIANGLE_7)[4]
+        assert m.rows[4] == frac_rows(ref.A085478_TRIANGLE_7)[4]
 
     def test_insufficient_precision_is_loud(self):
         with pytest.raises(PrecisionError):
@@ -160,16 +160,18 @@ class TestFtra:
         e = a085478_element(9)
         m = e.matrix(7)
         for k in range(4):
-            column_gf = e.ftra_apply(TruncatedSeries([0] * k + [1], 9))
+            column_gf = e.g * TruncatedSeries([0] * k + [1], 9).compose(e.f)
             assert column_gf.coefficients[:7] == m.column(k)
 
     def test_pascal_row_sums(self):
-        out = pascal(9).ftra_apply(1 / TruncatedSeries([1, -1], 9))
+        e = pascal(9)
+        out = e.g * (1 / TruncatedSeries([1, -1], 9)).compose(e.f)
         assert out.coefficients == tuple(F(2) ** n for n in range(10))
 
     def test_identity_action(self):
         h = TruncatedSeries([3, 1, 4, 1, 5], 8)
-        assert RiordanElement.identity(8).ftra_apply(h) == h
+        e = RiordanElement.identity(8)
+        assert e.g * h.compose(e.f) == h
 
 
 class TestAZSequences:

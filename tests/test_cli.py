@@ -680,6 +680,34 @@ class TestOrderCeiling:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "g, size, message",
+        [
+            # 117 bytes; each level nearly doubles the working order, and
+            # unbounded this took 5.7 s in process (Python 3.11, a shared
+            # 2-CPU host)
+            (
+                "1+x^589815/x^294912/x^147456/x^73728/x^36864/x^18432/x^9216/x^4608"
+                "/x^2304/x^1152/x^576/x^288/x^144/x^72/x^36/x^18/x^9",
+                "8",
+                "dividing by x^576 needs working order 1153, more than 1000 past "
+                "the order asked for (at offset 80)",
+            ),
+            # 481 bytes; unbounded, quadratic in the number of levels
+            (
+                "1" + "/x^999" * 80,
+                "998",
+                "dividing by x^999 needs working order 2998, more than 1000 past "
+                "the order asked for (at offset 469)",
+            ),
+        ],
+    )
+    def test_shifted_divisions_stop_at_the_ceiling(self, capsys, g, size, message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "show", "--g", g, "--f", "x", "--size", size)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_n_with_entries_past_the_budget_exits_2_quickly(self, capsys):
         start = time.perf_counter()
         code, out, err = run(
@@ -688,6 +716,53 @@ class TestOrderCeiling:
         assert time.perf_counter() - start < 2.0
         assert (code, out) == (2, "")
         assert err.startswith("error: a coefficient needs more than")
+
+
+class TestIntegerOptions:
+    """Every integer the CLI reads follows the rule of --values' terms,
+    [+-]?[0-9]+: int() and Fraction() alone read "1_0" as 10 and a non-ASCII
+    digit as its value."""
+
+    TEXTS = ["1_0", "\u0663", " 3"]  # "\u0663" is an Arabic-Indic digit three
+
+    @pytest.mark.parametrize("text", TEXTS)
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("show", "--family", "catalan", "--size"), "--size"),
+            (("prod", "--family", "catalan", "--n"), "--n"),
+            (("family", "catalan", "--iterate"), "--iterate"),
+        ],
+    )
+    def test_typed_options_exit_2(self, capsys, argv, option, text):
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, text])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {option}: invalid int value: {text!r}\n")
+
+    @pytest.mark.parametrize("text", [*TEXTS, "2..1_0", "\u0662..3"])
+    def test_verify_n_exits_2(self, capsys, text):
+        code, out, err = run(capsys, "verify", "--family", "catalan", "--n", text, "--size", "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: bad --n value {text!r}: use a single integer or a range like 2..4\n"
+
+    @pytest.mark.parametrize("spec", ["binomial:1_0", "moment:\u0662", "binomial:1/\u0663"])
+    def test_family_parameter_exits_2(self, capsys, spec):
+        code, out, err = run(capsys, "family", spec, "--size", "3")
+        assert (code, out) == (2, "")
+        name, _, param = spec.partition(":")
+        assert err == (
+            f"error: bad parameter {param!r} for family '{name}': it must be ASCII, without '_'\n"
+        )
+
+    def test_signed_ascii_integers_still_run(self, capsys):
+        assert run(capsys, "show", "--family", "pascal", "--size", "+3")[:2] == (
+            0, "1  0  0\n1  1  0\n1  2  1\n",
+        )
+        code, out, _ = run(capsys, "verify", "--family", "catalan", "--n", "+2..03", "--size", "3")
+        assert (code, out) == (0, "n=2 size=3: equal\nn=3 size=3: equal\n")
 
 
 class TestTextJsonParity:

@@ -17,7 +17,6 @@ from riordan import (
     catalan_array,
     family_element,
     iterate_second_production,
-    moment_array,
     moment_element,
     moment_entry,
     orthogonal_polys,
@@ -70,18 +69,18 @@ class TestCatalanArray:
 
 class TestMomentArrays:
     def test_r1_first_rows(self):
-        m = moment_array(1, 3)
+        m = moment_element(1, 2).matrix(3)
         assert m == TriMatrix.from_rows([[1], [2, 1], [5, 4, 1]])
 
     def test_r0_is_identity(self):
-        assert moment_array(0, 5) == TriMatrix.from_rows(
+        assert moment_element(0, 4).matrix(5) == TriMatrix.from_rows(
             [[0] * i + [1] for i in range(5)]
         )
 
     @pytest.mark.parametrize("r", [F(-2), F(-1), F(1, 2), F(2), F(3)])
     def test_series_route_matches_closed_form(self, r):
-        # the series route of moment_array against the entry formula
-        m = moment_array(r, 7)
+        # the series route of moment_element against the entry formula
+        m = moment_element(r, 6).matrix(7)
         for n in range(7):
             for k in range(n + 1):
                 assert m[n, k] == moment_entry(r, n, k)
@@ -139,7 +138,7 @@ class TestOrthogonalPolys:
         coeff_matrix = TriMatrix.from_rows(
             [list(row.coeffs) for row in orthogonal_polys(r, size)]
         )
-        product = moment_array(r, size).mul(coeff_matrix)
+        product = moment_element(r, size - 1).matrix(size).mul(coeff_matrix)
         assert product == TriMatrix.from_rows([[0] * i + [1] for i in range(size)])
 
     def test_monic_of_exact_degree(self):

@@ -163,6 +163,19 @@ class TestEvaluate:
         monkeypatch.setattr(TruncatedSeries, "__truediv__", counted)
         assert evaluate_text(text, 3) == TruncatedSeries.one(3)
 
+    def test_shifted_division_may_raise_the_order_by_the_ceiling(self):
+        # the working order may climb series._MAX_ORDER (1000) past the order
+        # asked for and no further; the division that would pass it is at fault
+        assert evaluate_text("x^1000/x^1000", 1000) == TruncatedSeries.one(1000)
+        assert evaluate_text("(1-sqrt(1-4*x))/(2*x)", 1000) == catalan_gf(1000)
+        with pytest.raises(ExpressionEvalError) as err:
+            evaluate_text("x^1001/x/x^1000", 1000)
+        assert err.value.position == 6
+        assert str(err.value) == (
+            "dividing by x^1 needs working order 2001, more than 1000 past the "
+            "order asked for (at offset 6)"
+        )
+
     def test_constant_base_power_bounded_by_the_literal_limit(self):
         # the bound is a lower estimate: 2^14285 (4301 digits) passes, and
         # printing it is refused later; one more bit is refused here

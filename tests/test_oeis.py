@@ -236,7 +236,7 @@ class TestTriangleLookup:
 
     def test_matches_flattened_sequence_lookup(self, index):
         m = catalan_array(7).matrix(6)
-        flat = [c.numerator for row in m.lower_rows() for c in row]
+        flat = [c.numerator for n, row in enumerate(m.rows) for c in row[: n + 1]]
         assert index.identify_triangle(m) == index.identify_sequence(flat)
 
 

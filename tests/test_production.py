@@ -54,10 +54,10 @@ class TestProductionMatrixType:
 
     def test_accessors(self):
         p = ProductionMatrix.from_rows([[1, 1], [0, 2, 1], [0, -1, 2]])
-        assert p.z_column() == (1, 0, 0)
-        assert p.a_column() == (1, 2, -1)
-        assert p.superdiagonal() == (1, 1)
-        assert p.row(1) == (0, 2, 1)
+        assert p.column(0) == (1, 0, 0)
+        assert p.column(1) == (1, 2, -1)
+        assert [p[i, i + 1] for i in range(2)] == [1, 1]
+        assert p.rows[1] == (0, 2, 1)
 
 
 class TestClassicalProduction:
@@ -67,8 +67,8 @@ class TestClassicalProduction:
 
     def test_identity_gives_superdiagonal_ones(self):
         p = production_matrix(RiordanElement.identity(6), 5)
-        assert p.z_column() == (0, 0, 0, 0, 0)
-        assert p.superdiagonal() == (1, 1, 1, 1)
+        assert p.column(0) == (0, 0, 0, 0, 0)
+        assert [p[i, i + 1] for i in range(4)] == [1, 1, 1, 1]
         assert all(p[i, j] == 0 for i in range(5) for j in range(min(i + 1, 5)))
 
     def test_catalan_all_ones_hessenberg(self):
@@ -152,11 +152,14 @@ class TestNthProduction:
             for n in (1, 2, 3, 5):
                 assert nth_production_matrix(e, n, 7) == production_by_series(e, n, 7)
 
-    def test_superdiagonal_ones_for_normalized(self, battery):
-        for e in battery[:6]:
-            for n in (2, 4):
+    def test_superdiagonal_is_a0_to_the_n(self, battery, non_normalized):
+        # A_n(0) = A(0)^n with A(0) = f'(0) (derivation step 3): ones exactly
+        # when the element is normalized
+        for e in [*battery[:6], *non_normalized[:6]]:
+            a0 = e.f.coefficient(1)
+            for n in (1, 2, 4):
                 p = nth_production_matrix(e, n, 6)
-                assert p.superdiagonal() == (1,) * 5
+                assert [p[i, i + 1] for i in range(5)] == [a0**n] * 5
 
     @staticmethod
     def cut_element(name, order):
@@ -204,7 +207,7 @@ class TestNthProduction:
         cases += [(e, 64, n) for e in large for n in (10, 70, 1000, 10**6)]
         for e, size, n in cases:
             p1 = production_matrix(e, size + 1)
-            s = power_by_squaring(TruncatedSeries(p1.a_column()), n - 1).coefficients
+            s = power_by_squaring(TruncatedSeries(p1.column(1)), n - 1).coefficients
             # entry (i, j) of P_1 T(s), summed where P_1 (Hessenberg) and T are nonzero
             expected = ProductionMatrix(
                 [sum((p1[i, k] * s[k - j] for k in range(j, min(i + 2, size + 1))), F(0))
@@ -283,8 +286,8 @@ class TestNthAZ:
             for n in (1, 2, 3, 4):
                 p = nth_production_matrix(e, n, 6)
                 a, z = nth_az(e, n)
-                assert z.coefficients[:6] == p.z_column()
-                assert a.coefficients[:6] == p.a_column()
+                assert z.coefficients[:6] == p.column(0)
+                assert a.coefficients[:6] == p.column(1)
 
     def test_matches_reversion_oracle(self, battery, non_normalized):
         rational = RiordanElement(
@@ -513,7 +516,7 @@ class TestVerification:
         # triangle from row 2 on, and not by one common factor
         e = pascal(9)
         good = nth_production_matrix(e, 2, 5)
-        bad = ProductionMatrix([good.row(0)] + [[2 * c for c in row] for row in good.rows[1:]])
+        bad = ProductionMatrix([good.rows[0]] + [[2 * c for c in row] for row in good.rows[1:]])
         monkeypatch.setattr(
             "riordan.production.nth_production_matrix", lambda *args: bad
         )
