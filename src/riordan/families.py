@@ -10,6 +10,7 @@ second-production process.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .arrays import RiordanElement
@@ -160,24 +161,22 @@ def iterate_second_production(
 # name registry for the CLI
 # ---------------------------------------------------------------------------
 
+# group 1 is a decimal exponent; re.fullmatch compiles the pattern at first use
+_PARAMETER = r"[-+]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE]([-+]?[0-9]+))?)"
+
+
 def family_parameter(name: str, param: str) -> Fraction:
     """The exact rational parameter of ``name:param``, e.g. ``moment:1/2``.
 
-    Its numerator and denominator may have as many digits as an integer
-    literal in an expression.  ``Fraction`` computes ``10**k`` for a decimal
-    exponent ``k``, so a wider exponent is refused before that power is; it
-    also reads "1_0" and non-ASCII digits, which are refused as the CLI's
-    integers are.
+    ``param`` is ASCII with no ``_`` or spaces: an integer, ``p/q`` or a decimal
+    with an optional exponent ``k``, its numerator and denominator no wider than
+    an integer literal in an expression; ``Fraction`` computes ``10**k``, so a
+    wider ``k`` is refused before that power is.
     """
-    _, e, exponent = param.lower().partition("e")
     try:
-        wide = bool(e) and abs(int(exponent)) > _MAX_LITERAL_DIGITS
-    except ValueError:
-        wide = False  # not a decimal exponent; Fraction names the fault
-    try:
-        if not param.isascii() or "_" in param:
-            raise ValueError("it must be ASCII, without '_'")
-        if wide:
+        if not (form := re.fullmatch(_PARAMETER, param)):
+            raise ValueError("it must be an ASCII integer, p/q or decimal, without '_' or spaces")
+        if form[1] and abs(float(form[1])) > _MAX_LITERAL_DIGITS:  # float reads any width
             raise ValueError(f"its decimal exponent exceeds {_MAX_LITERAL_DIGITS}")
         r = Fraction(param)
         if max(abs(r.numerator), r.denominator) >= 10**_MAX_LITERAL_DIGITS:

@@ -1,4 +1,9 @@
-"""A small expression language for generating functions.
+r"""A small expression language for generating functions.
+
+Tokens are ASCII: at each offset the lexer matches whitespace (any that
+``str.isspace`` accepts), an integer, an identifier or a symbol, as one pattern,
+``(\s+)|([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()])``; any other character
+is an error at its own offset.
 
 Grammar (whitespace-insensitive, no implicit multiplication)::
 
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import operator
+import re
 from fractions import Fraction
 
 from .errors import ExpressionEvalError, ExpressionSyntaxError, Record, RiordanError
@@ -97,8 +103,9 @@ GfExpression = Lit | Var | Neg | Pow | BinOp | Call
 # lexer / parser
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = set("+-*/^()")
-_DIGITS = set("0123456789")
+# one token, or a run of whitespace, at each offset; a symbol's kind is its text
+_TOKEN = re.compile(r"(\s+)|([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()])")
+_KINDS = {2: "int", 3: "ident"}
 
 # binding levels, loosest first: the parser's _binary and the printer's
 # _render both read them, so to_text's output re-parses to the same tree
@@ -125,29 +132,11 @@ def _tokenize(text: str) -> list[_Token]:
     tokens = []
     i = 0
     while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {ch!r}", i)
+        if (m := _TOKEN.match(text, i)) is None:
+            raise ExpressionSyntaxError(f"unexpected character {text[i]!r}", i)
+        if m.lastindex > 1:  # not whitespace
+            tokens.append(_Token(_KINDS.get(m.lastindex, m[0]), m[0], i))
+        i = m.end()
     tokens.append(_Token("end", "", len(text)))
     return tokens
 

@@ -80,10 +80,10 @@ class OeisIndex:
     """Read-only index over a stripped dump, kept as dump text: blocks of whole
     lines in which every line neither blank nor a ``#`` comment is a record,
     and no A-number repeats.  A lookup searches the blocks for the query's
-    text; ``get`` and ``len`` read a table of the records, cut from the text on
-    first use.  Safe to share between threads: threads that build the table at
-    once each build the same one.  Queries are checked by :func:`query` and
-    :func:`triangle_query`, which need no dump.
+    text; ``get`` and ``len`` read a table of where each record's line sits in
+    the text, found on first use.  Safe to share between threads: threads that
+    build the table at once each build the same one.  Queries are checked by
+    :func:`query` and :func:`triangle_query`, which need no dump.
     """
 
     def __init__(self, entries: Mapping[str, Sequence[int]]):
@@ -101,16 +101,26 @@ class OeisIndex:
         """Count of malformed lines dropped while loading."""
         return self._skipped
 
-    def _records(self) -> dict[str, str]:
-        """Each record's text by its A-number, cut from the index's text once."""
+    def _records(self) -> dict[str, int]:
+        """Where each record's line starts in the index's text, by A-number,
+        found once: one int per record, ``offset * blocks + block``."""
         if self._table is None:
-            lines = (line.split(None, 1) for block in self._text for line in block.split("\n"))
-            self._table = {fields[0]: fields[1] for fields in lines if fields and fields[0][0] != "#"}
+            table, blocks = {}, len(self._text)
+            for b, block in enumerate(self._text):
+                at = 0
+                for line in block.split("\n"):
+                    if (fields := line.split(None, 1)) and fields[0][0] != "#":
+                        table[fields[0]] = at * blocks + b
+                    at += len(line) + 1
+            self._table = table
         return self._table
 
     def get(self, anumber: str) -> tuple[int, ...] | None:
-        text = self._records().get(anumber)
-        return None if text is None else tuple(map(int, text.split(",")[1:-1]))
+        if (where := self._records().get(anumber)) is None:
+            return None
+        at, b = divmod(where, len(self._text))
+        line = self._text[b][at : self._text[b].index("\n", at)]
+        return tuple(map(int, line.split(None, 1)[1].split(",")[1:-1]))
 
     def identify_sequence(self, values: Sequence[int]) -> list[SequenceMatch]:
         """Entries whose stored prefix contains ``values`` as a contiguous

@@ -67,6 +67,20 @@ class TestShow:
         assert code == 2
         assert "offset" in err
 
+    @pytest.mark.parametrize(
+        "g, char, offset",
+        [
+            ("x\u00b2", "\u00b2", 1),  # a superscript two, after an ASCII x
+            ("\uff58", "\uff58", 0),  # a fullwidth x
+            ("\u00e9", "\u00e9", 0),
+            ("1+x_\u00e9", "\u00e9", 4),
+        ],
+    )
+    def test_non_ascii_character_exits_2_at_its_offset(self, capsys, g, char, offset):
+        code, out, err = run(capsys, "show", "--g", g, "--f", "x", "--size", "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: unexpected character {char!r} (at offset {offset})\n"
+
     def test_element_spec_is_exclusive(self, capsys):
         code, _, _ = run(capsys, "show", "--family", "pascal", "--g", "x+1", "--f", "x")
         assert code == 2
@@ -748,13 +762,27 @@ class TestIntegerOptions:
         assert (code, out) == (2, "")
         assert err == f"error: bad --n value {text!r}: use a single integer or a range like 2..4\n"
 
-    @pytest.mark.parametrize("spec", ["binomial:1_0", "moment:\u0662", "binomial:1/\u0663"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "binomial:1_0",
+            "moment:\u0662",
+            "binomial:1/\u0663",
+            "moment:\u0661",
+            # Fraction() alone strips surrounding whitespace
+            "binomial: 2",
+            "binomial:2 ",
+            "binomial:1/-2",
+            "binomial:1/2e3",
+        ],
+    )
     def test_family_parameter_exits_2(self, capsys, spec):
         code, out, err = run(capsys, "family", spec, "--size", "3")
         assert (code, out) == (2, "")
         name, _, param = spec.partition(":")
         assert err == (
-            f"error: bad parameter {param!r} for family '{name}': it must be ASCII, without '_'\n"
+            f"error: bad parameter {param!r} for family '{name}': it must be an "
+            "ASCII integer, p/q or decimal, without '_' or spaces\n"
         )
 
     def test_signed_ascii_integers_still_run(self, capsys):

@@ -220,6 +220,10 @@ class TestFamilyRegistry:
             ("a085478", a085478_element(6)),
             ("binomial:2", binomial_power(2, 6)),
             ("moment:1/2", moment_element(F(1, 2), 6)),
+            # the forms Fraction() reads that a parameter keeps
+            ("binomial:+3/4", binomial_power(F(3, 4), 6)),
+            ("moment:.5", moment_element(F(1, 2), 6)),
+            ("binomial:5.", binomial_power(5, 6)),
         ],
     )
     def test_known_families(self, spec, expected):
@@ -246,6 +250,8 @@ class TestFamilyRegistry:
             ("binomial:1e5000", "decimal exponent exceeds 4300"),
             ("binomial:1e30000000", "decimal exponent exceeds 4300"),
             ("moment:1e-3000000", "decimal exponent exceeds 4300"),
+            # wider than int() reads, which would name its own digit limit
+            ("binomial:1e" + "9" * 5000, "decimal exponent exceeds 4300"),
             ("binomial:1e4300", "more than 4300 digits"),
         ):
             with pytest.raises(UnknownFamilyError) as err:

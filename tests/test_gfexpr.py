@@ -11,6 +11,7 @@ from riordan import (
     catalan_gf,
     evaluate,
     evaluate_text,
+    gfexpr,
     parse,
     to_text,
 )
@@ -59,6 +60,25 @@ class TestParse:
         with pytest.raises(ExpressionSyntaxError) as err:
             parse("1 + y")
         assert err.value.position == 4
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            (
+                "12*x_1+sqrt(c(x))^-3",
+                [("int", "12", 0), ("*", "*", 2), ("ident", "x_1", 3), ("+", "+", 6),
+                 ("ident", "sqrt", 7), ("(", "(", 11), ("ident", "c", 12), ("(", "(", 13),
+                 ("ident", "x", 14), (")", ")", 15), (")", ")", 16), ("^", "^", 17),
+                 ("-", "-", 18), ("int", "3", 19)],
+            ),
+            # a tab and a no-break space separate tokens as a space does
+            ("\t2 /\u00a0_y9\u00a0", [("int", "2", 1), ("/", "/", 3), ("ident", "_y9", 5)]),
+            ("", []),
+        ],
+    )
+    def test_tokens(self, text, tokens):
+        got = [(t.kind, t.text, t.pos) for t in gfexpr._tokenize(text)]
+        assert got == [*tokens, ("end", "", len(text))]
 
     def test_unknown_character(self):
         with pytest.raises(ExpressionSyntaxError) as err:

@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -850,6 +851,27 @@ class TestSidecar:
             sys.setswitchinterval(interval)
         assert not any(reader.is_alive() for reader in readers)
         assert got == [want] * 8 and want[0] == 20000
+
+    def test_the_table_keeps_no_copy_of_the_records(self, tmp_path):
+        """``len`` and ``get`` build a table of where each line sits, not of
+        the record texts: on a trusted load of 1.4 MB of records it holds
+        under a third of that, and ``get`` still reads every record back."""
+        rng = random.Random(5)
+        lines = [f"A{k:06d} ,{','.join(str(rng.randrange(10**5, 10**6)) for _ in range(100))},\n" for k in range(1, 2001)]
+        path = tmp_path / "dump.txt"
+        path.write_text("".join(lines))
+        entries, _ = stripped_by_int_tuples("".join(lines))
+        load_stripped(path)  # the full pass writes the sidecar
+        index = load_stripped(path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert len(index) == 2000
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < path.stat().st_size / 3, grown
+        assert all(index.get(a) == seq for a, seq in entries.items())
 
     def test_a_trusted_load_ends(self, seeded, monkeypatch):
         """A load's key is empty, and so is found at every offset of a block:
