@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import InvalidElementError, PrecisionError, ShapeError
-from .series import _ZERO, TruncatedSeries, _chain, _compose_lists, _forward, _ratio, as_fraction, lift
+from .series import _ZERO, TruncatedSeries, _compose_lists, _forward, _powers, _ratio, as_fraction, lift
 
 Rows = tuple[tuple[Fraction, ...], ...]
 
@@ -237,13 +237,8 @@ class RiordanElement:
                 f"a {size}x{size} matrix needs the element at order >= {size - 1}, "
                 f"but it has order {self.order}"
             )
-        # column k is g * f^k, one integer chain
-        rows = [[_ZERO] * size for _ in range(size)]
-        g, f = lift(self._g.coefficients[:size]), lift(self._f.coefficients[:size])
-        for k, (column, d) in enumerate(_chain(g, f, size)):
-            for n in range(k, size):
-                rows[n][k] = _ratio(column[n], d)
-        return TriMatrix(rows)
+        rows = _powers(self._g.coefficients[:size], self._f.coefficients, size)
+        return TriMatrix.from_rows([[_ratio(v, d) for v in r] for r, d in rows])
 
     # -- group structure ---------------------------------------------------------
 

@@ -20,7 +20,7 @@ from operator import mul
 
 from .arrays import _ONE, ExactMatrix, RiordanElement, Rows, TriMatrix
 from .errors import PrecisionError, Record
-from .series import _ZERO, TruncatedSeries, _ratio, lift
+from .series import _ZERO, TruncatedSeries, _forward, _powers, _ratio, lift
 
 
 class ProductionMatrix(ExactMatrix):
@@ -50,13 +50,14 @@ def _require_order(e: RiordanElement, needed: int, what: str) -> None:
 
 def _nth_az(e: RiordanElement, n: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     # A_n to ``order`` and Z_n to order - 1 (to ``order`` for n = 1), from P_1's
-    # columns 1 and 0, A and Z: a two-column solve M X = (M without its top
-    # row), kept on the element (elements are immutable) and solved again
-    # only for a higher order
+    # columns 1 and 0, A and Z: M X = (M without its top row) solved on M's
+    # integer rows, whose columns 0 and 1 are the right-hand sides; kept on
+    # the element (elements are immutable) and solved again only for a higher order
     az = e._az
     if az is None or az[0].order < order:
-        m = e.matrix(order + 2)
-        cols = m.solve(m.block(1, 0, order + 1, 2))
+        rows = _powers(e.g.coefficients[: order + 2], e.f.coefficients, order + 2)
+        rhs = [([r[j] for r, _ in rows[1:]], rows[0][1]) for j in (0, 1)]
+        cols = _forward(rows[:-1], rhs)
         az = e._az = TruncatedSeries(r[1] for r in cols), TruncatedSeries(r[0] for r in cols)
     a, z = (s.truncate(order) for s in az)
     if n == 1:

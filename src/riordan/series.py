@@ -7,9 +7,10 @@ kernel multiplies integer numerators over one common denominator (:func:`lift`)
 and normalizes once per output coefficient; a chain of products stays integer,
 reduced by one gcd per step.  Composing a with b multiplies a by the matrix of
 (1, b), whose columns are the powers of b; reversion solves against it, since
-(1, f)^-1 = (1, rev f), and one builder makes it (:func:`_powers`).  Quotients,
-powers and square roots (Miller's recurrence), reversions and triangular
-solves are one forward substitution over such integers (:func:`_forward`).
+(1, f)^-1 = (1, rev f); one builder makes the matrix of any element (g, f),
+(1, b) among them (:func:`_powers`).  Quotients, powers and square roots
+(Miller's recurrence), reversions and triangular solves are one forward
+substitution over such integers (:func:`_forward`).
 No operation ever fabricates a coefficient beyond the known order: binary
 operations return results at the smaller operand order, and reading past the
 order raises :class:`~riordan.errors.PrecisionError` rather than returning
@@ -22,7 +23,7 @@ Values are immutable; every operation returns a new series.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import partialmethod
 from operator import add, mul, sub
@@ -121,20 +122,6 @@ def _reduced(ints: list[int], d: int) -> tuple[list[int], int]:
     return ints, d
 
 
-def _chain(
-    start: tuple[list[int], int], factor: tuple[list[int], int], count: int
-) -> Iterator[tuple[list[int], int]]:
-    """``start * factor^k`` for k = 0..count-1, truncated to the length of
-    ``start``: a chain of products kept as integer numerators over one
-    denominator, reduced once per step, so no Fraction is built along it."""
-    ints, d = start
-    ib, db = factor
-    for k in range(count):
-        if k:
-            ints, d = _reduced(_convolve(ints, ib), d * db)
-        yield ints, d
-
-
 def _forward(
     rows: Iterable[tuple[list[int], int]], rhs: Sequence[tuple[list[int], int]]
 ) -> list[tuple[Fraction, ...]]:
@@ -177,10 +164,16 @@ def _power_lists(c: Sequence[Fraction], alpha: Fraction, lead: Fraction) -> list
     return [v for v, in _forward(rows, [lifted])]
 
 
-def _powers(b: Sequence[Fraction], n: int, count: int) -> list[tuple[list[int], int]]:
-    """The columns b^0..b^(count-1) of the matrix of (1, b) to size ``n``, by
-    rows over one denominator, each row up to its diagonal (b[0] == 0)."""
-    cols = list(_chain(([1] + [0] * (n - 1), 1), lift(b[:n]), count))
+def _powers(g: Sequence[Rational], b: Sequence[Fraction], count: int) -> list[tuple[list[int], int]]:
+    """The matrix of (g, b) to size len(g), columns g b^k for k < ``count``,
+    by rows over one denominator, each up to its diagonal (b[0] == 0); each
+    column is the last times b, reduced once per step, never a Fraction."""
+    n = len(g)
+    ib, db = lift(b[:n])
+    cols = [lift(g)]
+    while len(cols) < count:
+        ints, d = cols[-1]
+        cols.append(_reduced(_convolve(ints, ib), d * db))
     d = math.lcm(*[dk for _, dk in cols])
     scaled = [(c, d // dk) for c, dk in cols]
     return [([c[i] * w for c, w in scaled[: i + 1]], d) for i in range(n)]
@@ -197,7 +190,7 @@ def _compose_lists(
     n = min(len(b), *map(len, outers))
     lifted = [lift(a[:n]) for a in outers]
     top = max((i for ia, _ in lifted for i in range(n) if ia[i]), default=0)
-    rows = _powers(b, n, top + 1)
+    rows = _powers([1] + [0] * (n - 1), b, top + 1)
     return [[_ratio(sum(map(mul, r, ia)), d * da) for r, d in rows] for ia, da in lifted]
 
 
@@ -442,7 +435,8 @@ class TruncatedSeries:
             )
         n = self.order + 1
         e1 = ([0, 1] + [0] * (n - 2), 1)
-        return TruncatedSeries([v for v, in _forward(_powers(self._coeffs, n, n), [e1])])
+        rows = _powers([1] + [0] * (n - 1), self._coeffs, n)
+        return TruncatedSeries([v for v, in _forward(rows, [e1])])
 
     def sqrt(self) -> "TruncatedSeries":
         """Square root with positive constant term, which must be the square

@@ -174,6 +174,23 @@ def az_by_reversion(e, n):
     return u**-n, (u ** (1 - n) - unit).shift_down(1) / u
 
 
+def az_by_matrix_solve(e, n, order):
+    """A_n to ``order`` and Z_n to order - 1 (to ``order`` for n = 1) by the
+    library's former route, an oracle for ``production._nth_az``, which
+    solves on the integer rows of ``series._powers``: the element's matrix at
+    size order + 2 as Fractions, ``TriMatrix.solve`` against its rows 1..
+    in columns 0 and 1 for P_1's Z and A, then P_n = P_1 T(B) with
+    B = A^(n-1) (derivation step 3)."""
+    m = e.matrix(order + 2)
+    cols = m.solve(m.block(1, 0, order + 1, 2))
+    a, z = TruncatedSeries(r[1] for r in cols), TruncatedSeries(r[0] for r in cols)
+    if n == 1:
+        return a, z
+    b = a ** (n - 1)
+    b0 = b.constant_term
+    return a * b, b0 * z + a * (b - b0).shift_down(1)
+
+
 def power_by_squaring(s, exponent):
     """s ** exponent by binary powering on the library's product, with
     1/s raised to -exponent for a negative exponent: the library's former

@@ -12,7 +12,10 @@ import pytest
 
 import reference_data as ref
 from helpers import frac_rows
-from riordan import RiordanError, TriMatrix, VerificationReport, arrays, cli, gfexpr, pascal
+from riordan import (
+    RiordanError, TriMatrix, VerificationReport, arrays, cli, gfexpr, pascal, production, series
+)
+from riordan.arrays import ExactMatrix
 from riordan.cli import main
 
 
@@ -269,44 +272,53 @@ class TestVerify:
         assert code == 0 and doc["all_equal"] is True
         assert [r["scale"] for r in doc["reports"]] == ["2/3", "1/2", "3/8"]
 
-    def test_one_element_matrix_per_command(self, capsys, monkeypatch):
-        # the element's matrix is built once, at size + 2, for the A- and
-        # Z-series that serve every n; the other matrices have size 8
-        sizes = []
-        init = TriMatrix.__init__
+    @staticmethod
+    def built_sizes(monkeypatch):
+        # the size of every element matrix built, each by one series._powers
+        # call: in RiordanElement.matrix and in the A/Z solve; and of every
+        # exact matrix made, TriMatrix and ProductionMatrix alike
+        built, made = [], []
+        powers, init = series._powers, ExactMatrix.__init__
 
-        def recording(matrix, rows):
+        def recording_powers(g, b, count):
+            built.append(len(g))
+            return powers(g, b, count)
+
+        def recording_init(matrix, rows):
             init(matrix, rows)
-            sizes.append(matrix.size)
+            made.append(matrix.size)
 
-        monkeypatch.setattr(TriMatrix, "__init__", recording)
+        for module in (arrays, production):
+            monkeypatch.setattr(module, "_powers", recording_powers)
+        monkeypatch.setattr(ExactMatrix, "__init__", recording_init)
+        return built, made
+
+    def test_one_element_matrix_per_command(self, capsys, monkeypatch):
+        # the element's matrix is built once, at size + 2, as the integer
+        # rows of the A- and Z-series that serve every n, and each n builds
+        # its closed form's matrix at size; no matrix is made past size
+        built, made = self.built_sizes(monkeypatch)
         code, out, _ = run(capsys, "verify", "--family", "catalan", "--n", "2..5", "--size", "8")
         assert code == 0 and out.count(": equal") == 4
-        assert [s for s in sizes if s > 8] == [10]
-
-    @staticmethod
-    def chain_counts(monkeypatch):
-        # the size of every matrix built: each build runs one column chain
-        counts, chain = [], arrays._chain
-
-        def recording(start, factor, count):
-            counts.append(count)
-            return chain(start, factor, count)
-
-        monkeypatch.setattr(arrays, "_chain", recording)
-        return counts
+        assert sorted(built) == [8] * 4 + [10]
+        assert made and max(made) == 8
+        for n in ("1", "3"):
+            del built[:], made[:]
+            code, _, _ = run(capsys, "prod", "--family", "catalan", "--n", n, "--size", "8")
+            assert code == 0 and built == [10] and made == [8], n
 
     def test_element_matrix_is_built_once_and_cached(self, capsys, monkeypatch):
         # whatever the range: one element matrix at size + 2, and a closed
         # form's matrix at size for each n
-        counts = self.chain_counts(monkeypatch)
+        built, made = self.built_sizes(monkeypatch)
         for first, last in ((1, 5), (2, 5), (1, 1), (20, 40), (10**6, 10**6)):
-            counts.clear()
+            del built[:], made[:]
             argv = ("--family", "moment:1/2", "--n", f"{first}..{last}", "--size", "24")
             code, out, _ = run(capsys, "verify", *argv)
             reports = last - first + 1
             assert code == 0 and out.count(": equal") == reports, argv
-            assert sorted(counts) == [24] * reports + [26], argv
+            assert sorted(built) == [24] * reports + [26], argv
+            assert max(made) == 24, argv
 
     def test_warm_up_past_size_plus_one_builds_only_the_leading_block(
         self, capsys, monkeypatch
@@ -314,11 +326,12 @@ class TestVerify:
         # every n of 30..60 is past size + 1 = 25: the element's matrix is
         # built once, at size + 2 for its A- and Z-series, never at
         # size + n - 1, and each n builds one closed-form matrix at size
-        counts = self.chain_counts(monkeypatch)
+        built, made = self.built_sizes(monkeypatch)
         argv = ("--family", "moment:1/2", "--n", "30..60", "--size", "24")
         code, out, _ = run(capsys, "verify", *argv)
         assert code == 0 and out.count(": equal") == 31
-        assert sorted(counts) == [24] * 31 + [26]
+        assert sorted(built) == [24] * 31 + [26]
+        assert max(made) == 24
 
     PRINT_LIMIT = (
         "error: a result has an integer of more than 4300 digits, the most "
@@ -563,6 +576,8 @@ class TestCoefficientBudget:
         (("show", "--family", "binomial:1e4299", "--size", "40"), BUDGET),
         (("show", "--g", "1/(1-10^4299*x)", "--f", "x", "--size", "40"), BUDGET),
         (("verify", "--family", "binomial:1e4299", "--n", "1..3", "--size", "40"), BUDGET),
+        # refused inside the integer rows of the A/Z solve at size 10
+        (("prod", "--g", "1", "--f", "10^3000*x", "--size", "8"), BUDGET),
         # entries of P_5 really pass 4300 digits; the print limit stops them
         (
             ("prod", "--g", "1", "--f", "x/(1-10^3000*x)", "--n", "5", "--size", "2"),

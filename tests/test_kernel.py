@@ -16,6 +16,7 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import (
+    gf_entry,
     lower_inverse_rows,
     mat_mul_rows,
     poly_compose,
@@ -172,6 +173,23 @@ class TestMatrixKernel:
             got = TriMatrix(m).solve(rhs)
             assert [list(row) for row in got] == mat_mul_rows(lower_inverse_rows(m), rhs)
             assert_normalized(c for row in got for c in row)
+
+    def test_powers(self):
+        # the rows of the matrix of (g, b), and of (1, b), over one
+        # denominator, cut to ``count`` columns as composition cuts them;
+        # entries of g and b have up to 4300 // n digits, so g b^k stays
+        # inside the budget
+        rng = random.Random(204)
+        for n in [1, 12] + [rng.randint(1, 12) for _ in range(CASES - 2)]:
+            b = [F(0)] + random_rationals(rng, n - 1, random_wide(rng, 4300 // n))
+            for g in (random_rationals(rng, n, random_wide(rng, 4300 // n)), [1] + [0] * (n - 1)):
+                full = [[gf_entry(g, b, i, k) for k in range(i + 1)] for i in range(n)]
+                for count in {1, rng.randint(1, n), n}:
+                    rows = series._powers(g, b, count)
+                    assert len({d for _, d in rows}) == 1
+                    assert [[F(v, d) for v in r] for r, d in rows] == [
+                        row[:count] for row in full
+                    ], (n, count)
 
     def test_generate_from_production(self):
         rng = random.Random(203)

@@ -5,6 +5,7 @@ import pytest
 
 import reference_data as ref
 from helpers import (
+    az_by_matrix_solve,
     az_by_reversion,
     closed_form_by_group,
     closed_form_by_solve,
@@ -18,6 +19,7 @@ from helpers import (
     production_by_whole_matrix,
 )
 from riordan import (
+    CoefficientSizeError,
     PrecisionError,
     ProductionMatrix,
     RiordanElement,
@@ -38,6 +40,7 @@ from riordan import (
     production_matrix,
     verify_nth_conjecture,
 )
+from riordan.production import _nth_az
 
 
 def a033184_entry(n, k):
@@ -299,6 +302,31 @@ class TestNthAZ:
                 a, z = nth_az(e, n)
                 assert (a.order, z.order) == (e.order - 1, e.order - 2), (e, n)
                 assert (a, z) == az_by_reversion(e, n), (e, n)
+
+    def test_matches_matrix_solve_oracle(self, battery, non_normalized):
+        # the solve on the integer rows of series._powers against the solve
+        # on the element's Fraction matrix, from the lowest order it serves to
+        # the highest; a fresh element per order, since the A- and Z-series
+        # are kept on it
+        for e in [*battery, *non_normalized]:
+            for n in range(1, 7):
+                for order in sorted({int(n > 1), 6, e.order - 1}):
+                    got = _nth_az(RiordanElement(e.g, e.f), n, order)
+                    assert got == az_by_matrix_solve(e, n, order), (e, n, order)
+                    assert [s.order for s in got] == [order, order - (n > 1)], (e, n, order)
+
+    def test_matches_matrix_solve_oracle_past_the_budget(self):
+        # f^k outgrows the coefficient budget: both routes refuse it
+        for g, f in (
+            ([1], [0, 10**3000]),
+            ([1, 2**20000], [0, 1, 2**20000]),
+            ([F(1, 3)], [0, F(1, 7**2000), 1]),
+        ):
+            e = RiordanElement(TruncatedSeries(g, 12), TruncatedSeries(f, 12))
+            for n in range(1, 7):
+                for route in (_nth_az, az_by_matrix_solve):
+                    with pytest.raises(CoefficientSizeError):
+                        route(RiordanElement(e.g, e.f), n, 10)
 
     def test_reconstruction_matches_generated(self, battery):
         for e in battery[:5]:
