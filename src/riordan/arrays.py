@@ -149,14 +149,6 @@ class TriMatrix(ExactMatrix):
 
     __slots__ = ()
 
-    def block(self, row0: int, col0: int, nrows: int, ncols: int) -> Rows:
-        """Raw rectangular block (not necessarily triangular)."""
-        if row0 + nrows > self.size or col0 + ncols > self.size:
-            raise ShapeError("block reaches outside the matrix")
-        return tuple(
-            self._rows[i][col0 : col0 + ncols] for i in range(row0, row0 + nrows)
-        )
-
     def mul(self, other: "TriMatrix") -> "TriMatrix":
         if self.size != other.size:
             raise ShapeError("matrix sizes differ")

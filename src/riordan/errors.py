@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package, and its record base class.
 
-Everything raised deliberately by this library derives from
-:class:`RiordanError`, so callers (and the CLI) can distinguish domain
-errors from genuine bugs.
+Domain errors derive from :class:`RiordanError`; argument checks raise plain
+ValueError (a size, order, count, n or key out of range) or TypeError (a
+value that is not an exact int or Fraction, or of the wrong type).
 """
 
 from __future__ import annotations

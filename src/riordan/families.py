@@ -94,12 +94,9 @@ def orthogonal_polys(r: Rational, count: int) -> list[PolynomialRow]:
     """
     if count < 1:
         raise ValueError("count must be positive")
-    order = count - 1
-    g = TruncatedSeries([1, as_fraction(r)], order) ** -2
-    if count == 1:
-        return [PolynomialRow((g.constant_term,))]
-    f = g.shift_up(1).truncate(order)
-    rows = RiordanElement(g, f).matrix(count).rows
+    # at order count, one past what the rows read, so f = x g has its x term
+    g = TruncatedSeries([1, as_fraction(r)], count) ** -2
+    rows = RiordanElement(g, g.shift_up(1).truncate(count)).matrix(count).rows
     return [PolynomialRow(row[: n + 1]) for n, row in enumerate(rows)]
 
 
@@ -184,9 +181,10 @@ def family_parameter(name: str, param: str) -> Fraction:
                 "its numerator or denominator has more than "
                 f"{_MAX_LITERAL_DIGITS} digits"
             )
-    except (ValueError, ZeroDivisionError) as err:
+    except (ValueError, ZeroDivisionError) as err:  # Fraction("1/0") says only "Fraction(1, 0)"
+        why = "its denominator is zero" if isinstance(err, ZeroDivisionError) else err
         raise UnknownFamilyError(
-            f"bad parameter {param!r} for family '{name}': {err}"
+            f"bad parameter {param!r} for family '{name}': {why}"
         ) from err
     return r
 

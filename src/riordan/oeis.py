@@ -87,9 +87,11 @@ class OeisIndex:
     """
 
     def __init__(self, entries: Mapping[str, Sequence[int]]):
-        for key in entries:  # each key must read back as a record line's first field
+        for key, seq in entries.items():  # each key must read back as a record line's first field
             if not isinstance(key, str) or key.split() != [key] or key.startswith("#"):
                 raise ValueError(f"{key!r} cannot be the A-number of a record line")
+            if bad := [v for v in seq if not isinstance(v, int)]:
+                raise TypeError(f"record terms are int, got {bad[0]!r} in {key}")
         self._text = ["".join(f"{key} {_text(seq)}\n" for key, seq in entries.items())]
         self._skipped, self._table = 0, None
 

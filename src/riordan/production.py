@@ -48,16 +48,22 @@ def _require_order(e: RiordanElement, needed: int, what: str) -> None:
         )
 
 
+def _block(e: RiordanElement, n: int, size: int, cols: int) -> list[tuple[Fraction, ...]]:
+    # columns 0..cols-1 of M^-1 (M without its top n rows) to ``size`` rows
+    # (derivation step 1), solved on M's integer rows, whose rows n.. are the
+    # right-hand sides, zero above the diagonal; builds only the columns read
+    rows = _powers(e.g.coefficients[: size + n], e.f.coefficients, max(size, cols))
+    rhs = [([r[j] if j < len(r) else 0 for r, _ in rows[n:]], rows[0][1]) for j in range(cols)]
+    return _forward(rows[:size], rhs)
+
+
 def _nth_az(e: RiordanElement, n: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     # A_n to ``order`` and Z_n to order - 1 (to ``order`` for n = 1), from P_1's
-    # columns 1 and 0, A and Z: M X = (M without its top row) solved on M's
-    # integer rows, whose columns 0 and 1 are the right-hand sides; kept on
-    # the element (elements are immutable) and solved again only for a higher order
+    # columns 1 and 0, A and Z; kept on the element (elements are immutable)
+    # and solved again only for a higher order
     az = e._az
     if az is None or az[0].order < order:
-        rows = _powers(e.g.coefficients[: order + 2], e.f.coefficients, order + 2)
-        rhs = [([r[j] for r, _ in rows[1:]], rows[0][1]) for j in (0, 1)]
-        cols = _forward(rows[:-1], rhs)
+        cols = _block(e, 1, order + 1, 2)
         az = e._az = TruncatedSeries(r[1] for r in cols), TruncatedSeries(r[0] for r in cols)
     a, z = (s.truncate(order) for s in az)
     if n == 1:
@@ -80,8 +86,7 @@ def production_block(e: RiordanElement, n: int, size: int) -> Rows:
     if size < 1:
         raise ValueError("size must be positive")
     _require_order(e, size + n - 1, f"a size-{size} block with {n} rows removed")
-    m = e.matrix(size + n)  # the solve reads its leading size rows
-    return m.solve(m.block(n, 0, size, size))
+    return tuple(_block(e, n, size, size))
 
 
 def production_matrix(e: RiordanElement, size: int) -> ProductionMatrix:

@@ -159,8 +159,17 @@ def production_by_whole_matrix(e, n, size):
     an oracle for the one it takes now, which reads every n-th production
     matrix from the A- and Z-series of the first."""
     m = e.matrix(size + n)
-    x = m.solve(m.block(n, 0, size, size + n))
+    x = m.solve(m.rows[n:])
     return ProductionMatrix(row[n - 1 : n - 1 + size] for row in x)
+
+
+def block_by_matrix_solve(e, n, size):
+    """``production_block`` by the library's former route, an oracle for the
+    solve on the integer rows of ``series._powers``: the element's matrix at
+    size + n as Fractions, ``TriMatrix.solve`` against its rows n..n+size-1
+    cut to ``size`` columns (derivation step 1)."""
+    m = e.matrix(size + n)
+    return m.solve([row[:size] for row in m.rows[n:]])
 
 
 def az_by_reversion(e, n):
@@ -182,7 +191,7 @@ def az_by_matrix_solve(e, n, order):
     in columns 0 and 1 for P_1's Z and A, then P_n = P_1 T(B) with
     B = A^(n-1) (derivation step 3)."""
     m = e.matrix(order + 2)
-    cols = m.solve(m.block(1, 0, order + 1, 2))
+    cols = m.solve([row[:2] for row in m.rows[1:]])
     a, z = TruncatedSeries(r[1] for r in cols), TruncatedSeries(r[0] for r in cols)
     if n == 1:
         return a, z

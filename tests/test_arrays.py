@@ -329,8 +329,3 @@ class TestTriMatrix:
         entries = m.to_json_entries()
         rebuilt = TriMatrix([[F(s) for s in row] for row in entries])
         assert rebuilt == m
-
-    def test_leading_and_block(self):
-        m = pascal(6).matrix(6)
-        block = m.block(1, 0, 2, 3)
-        assert block == ((F(1), F(1), F(0)), (F(1), F(2), F(1)))

@@ -789,16 +789,19 @@ class TestIntegerOptions:
             "binomial:2 ",
             "binomial:1/-2",
             "binomial:1/2e3",
+            # Fraction() alone names no cause: Fraction(1, 0)
+            "binomial:1/0",
+            "moment:0/0",
         ],
     )
     def test_family_parameter_exits_2(self, capsys, spec):
         code, out, err = run(capsys, "family", spec, "--size", "3")
         assert (code, out) == (2, "")
         name, _, param = spec.partition(":")
-        assert err == (
-            f"error: bad parameter {param!r} for family '{name}': it must be an "
-            "ASCII integer, p/q or decimal, without '_' or spaces\n"
-        )
+        why = "it must be an ASCII integer, p/q or decimal, without '_' or spaces"
+        if param.endswith("/0"):
+            why = "its denominator is zero"
+        assert err == f"error: bad parameter {param!r} for family '{name}': {why}\n"
 
     def test_signed_ascii_integers_still_run(self, capsys):
         assert run(capsys, "show", "--family", "pascal", "--size", "+3")[:2] == (

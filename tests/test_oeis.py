@@ -115,6 +115,12 @@ class TestLoading:
         with pytest.raises(ValueError, match="A-number of a record line"):
             OeisIndex({"A000045": [0, 1, 1, 2], key: [1, 1, 2, 5, 14, 42, 132]})
 
+    @pytest.mark.parametrize("term", ["x", 2.0])
+    def test_constructor_refuses_a_term_that_is_not_an_int(self, term):
+        # named, as series.as_fraction names a value that is not exact
+        with pytest.raises(TypeError, match=re.escape(f"record terms are int, got {term!r} in A000045")):
+            OeisIndex({"A000108": [1, 1, 2], "A000045": [0, 1, term, 2]})
+
     def test_a_name_holding_the_run_is_no_match(self):
         name = ",1,1,2,5,14,42,132,"
         idx = OeisIndex({name: [9, 9], "A000108": [1, 1, 2, 5, 14, 42, 132]})

@@ -7,6 +7,7 @@ import reference_data as ref
 from helpers import (
     az_by_matrix_solve,
     az_by_reversion,
+    block_by_matrix_solve,
     closed_form_by_group,
     closed_form_by_solve,
     element_battery,
@@ -28,6 +29,7 @@ from riordan import (
     TruncatedSeries,
     VerificationReport,
     a085478_element,
+    arrays,
     catalan_array,
     family_element,
     generate_from_production,
@@ -36,8 +38,10 @@ from riordan import (
     nth_production_matrix,
     pascal,
     produced_matrix_closed_form,
+    production,
     production_block,
     production_matrix,
+    series,
     verify_nth_conjecture,
 )
 from riordan.production import _nth_az
@@ -119,6 +123,40 @@ class TestProductionBlock:
     def test_three_rows_removed_display(self):
         block = production_block(a085478_element(11), 3, 7)
         assert block == frac_rows(ref.A085478_ROWS3_BLOCK_7)
+
+    def test_matches_matrix_solve_oracle(self, battery, non_normalized):
+        # the solve on the integer rows of series._powers against the solve
+        # on the element's Fraction matrix at size + n
+        for e in [*battery, *non_normalized]:
+            for n in range(1, 7):
+                for size in range(1, 9):
+                    got = production_block(e, n, size)
+                    assert got == block_by_matrix_solve(e, n, size), (e, n, size)
+
+    def test_matches_matrix_solve_oracle_far_from_the_top(self):
+        rational = RiordanElement(
+            TruncatedSeries([F(2, 3), F(-1, 2), 1], 42),
+            TruncatedSeries([0, F(3, 2), F(1, 4), -1], 42),
+        )
+        for e in (catalan_array(42), rational):
+            assert production_block(e, 40, 3) == block_by_matrix_solve(e, 40, 3), e
+
+    def test_builds_only_the_columns_it_reads(self, monkeypatch):
+        # one series._powers call, to size + n rows but for the size columns
+        # the block reads, not for the size + n of the element's whole matrix
+        asked, powers = [], series._powers
+
+        def recording_powers(g, b, count):
+            asked.append((len(g), count))
+            return powers(g, b, count)
+
+        for module in (arrays, production):
+            monkeypatch.setattr(module, "_powers", recording_powers)
+        e = catalan_array(44)
+        for n, size in ((1, 1), (1, 5), (2, 7), (40, 3)):
+            asked.clear()
+            production_block(e, n, size)
+            assert asked == [(size + n, size)], (n, size)
 
 
 class TestNthProduction:
