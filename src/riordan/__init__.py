@@ -18,7 +18,7 @@ _SOURCES = {
     "families": "FAMILY_NAMES PolynomialRow a085478_element a085478_second_entry "
     "a092276_entry binomial_power catalan_array family_element iterate_second_production "
     "moment_element moment_entry orthogonal_polys pascal",
-    "gfexpr": "evaluate evaluate_text parse to_text",
+    "gfexpr": "evaluate evaluate_text parse",
     "oeis": "MIN_QUERY_VALUES OeisIndex SequenceMatch load_stripped",
     "production": "ProductionMatrix VerificationReport generate_from_production nth_az "
     "nth_production_matrix produced_matrix_closed_form production_block production_matrix "

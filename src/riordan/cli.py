@@ -8,7 +8,8 @@ Every integer the CLI reads is ASCII, ``[+-]?[0-9]+``.
 
 Exit codes: 0 on success (and when ``verify`` finds every instance equal,
 up to the closed form's scalar factor), 1 when ``verify`` finds a mismatch,
-2 on usage, parse or precision errors.
+2 on usage, parse or precision errors; as a process, 130 on Ctrl-C and 141
+when stdout is closed early.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import os
 import re
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from .arrays import RiordanElement
 from .errors import RiordanError
@@ -35,6 +36,8 @@ from .series import _MAX_ORDER as MAX_ORDER  # the highest order a command may a
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_ERROR = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 DEFAULT_SIZE = 8
 OEIS_PATH_ENV = "OEIS_STRIPPED_PATH"
@@ -192,6 +195,18 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _chain_inverses(chain: Sequence[RiordanElement]) -> Iterator[RiordanElement]:
+    """The inverse of each stage of ``iterate_second_production``, from one
+    reversion: Pi_2(s)^-1 = s^-1 * (x/f, x^2/f), which is (G*u, F*u) for
+    s^-1 = (G, F) and u = F/x, since f(F) = x (the Riordan group law)."""
+    inv = chain[0].inverse()
+    yield inv
+    for _ in chain[1:]:
+        u = inv.f.shift_down(1)
+        inv = RiordanElement(inv.g * u, inv.f * u)
+        yield inv
+
+
 def _cmd_family(args: argparse.Namespace) -> int:
     steps = args.iterate if args.iterate is not None else 0
     if steps < 0:
@@ -222,8 +237,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
         iterates = []
         if not args.json:
             blocks.append(f"iterated second-production chain ({steps} steps):")
-        for j, stage in enumerate(iterate_second_production(element, steps)):
-            inv = stage.inverse()
+        chain = iterate_second_production(element, steps)
+        for j, (stage, inv) in enumerate(zip(chain, _chain_inverses(chain))):
             parts = {"g": stage.g, "f": stage.f, "inverse_g": inv.g, "inverse_f": inv.f}
             if args.json:
                 iterates.append({k: [str(c) for c in v.coefficients] for k, v in parts.items()})
@@ -324,7 +339,19 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    """Run ``main`` as a process: a closed stdout exits 141 and Ctrl-C 130,
+    the shell's codes for SIGPIPE and SIGINT, with no traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+    except BrokenPipeError:
+        # the Python signal docs' recipe: stdout's last flush at exit would
+        # fail again, so point it at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        code = EXIT_INTERRUPTED
+    sys.exit(code)
 
 
 if __name__ == "__main__":

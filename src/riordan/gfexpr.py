@@ -107,13 +107,10 @@ GfExpression = Lit | Var | Neg | Pow | BinOp | Call
 _TOKEN = re.compile(r"(\s+)|([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()])")
 _KINDS = {2: "int", 3: "ident"}
 
-# binding levels, loosest first: the parser's _binary and the printer's
-# _render both read them, so to_text's output re-parses to the same tree
-_LEVEL_NEG = 0
+# the binary operators' binding levels, loosest first, as _binary reads them:
+# a sum's operands are terms, and a term's operands are factors
 _LEVEL_SUM = 1
 _LEVEL_TERM = 2
-_LEVEL_POW = 3
-_LEVEL_ATOM = 4
 _BINARY_LEVEL = {"+": _LEVEL_SUM, "-": _LEVEL_SUM, "*": _LEVEL_TERM, "/": _LEVEL_TERM}
 
 # folded exponents must fit in this many bits, so towers such as 2^2^2^2^2^2
@@ -365,40 +362,3 @@ def _positioned(pos: int):
     except RiordanError as exc:
         raise ExpressionEvalError(str(exc), pos) from exc
 
-
-# ---------------------------------------------------------------------------
-# printing
-# ---------------------------------------------------------------------------
-
-def to_text(expr: GfExpression) -> str:
-    """Render a tree back to source text; ``parse(to_text(e))`` is
-    structurally equal to ``e`` for any parser-produced tree."""
-    return _fmt(expr, _LEVEL_NEG)
-
-
-def _fmt(node: GfExpression, min_level: int) -> str:
-    text, level = _render(node)
-    if level < min_level:
-        return f"({text})"
-    return text
-
-
-def _render(node: GfExpression) -> tuple[str, int]:
-    if isinstance(node, Lit):
-        if node.value.denominator == 1 and node.value >= 0:
-            return str(node.value.numerator), _LEVEL_ATOM
-        return str(node.value), _LEVEL_NEG  # signed/fractional: always parenthesized
-    if isinstance(node, Var):
-        return "x", _LEVEL_ATOM
-    if isinstance(node, Neg):
-        return "-" + _fmt(node.arg, _LEVEL_NEG), _LEVEL_NEG
-    if isinstance(node, Pow):
-        return _fmt(node.base, _LEVEL_ATOM) + "^" + str(node.exponent), _LEVEL_POW
-    if isinstance(node, BinOp):
-        # operators of one level associate to the left, so a right operand
-        # at that same level needs parentheses
-        level = _BINARY_LEVEL[node.op]
-        return _fmt(node.left, level) + node.op + _fmt(node.right, level + 1), level
-    if isinstance(node, Call):
-        return node.name + "(" + _fmt(node.arg, _LEVEL_NEG) + ")", _LEVEL_ATOM
-    raise TypeError(f"not a GfExpression node: {node!r}")

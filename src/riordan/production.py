@@ -159,8 +159,8 @@ def produced_matrix_closed_form(e: RiordanElement, n: int) -> RiordanElement:
 
         ((x/f)^(n-1), x*(x/f)^(n-1))^-1 * (g, f)
 
-    For n=1 this is ``e`` itself.  The result is returned at order
-    e.order - 1 (one order is consumed by the x/f cancellation).
+    For n=1 this is ``e`` itself, at e.order; for n >= 2 the result is at
+    order e.order - 1 (one order is consumed by the x/f cancellation).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -229,8 +229,9 @@ def verify_nth_conjecture(
     the generated one starts at row (1, 0, ...), the closed form at
     g(0) f'(0)^(n-1).  So the check is closed = scale * produced with scale
     the closed form's (0, 0) entry, which is 1 for normalized elements.
-    Disagreement is reported, not raised: for n >= 4 the equality is not
-    proved, so a counterexample is a legitimate result."""
+    Disagreement is reported, not raised: the equality is proved for n = 2
+    and 3, follows for n = 2^a 3^b from the composition remarks of
+    docs/derivation.md, and is conjectural otherwise."""
     produced = generate_from_production(nth_production_matrix(e, n, size), size)
     low = e.truncate(min(e.order, max(2, size)))  # e to the order the block reads
     closed = produced_matrix_closed_form(low, n).matrix(size)

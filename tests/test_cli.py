@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -13,7 +14,8 @@ import pytest
 import reference_data as ref
 from helpers import frac_rows
 from riordan import (
-    RiordanError, TriMatrix, VerificationReport, arrays, cli, gfexpr, pascal, production, series
+    RiordanElement, RiordanError, TriMatrix, VerificationReport, arrays, cli, gfexpr,
+    iterate_second_production, pascal, production, series,
 )
 from riordan.arrays import ExactMatrix
 from riordan.cli import main
@@ -198,6 +200,48 @@ class TestShow:
             )
             assert (done.returncode, done.stdout) == (code, out), argv
             assert bool(done.stderr) == bool(code), argv
+
+
+class TestProcessExits:
+    """``entry_point`` as a process: a closed stdout and Ctrl-C end the
+    command with the shell's codes and no traceback."""
+
+    @staticmethod
+    def start(*argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        return subprocess.Popen(
+            [sys.executable, "-m", "riordan.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            # as from a terminal, whatever the test runner inherited
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+
+    @staticmethod
+    def finish(proc):
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        return proc.returncode, err.decode()
+
+    def test_closed_stdout_exits_141(self):
+        # about 3 MB of output, far past a pipe's buffer
+        proc = self.start("show", "--family", "catalan", "--size", "200")
+        assert proc.stdout.readline().split()[:3] == [b"1", b"0", b"0"]
+        proc.stdout.close()
+        code, err = self.finish(proc)
+        assert code == 141
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    def test_interrupt_exits_130(self):
+        # about a minute of work; the interrupt comes after about a second
+        proc = self.start("family", "catalan", "--size", "1", "--iterate", "997")
+        time.sleep(1)
+        assert proc.poll() is None
+        proc.send_signal(signal.SIGINT)
+        code, err = self.finish(proc)
+        assert code == 130
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 class TestProd:
@@ -546,6 +590,27 @@ class TestFamily:
             power = 2**j
             g = stage["inverse_g"]
             assert g[0] == "1" and g[1] == str(-power)
+
+    def test_chain_inverses_match_each_stage_inverse(self, battery, non_normalized):
+        for e in battery + non_normalized:
+            chain = iterate_second_production(e, 6)
+            for stage, inv in zip(chain, cli._chain_inverses(chain), strict=True):
+                expected = stage.inverse()
+                assert inv.g.coefficients == expected.g.coefficients
+                assert inv.f.coefficients == expected.f.coefficients
+
+    def test_iterate_reverts_once(self, capsys, monkeypatch):
+        calls = 0
+        inverse = RiordanElement.inverse
+
+        def counted(self):
+            nonlocal calls
+            calls += 1
+            return inverse(self)
+
+        monkeypatch.setattr(RiordanElement, "inverse", counted)
+        code, _, err = run(capsys, "family", "moment:1/2", "--size", "8", "--iterate", "5")
+        assert (code, err, calls) == (0, "", 1)
 
     def test_unknown_family_exits_2(self, capsys):
         code, _, err = run(capsys, "family", "nosuch")

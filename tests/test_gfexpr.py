@@ -13,7 +13,6 @@ from riordan import (
     evaluate_text,
     gfexpr,
     parse,
-    to_text,
 )
 from riordan.gfexpr import BinOp, Call, Lit, Neg, Pow, Var
 
@@ -35,6 +34,23 @@ class TestParse:
         assert parse("sqrt(1+4*x)") == Call(
             "sqrt", BinOp("+", Lit(F(1)), BinOp("*", Lit(F(4)), Var()))
         )
+
+    @pytest.mark.parametrize(
+        "text, tree",
+        [
+            # operators of one level associate to the left
+            ("1-x-x", BinOp("-", BinOp("-", Lit(F(1)), Var()), Var())),
+            ("1/x/x", BinOp("/", BinOp("/", Lit(F(1)), Var()), Var())),
+            # a product binds tighter than a sum, unless parenthesized
+            ("1+x*x", BinOp("+", Lit(F(1)), BinOp("*", Var(), Var()))),
+            ("(1+x)*x", BinOp("*", BinOp("+", Lit(F(1)), Var()), Var())),
+            # a power binds tighter than a leading minus
+            ("-x^2", Neg(Pow(Var(), 2))),
+            ("(1-x)^-2", Pow(BinOp("-", Lit(F(1)), Var()), -2)),
+        ],
+    )
+    def test_minimal_parentheses(self, text, tree):
+        assert parse(text) == tree
 
     def test_leading_minus_negates_everything(self):
         assert parse("-x+1") == Neg(BinOp("+", Var(), Lit(F(1))))
@@ -245,12 +261,27 @@ CORPUS = [
 ]
 
 
-class TestPrinting:
-    @pytest.mark.parametrize("text", CORPUS)
-    def test_parse_print_roundtrip(self, text):
-        tree = parse(text)
-        assert parse(to_text(tree)) == tree
+def _fully_parenthesized(node):
+    """Source text for a tree with every compound operand in parentheses, so
+    that no precedence rule decides how it parses."""
+    def operand(arg):
+        text = _fully_parenthesized(arg)
+        return text if isinstance(arg, (Lit, Var)) else f"({text})"
 
+    if isinstance(node, Lit):
+        return str(node.value)  # a non-negative integer
+    if isinstance(node, Var):
+        return "x"
+    if isinstance(node, Neg):
+        return "-" + operand(node.arg)
+    if isinstance(node, Pow):
+        return f"{operand(node.base)}^{node.exponent}"
+    if isinstance(node, BinOp):
+        return operand(node.left) + node.op + operand(node.right)
+    return f"{node.name}({_fully_parenthesized(node.arg)})"
+
+
+class TestPrinting:
     def test_random_tree_roundtrip(self):
         rng = random.Random(13)
 
@@ -268,7 +299,7 @@ class TestPrinting:
 
         for _ in range(200):
             node = tree(rng.randint(1, 4))
-            assert parse(to_text(node)) == node
+            assert parse(_fully_parenthesized(node)) == node
 
 
 class TestOrderConsistency:

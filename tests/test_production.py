@@ -533,6 +533,47 @@ class TestClosedFormLaw:
                 want = produced_matrix_closed_form(e, 2**j).truncate(e.order - j)
                 assert coefficients(step) == coefficients(want), (e, j)
 
+
+class TestDerivationFacts:
+    """Two facts the derivation reads (``docs/derivation.md``): dropping the
+    top k rows of M is M P^k at finite size, and x Z_n(f) has a closed form."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_dropping_k_rows_is_m_times_p_to_the_k(self, k):
+        size = 6
+        x = TruncatedSeries.x(13)
+        for e in (catalan_array(13), RiordanElement(2 + x, 3 * x / (1 - x))):
+            m = frac_rows(e.matrix(size + k).rows)
+            p = frac_rows(production_matrix(e, size + k).rows)
+            product = m
+            for _ in range(k):
+                product = mat_mul_rows(product, p)
+            assert [list(row[:size]) for row in product[:size]] == [
+                list(row[:size]) for row in m[k : k + size]
+            ], (e, k)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_z_n_of_f(self, battery, non_normalized, n):
+        # x Z_n(f) = (f/x)^(n-1) - b0 g(0)/g with b0 = f'(0)^(n-1); the
+        # control (f/x)^n in place of (f/x)^(n-1) fails on every element
+        # but those with f = x, where both powers are 1
+        controls = 0
+        for e in battery + non_normalized:
+            _, z = nth_az(e, n)
+            left = z.compose(e.f).shift_up(1).coefficients
+            phi = e.f.shift_down(1)
+            tail = e.f.coefficient(1) ** (n - 1) * e.g.constant_term / e.g
+
+            def right(power):
+                return (phi**power - tail).truncate(len(left) - 1).coefficients
+
+            assert left == right(n - 1), (e, n)
+            if e.f != TruncatedSeries.x(e.order):
+                controls += 1
+                assert left != right(n), (e, n)
+        assert controls > len(battery + non_normalized) * 0.9
+
+
 class TestVerification:
     def test_a085478_second_equal(self):
         report = verify_nth_conjecture(a085478_element(10), 2, 6)
