@@ -15,7 +15,7 @@ _SOURCES = {
     "ExpressionSyntaxError InvalidElementError NonUnitError OeisFormatError OeisQueryError "
     "PrecisionError ReversionError RiordanError ShapeError SingularMatrixError SqrtError "
     "UnknownFamilyError",
-    "families": "FAMILY_NAMES PolynomialRow a085478_element a085478_second_entry "
+    "families": "FAMILY_NAMES a085478_element a085478_second_entry "
     "a092276_entry binomial_power catalan_array family_element iterate_second_production "
     "moment_element moment_entry orthogonal_polys pascal",
     "gfexpr": "evaluate evaluate_text parse",

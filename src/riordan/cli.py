@@ -1,9 +1,9 @@
 """Command-line surface: show, prod, verify, identify, family.
 
-Elements are named either by ``--family`` (pascal, binomial:r, catalan,
-moment:r, a085478) or by a pair of generating-function expressions ``--g``
-and ``--f``, evaluated to order size + 2 (plus ``--iterate`` for ``family``,
-at most ``MAX_ORDER``) so users never manage truncation orders by hand.
+Elements are named either by ``--family`` (a name of ``FAMILY_NAMES``) or
+by a pair of generating-function expressions ``--g`` and ``--f``, evaluated
+to order size + 2 (plus ``--iterate`` for ``family``, at most ``MAX_ORDER``)
+so users never manage truncation orders by hand.
 Every integer the CLI reads is ASCII, ``[+-]?[0-9]+``.
 
 Exit codes: 0 on success (and when ``verify`` finds every instance equal,
@@ -227,7 +227,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
     name, _, param = args.name.partition(":")
     if name == "moment":
         polys = orthogonal_polys(family_parameter(name, param), args.size)
-        rows = [[str(c) for c in row.coeffs] for row in polys]
+        rows = [[str(c) for c in row] for row in polys]
         if args.json:
             doc["polynomial_rows"] = rows
         else:

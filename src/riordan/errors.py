@@ -9,7 +9,8 @@ from __future__ import annotations
 
 
 class Record:
-    """Base of the package's small immutable value classes.
+    """Base of the package's small immutable value classes: the syntax-tree
+    nodes and tokens of ``gfexpr``, ``SequenceMatch`` and ``VerificationReport``.
 
     A subclass names its fields in ``__slots__`` and passes their values, in
     that order, to ``Record.__init__``.  Equality (between instances of one

@@ -12,19 +12,20 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
 from .arrays import RiordanElement
-from .errors import PrecisionError, Record, UnknownFamilyError
+from .errors import PrecisionError, UnknownFamilyError
 from .production import produced_matrix_closed_form
 from .series import (
     _MAX_LITERAL_DIGITS,
     Rational,
     TruncatedSeries,
+    _checked,
     as_fraction,
     catalan_gf,
 )
-
-FAMILY_NAMES = ("pascal", "binomial:r", "catalan", "moment:r", "a085478")
 
 
 def binomial_power(r: Rational, order: int) -> RiordanElement:
@@ -55,8 +56,9 @@ def a085478_element(order: int) -> RiordanElement:
 
 def moment_element(r: Rational, order: int) -> RiordanElement:
     """(c(rx)^2, x c(rx)^2), the element generated by the second production
-    matrix of the binomial power B^r."""
-    crx = catalan_gf(order).compose(TruncatedSeries([0, as_fraction(r)], order))
+    matrix of the binomial power B^r; c(rx) scales c's terms by r^0, r^1, ..."""
+    powers = accumulate(repeat(as_fraction(r)), mul, initial=1)
+    crx = TruncatedSeries([_checked(c * p) for c, p in zip(catalan_gf(order).coefficients, powers)])
     g = crx * crx
     return RiordanElement(g, g.shift_up(1).truncate(order))
 
@@ -72,32 +74,19 @@ def moment_entry(r: Rational, n: int, k: int) -> Fraction:
     )
 
 
-class PolynomialRow(Record):
-    """Coefficients of one orthogonal polynomial, ascending in x; the row-n
-    polynomial is monic of degree exactly n."""
+def orthogonal_polys(r: Rational, count: int) -> list[tuple[Fraction, ...]]:
+    """Rows of M(r)^-1 = (1/(1+rx)^2, x/(1+rx)^2), row n cut at its diagonal.
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[Fraction, ...]):
-        super().__init__(coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def orthogonal_polys(r: Rational, count: int) -> list[PolynomialRow]:
-    """Rows of M(r)^-1 = (1/(1+rx)^2, x/(1+rx)^2).
-
-    These are the coefficient rows of the polynomials satisfying
-    P_n = (x - 2r) P_(n-1) - r^2 P_(n-2) with P_0 = 1 and P_1 = x - 2r.
+    Row n holds the coefficients, ascending in x, of the monic degree-n
+    polynomial P_n, where P_n = (x - 2r) P_(n-1) - r^2 P_(n-2) with P_0 = 1
+    and P_1 = x - 2r.
     """
     if count < 1:
         raise ValueError("count must be positive")
     # at order count, one past what the rows read, so f = x g has its x term
     g = TruncatedSeries([1, as_fraction(r)], count) ** -2
     rows = RiordanElement(g, g.shift_up(1).truncate(count)).matrix(count).rows
-    return [PolynomialRow(row[: n + 1]) for n, row in enumerate(rows)]
+    return [row[: n + 1] for n, row in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +147,17 @@ def iterate_second_production(
 # name registry for the CLI
 # ---------------------------------------------------------------------------
 
+# each family by the name the CLI lists -> its builder; a name ending in ":r"
+# takes a rational parameter r, passed before the order
+_FAMILIES = {
+    "pascal": pascal,
+    "binomial:r": binomial_power,
+    "catalan": catalan_array,
+    "moment:r": moment_element,
+    "a085478": a085478_element,
+}
+FAMILY_NAMES = tuple(_FAMILIES)
+
 # group 1 is a decimal exponent; re.fullmatch compiles the pattern at first use
 _PARAMETER = r"[-+]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE]([-+]?[0-9]+))?)"
 
@@ -192,23 +192,16 @@ def family_parameter(name: str, param: str) -> Fraction:
 def family_element(spec: str, order: int) -> RiordanElement:
     """Resolve a family identifier like ``pascal`` or ``moment:1/2``."""
     name, _, param = spec.partition(":")
-    if name in ("pascal", "catalan", "a085478"):
-        if param:
-            raise UnknownFamilyError(f"family '{name}' takes no parameter")
-        if name == "pascal":
-            return pascal(order)
-        if name == "catalan":
-            return catalan_array(order)
-        return a085478_element(order)
-    if name in ("binomial", "moment"):
+    if build := _FAMILIES.get(f"{name}:r"):
         if not param:
             raise UnknownFamilyError(
                 f"family '{name}' needs a rational parameter, e.g. {name}:2"
             )
-        r = family_parameter(name, param)
-        if name == "binomial":
-            return binomial_power(r, order)
-        return moment_element(r, order)
+        return build(family_parameter(name, param), order)
+    if build := _FAMILIES.get(name):
+        if param:
+            raise UnknownFamilyError(f"family '{name}' takes no parameter")
+        return build(order)
     raise UnknownFamilyError(
         f"unknown family {spec!r}; valid names: {', '.join(FAMILY_NAMES)}"
     )

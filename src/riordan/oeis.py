@@ -19,13 +19,13 @@ as the OEIS file's do (so no A-number repeats), it then writes a sidecar
 dump's byte count, SHA-256 and malformed-line count.  A later read trusts the
 sidecar only if it is a regular file (not a symlink) of this user that no group
 or other may write, with exactly that schema and the dump's size; it then
-hashes the dump again through the same reader, but reads only the lines that
-hold the query (a load reads all), and if the sidecar counts no malformed line,
-keeps the lines read as the index's text, giving none to the rule.  A digest
-that differs discards that result for a full pass, which rewrites the sidecar.
-Errors on the sidecar are ignored, so deleting it, or a read-only directory,
-costs only the full pass.  A dump that is not a regular file is neither hashed
-nor given a sidecar.
+hashes the dump again through the same reader, but gives the record rule only
+the lines that hold the query (a load gives it all); a load whose sidecar counts
+no malformed line keeps the text read as the index's, giving no line to the
+rule.  A digest that differs discards that result for a full pass, which
+rewrites the sidecar.  Errors on the sidecar are ignored, so deleting it, or a
+read-only directory, costs only the full pass.  A dump that is not a regular
+file is neither hashed nor given a sidecar.
 """
 
 from __future__ import annotations
@@ -242,13 +242,12 @@ def _index(raw: io.RawIOBase, path: str | Path, key: str, sha=None, known: dict 
     hold ``key`` and are their A-number's last, and whether their A-numbers
     strictly increase; ``sha``, if given, takes every byte read.  Each line goes
     to the record rule, and a dump with no record is an error.  With ``known``,
-    a sidecar trusted for these bytes, only the lines that hold ``key`` are
-    read (every line for ``""``) and ``skipped_lines`` is the sidecar's; if that
-    is 0, the lines read are the index's text as they are."""
+    a sidecar trusted for these bytes, only the lines that hold ``key`` go to
+    the rule (every line for ``""``) and ``skipped_lines`` is the sidecar's; a
+    load (``""``) whose sidecar counts 0 keeps the text read as it is."""
     index, text, skipped, ordered, last = OeisIndex({}), [], 0, True, ""
-    if known and known["skipped"] == 0:  # certified clean, with no A-number repeated
-        blocks = _blocks(raw, sha)
-        index._text = ["".join(f"{line}\n" for block in blocks for line in _holding(block, key))] if key else [*blocks]
+    if known and known["skipped"] == 0 and not key:  # certified clean, with no A-number repeated
+        index._text = [*_blocks(raw, sha)]
         return index, True
     for block in _blocks(raw, sha):
         kept = []

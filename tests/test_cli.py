@@ -639,6 +639,8 @@ class TestCoefficientBudget:
     )
     CASES = (
         (("show", "--family", "binomial:1e4299", "--size", "40"), BUDGET),
+        # c(rx) scales c's terms by r^k, each checked as it is built
+        (("family", "moment:1e4299", "--size", "40"), BUDGET),
         (("show", "--g", "1/(1-10^4299*x)", "--f", "x", "--size", "40"), BUDGET),
         (("verify", "--family", "binomial:1e4299", "--n", "1..3", "--size", "40"), BUDGET),
         # refused inside the integer rows of the A/Z solve at size 10

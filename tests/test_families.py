@@ -5,6 +5,7 @@ import pytest
 
 import reference_data as ref
 from riordan import (
+    FAMILY_NAMES,
     PrecisionError,
     RiordanElement,
     TriMatrix,
@@ -15,6 +16,7 @@ from riordan import (
     a092276_entry,
     binomial_power,
     catalan_array,
+    catalan_gf,
     family_element,
     iterate_second_production,
     moment_element,
@@ -23,6 +25,7 @@ from riordan import (
     pascal,
     produced_matrix_closed_form,
     production_matrix,
+    series,
 )
 
 
@@ -109,25 +112,40 @@ class TestMomentArrays:
         with pytest.raises(ValueError):
             moment_entry(1, 2, 3)
 
+    @pytest.mark.parametrize("r", [F(0), F(1), F(-3), F(1, 2), F(2, 3), F(10**50)])
+    def test_scaling_matches_composition(self, r):
+        # c(rx) as the substitution x -> rx that the scaling by r^k stands for
+        c = catalan_gf(12).compose(TruncatedSeries([0, r], 12))
+        e = moment_element(r, 12)
+        assert e.g.coefficients == (c * c).coefficients
+        assert e.f.coefficients == (c * c).shift_up(1).truncate(12).coefficients
+
+    def test_scaling_builds_no_power_chain(self, monkeypatch):
+        # c(rx) is a diagonal scaling of c: no matrix of the powers of rx
+        calls = []
+        monkeypatch.setattr(series, "_powers", lambda *args: calls.append(args))
+        moment_element(F(2, 3), 30)
+        assert calls == []
+
 
 class TestOrthogonalPolys:
     def test_first_two(self):
         rows = orthogonal_polys(F(5), 2)
-        assert rows[0].coeffs == (1,)
-        assert rows[1].coeffs == (-10, 1)
+        assert rows[0] == (1,)
+        assert rows[1] == (-10, 1)
 
     def test_p2_at_r1(self):
         rows = orthogonal_polys(1, 3)
-        assert rows[2].coeffs == (3, -4, 1)
+        assert rows[2] == (3, -4, 1)
 
     def test_coefficient_rows_r1(self):
         rows = orthogonal_polys(1, 3)
-        assert [list(r.coeffs) for r in rows] == [[1], [-2, 1], [3, -4, 1]]
+        assert rows == [(1,), (-2, 1), (3, -4, 1)]
 
     @pytest.mark.parametrize("r", [F(-1), F(1), F(2)])
     def test_recurrence_holds_through_degree_12(self, r):
         rows = orthogonal_polys(r, 13)
-        polys = [list(row.coeffs) for row in rows]
+        polys = [list(row) for row in rows]
         for n in range(2, 13):
             expected = poly_recurrence_step(polys[n - 1], polys[n - 2], r)
             assert polys[n] == expected[: n + 1]
@@ -135,16 +153,14 @@ class TestOrthogonalPolys:
     @pytest.mark.parametrize("r", [F(-1), F(1), F(2), F(1, 3)])
     def test_rows_invert_the_moment_array(self, r):
         size = 9
-        coeff_matrix = TriMatrix.from_rows(
-            [list(row.coeffs) for row in orthogonal_polys(r, size)]
-        )
+        coeff_matrix = TriMatrix.from_rows(orthogonal_polys(r, size))
         product = moment_element(r, size - 1).matrix(size).mul(coeff_matrix)
         assert product == TriMatrix.from_rows([[0] * i + [1] for i in range(size)])
 
     def test_monic_of_exact_degree(self):
         for n, row in enumerate(orthogonal_polys(F(3, 2), 7)):
-            assert row.degree == n
-            assert row.coeffs[-1] == 1
+            assert len(row) - 1 == n
+            assert row[-1] == 1
 
 
 class TestClosedFormEntries:
@@ -232,7 +248,26 @@ class TestFamilyRegistry:
     def test_unknown_family_lists_names(self):
         with pytest.raises(UnknownFamilyError) as err:
             family_element("nosuch", 6)
-        assert "pascal" in str(err.value)
+        assert str(err.value) == (
+            "unknown family 'nosuch'; valid names: pascal, binomial:r, catalan, moment:r, a085478"
+        )
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_every_listed_name_resolves(self, name):
+        spec = name[:-1] + "2" if name.endswith(":r") else name
+        e = family_element(spec, 5)
+        assert isinstance(e, RiordanElement) and e.order == 5
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_every_listed_name_refuses_the_wrong_parameter_shape(self, name):
+        bare, _, r = name.partition(":")
+        if r:
+            spec, message = bare, f"family '{bare}' needs a rational parameter, e.g. {bare}:2"
+        else:
+            spec, message = f"{bare}:2", f"family '{bare}' takes no parameter"
+        with pytest.raises(UnknownFamilyError) as err:
+            family_element(spec, 5)
+        assert str(err.value) == message
 
     def test_parameter_requirements(self):
         with pytest.raises(UnknownFamilyError):

@@ -1,6 +1,5 @@
 """Value semantics of the package's small immutable classes: the syntax-tree
-nodes and tokens of ``gfexpr``, ``SequenceMatch``, ``PolynomialRow`` and
-``VerificationReport``.  Reprs are recorded as literals."""
+nodes and tokens of ``gfexpr``, ``SequenceMatch`` and ``VerificationReport``.  Reprs are recorded as literals."""
 
 import copy
 import pickle
@@ -10,7 +9,6 @@ import pytest
 
 from riordan import (
     OeisIndex,
-    PolynomialRow,
     SequenceMatch,
     VerificationReport,
     parse,
@@ -111,20 +109,6 @@ class TestSequenceMatch:
             SequenceMatch("A000001", 1),
             SequenceMatch("A000003", 1),
         ]
-
-
-class TestPolynomialRow:
-    def test_degree_equality_and_repr(self):
-        row = PolynomialRow((F(1), F(-2), F(1)))
-        assert row.degree == 2 and PolynomialRow((F(5),)).degree == 0
-        assert row == PolynomialRow(coeffs=(F(1), F(-2), F(1)))
-        assert hash(row) == hash(PolynomialRow((F(1), F(-2), F(1))))
-        assert row != PolynomialRow((F(1), F(-2)))
-        assert repr(row) == (
-            "PolynomialRow(coeffs=(Fraction(1, 1), Fraction(-2, 1), Fraction(1, 1)))"
-        )
-        with pytest.raises(AttributeError):
-            row.coeffs = ()
 
 
 class TestVerificationReport:
