@@ -199,7 +199,7 @@ class RiordanElement:
 
     @classmethod
     def identity(cls, order: int) -> "RiordanElement":
-        return cls(TruncatedSeries.one(order), TruncatedSeries.x(order))
+        return cls(TruncatedSeries([1], order), TruncatedSeries([0, 1], order))
 
     @property
     def g(self) -> TruncatedSeries:

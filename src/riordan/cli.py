@@ -26,9 +26,8 @@ from .errors import RiordanError
 from .families import (
     FAMILY_NAMES,
     family_element,
-    family_parameter,
+    family_with_polynomials,
     iterate_second_production,
-    orthogonal_polys,
 )
 from .production import nth_production_matrix, production_matrix, verify_nth_conjecture
 from .series import _MAX_ORDER as MAX_ORDER  # the highest order a command may ask for
@@ -211,7 +210,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
     steps = args.iterate if args.iterate is not None else 0
     if steps < 0:
         raise RiordanError("--iterate must be non-negative")
-    element = family_element(args.name, _headroom(args.size, steps))
+    element, polys = family_with_polynomials(args.name, _headroom(args.size, steps), args.size)
     p = production_matrix(element, args.size)
     matrix = element.matrix(args.size)
     # each part is rendered as it is computed, in the one format printed
@@ -224,9 +223,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
         }
     else:
         blocks = [matrix.to_text(), "production matrix:", p.to_text()]
-    name, _, param = args.name.partition(":")
-    if name == "moment":
-        polys = orthogonal_polys(family_parameter(name, param), args.size)
+    if polys is not None:
         rows = [[str(c) for c in row] for row in polys]
         if args.json:
             doc["polynomial_rows"] = rows

@@ -156,6 +156,9 @@ _FAMILIES = {
     "moment:r": moment_element,
     "a085478": a085478_element,
 }
+# the families whose matrices are moment arrays -> the builder of their
+# orthogonal polynomials, which takes the family's parameter and a count
+_POLYNOMIALS = {"moment:r": orthogonal_polys}
 FAMILY_NAMES = tuple(_FAMILIES)
 
 # group 1 is a decimal exponent; re.fullmatch compiles the pattern at first use
@@ -191,17 +194,24 @@ def family_parameter(name: str, param: str) -> Fraction:
 
 def family_element(spec: str, order: int) -> RiordanElement:
     """Resolve a family identifier like ``pascal`` or ``moment:1/2``."""
+    return family_with_polynomials(spec, order, 0)[0]
+
+
+def family_with_polynomials(
+    spec: str, order: int, count: int
+) -> tuple[RiordanElement, list[tuple[Fraction, ...]] | None]:
+    """``family_element(spec, order)``, and the coefficient rows of the
+    family's first ``count`` orthogonal polynomials if it has them
+    (``moment:r``) and ``count`` is positive, else None."""
     name, _, param = spec.partition(":")
-    if build := _FAMILIES.get(f"{name}:r"):
-        if not param:
-            raise UnknownFamilyError(
-                f"family '{name}' needs a rational parameter, e.g. {name}:2"
-            )
-        return build(family_parameter(name, param), order)
-    if build := _FAMILIES.get(name):
-        if param:
-            raise UnknownFamilyError(f"family '{name}' takes no parameter")
-        return build(order)
-    raise UnknownFamilyError(
-        f"unknown family {spec!r}; valid names: {', '.join(FAMILY_NAMES)}"
-    )
+    key = f"{name}:r" if f"{name}:r" in _FAMILIES else name
+    if key not in _FAMILIES:
+        raise UnknownFamilyError(
+            f"unknown family {spec!r}; valid names: {', '.join(FAMILY_NAMES)}"
+        )
+    if (key != name) != bool(param):  # a parameter for exactly the NAME:r families
+        why = "takes no parameter" if param else f"needs a rational parameter, e.g. {name}:2"
+        raise UnknownFamilyError(f"family '{name}' {why}")
+    params = (family_parameter(name, param),) if param else ()
+    polys = _POLYNOMIALS.get(key) if count else None
+    return _FAMILIES[key](*params, order), polys and polys(*params, count)

@@ -107,12 +107,6 @@ GfExpression = Lit | Var | Neg | Pow | BinOp | Call
 _TOKEN = re.compile(r"(\s+)|([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()])")
 _KINDS = {2: "int", 3: "ident"}
 
-# the binary operators' binding levels, loosest first, as _binary reads them:
-# a sum's operands are terms, and a term's operands are factors
-_LEVEL_SUM = 1
-_LEVEL_TERM = 2
-_BINARY_LEVEL = {"+": _LEVEL_SUM, "-": _LEVEL_SUM, "*": _LEVEL_TERM, "/": _LEVEL_TERM}
-
 # folded exponents must fit in this many bits, so towers such as 2^2^2^2^2^2
 # fail before their value is computed
 _EXPONENT_BITS = 64
@@ -186,16 +180,21 @@ class _Parser:
         if self._tok.kind == "-":
             minus = self._advance()
             return Neg(self._expr(), pos=minus.pos)
-        return self._binary(_LEVEL_SUM)
+        return self._sum()
 
-    def _binary(self, level: int) -> GfExpression:
-        # operators of one level associate to the left; each operand binds
-        # tighter, and at _LEVEL_TERM it is a factor
-        node = self._factor() if level == _LEVEL_TERM else self._binary(level + 1)
-        while _BINARY_LEVEL.get(self._tok.kind) == level:
+    # the operators of a sum, and of a term, associate to the left
+    def _sum(self) -> GfExpression:
+        node = self._term()
+        while self._tok.kind in ("+", "-"):
             op = self._advance()
-            right = self._factor() if level == _LEVEL_TERM else self._binary(level + 1)
-            node = BinOp(op.kind, node, right, pos=op.pos)
+            node = BinOp(op.kind, node, self._term(), pos=op.pos)
+        return node
+
+    def _term(self) -> GfExpression:
+        node = self._factor()
+        while self._tok.kind in ("*", "/"):
+            op = self._advance()
+            node = BinOp(op.kind, node, self._factor(), pos=op.pos)
         return node
 
     def _factor(self) -> GfExpression:
@@ -261,8 +260,6 @@ def parse(text: str) -> GfExpression:
 
 def evaluate(expr: GfExpression, order: int) -> TruncatedSeries:
     """Evaluate a syntax tree to an exact series at the given order."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
     try:
         return _eval(expr, order, {}, order + _MAX_ORDER)
     except RecursionError:
@@ -285,9 +282,9 @@ def _eval(node: GfExpression, order: int, memo: dict, ceiling: int) -> Truncated
     if key in memo:
         return memo[key]
     if isinstance(node, Lit):
-        result = TruncatedSeries.constant(node.value, order)
+        result = TruncatedSeries([node.value], order)
     elif isinstance(node, Var):
-        result = TruncatedSeries.x(order)
+        result = TruncatedSeries([0, 1], order)
     elif isinstance(node, Neg):
         result = -_eval(node.arg, order, memo, ceiling)
     elif isinstance(node, Pow):
@@ -344,14 +341,9 @@ def _eval_div(node: BinOp, order: int, memo: dict, ceiling: int) -> TruncatedSer
     # at the requested order; at shift 0 both operands come from the memo
     num = _eval(node.left, order + shift, memo, ceiling)
     den = _eval(node.right, order + shift, memo, ceiling)
-    for i in range(shift):
-        if num.coefficient(i):
-            raise ExpressionEvalError(
-                f"numerator must be divisible by x^{shift} to match the "
-                "denominator's leading power of x",
-                node.pos,
-            )
-    return num.shift_down(shift) / den.shift_down(shift)
+    with _positioned(node.pos):  # the numerator's low terms must vanish too
+        num = num.shift_down(shift)
+    return num / den.shift_down(shift)
 
 
 @contextlib.contextmanager

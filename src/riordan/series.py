@@ -228,24 +228,6 @@ class TruncatedSeries:
             raise ValueError("a series needs at least the constant coefficient")
         self._coeffs = tuple(values)
 
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([0], order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([1], order)
-
-    @classmethod
-    def x(cls, order: int) -> "TruncatedSeries":
-        return cls([0, 1], order)
-
-    @classmethod
-    def constant(cls, value: Rational, order: int) -> "TruncatedSeries":
-        return cls([value], order)
-
     # -- basic access ----------------------------------------------------------
 
     @property
@@ -270,8 +252,7 @@ class TruncatedSeries:
             )
         return self._coeffs[n]
 
-    def __getitem__(self, n: int) -> Fraction:
-        return self.coefficient(n)
+    __getitem__ = coefficient
 
     def is_zero(self) -> bool:
         return not any(self._coeffs)
@@ -299,7 +280,7 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             return other
         if isinstance(other, (int, Fraction)):
-            return TruncatedSeries.constant(other, self.order)
+            return TruncatedSeries([other], self.order)
         return None
 
     def _termwise(
@@ -365,14 +346,14 @@ class TruncatedSeries:
         if not isinstance(exponent, int):
             return NotImplemented
         if not exponent:
-            return TruncatedSeries.one(self.order)
+            return TruncatedSeries([1], self.order)
         v = self.valuation()
         if v != 0 and exponent < 0:
             raise NonUnitError("negative power requires a series with nonzero constant term")
         # self = x^v * u with u(0) != 0, so self^e = x^(v e) * u^e
         shift = self.order + 1 if v is None else v * exponent
         if shift > self.order:
-            return TruncatedSeries.zero(self.order)
+            return TruncatedSeries([0], self.order)
         c = self._coeffs[v : self.order + 1 + v - shift]
         # c0^e has more than (bits - 1) |e| bits: refused before it is computed
         bits = max(c[0].numerator.bit_length(), c[0].denominator.bit_length())

@@ -206,7 +206,7 @@ def power_by_squaring(s, exponent):
     route, an oracle for its power kernel (Miller's recurrence)."""
     if exponent < 0:
         return power_by_squaring(1 / s, -exponent)
-    result, base = TruncatedSeries.one(s.order), s
+    result, base = TruncatedSeries([1], s.order), s
     while exponent:
         if exponent & 1:
             result = result * base

@@ -229,7 +229,7 @@ def test_structural_invariants(battery):
     for e in battery[:10]:
         ok &= generate_from_production(production_matrix(e, 12), 12) == e.matrix(12)
 
-    x = TruncatedSeries.x(14)
+    x = TruncatedSeries([0, 1], 14)
     for e in battery[:10]:
         rev = e.reverted_f()
         ok &= e.f.compose(rev) == x and rev.compose(e.f) == x
@@ -237,7 +237,7 @@ def test_structural_invariants(battery):
     for e1, e2 in zip(battery[:10], battery[10:20]):
         ok &= e1.mul(e2).matrix(10) == e1.matrix(10).mul(e2.matrix(10))
 
-    appell = RiordanElement(TruncatedSeries([1, 1, 1, 1], 12), TruncatedSeries.x(12))
+    appell = RiordanElement(TruncatedSeries([1, 1, 1, 1], 12), TruncatedSeries([0, 1], 12))
     for n in range(2, 7):
         ok &= produced_matrix_closed_form(appell, n) == appell
 
@@ -252,8 +252,8 @@ def test_structural_invariants(battery):
 
 def test_expression_corpus():
     order = 10
-    one = TruncatedSeries.one(order)
-    x = TruncatedSeries.x(order)
+    one = TruncatedSeries([1], order)
+    x = TruncatedSeries([0, 1], order)
     inv1mx = 1 / TruncatedSeries([1, -1], order)
     c = catalan_gf(order)
     c_neg = catalan_gf(order).compose(-x)
@@ -320,7 +320,7 @@ def test_expression_corpus():
 
     # the displayed quotient equals rev(x/(1-x)^2)^2 / x exactly, which in
     # turn is x*c(-x)^4
-    f = TruncatedSeries.x(11) * (TruncatedSeries([1, -1], 11) ** -2)
+    f = TruncatedSeries([0, 1], 11) * (TruncatedSeries([1, -1], 11) ** -2)
     rev_sq_over_x = (f.revert() ** 2).shift_down(1)
     special = evaluate_text(
         "(1+4*x+2*x^2-(1+2*x)*sqrt(1+4*x))/(2*x^3)", 10

@@ -49,7 +49,7 @@ class TestElementValidation:
         assert e.matrix(4) == TriMatrix.from_rows([[1], [0, 1], [0, 0, 1], [0, 0, 0, 1]])
 
     def test_zero_constant_g_rejected(self):
-        x = TruncatedSeries.x(4)
+        x = TruncatedSeries([0, 1], 4)
         with pytest.raises(InvalidElementError):
             RiordanElement(x, x)
 
@@ -63,7 +63,7 @@ class TestElementValidation:
 
     def test_order_mismatch_rejected(self):
         with pytest.raises(PrecisionError):
-            RiordanElement(TruncatedSeries.one(4), TruncatedSeries.x(5))
+            RiordanElement(TruncatedSeries([1], 4), TruncatedSeries([0, 1], 5))
 
 
 class TestMatrix:
@@ -119,7 +119,7 @@ class TestGroupOps:
         # non-normalized and rational factors, whose denominators meet in the
         # one chain of the powers of e1.f that carries both series of e2
         for order in (14, 17, 20):
-            x = TruncatedSeries.x(order)
+            x = TruncatedSeries([0, 1], order)
             rational = non_normalized_battery(3, order, seed=order) + [
                 moment_element(F(1, 3), order),
                 binomial_power(F(2, 3), order),
@@ -186,17 +186,17 @@ class TestAZSequences:
         for i in range(5):
             assert a.coefficient(i) == p[i][1]
         assert a == TruncatedSeries([1, 1], 8)
-        assert z == TruncatedSeries.one(7)
+        assert z == TruncatedSeries([1], 7)
 
 
 class TestFromAZ:
     def test_trivial_identity(self):
-        e = RiordanElement.from_az(TruncatedSeries.one(6), TruncatedSeries.zero(6))
+        e = RiordanElement.from_az(TruncatedSeries([1], 6), TruncatedSeries([0], 6))
         assert e == RiordanElement.identity(6)
 
     def test_pascal_from_sequences(self):
         e = RiordanElement.from_az(
-            TruncatedSeries([1, 1], 6), TruncatedSeries.one(6)
+            TruncatedSeries([1, 1], 6), TruncatedSeries([1], 6)
         )
         assert e == pascal(7)
         assert e.matrix(6) == pascal(6).matrix(6)
@@ -208,7 +208,7 @@ class TestFromAZ:
 
     def test_zero_a_constant_rejected(self):
         with pytest.raises(InvalidElementError):
-            RiordanElement.from_az(TruncatedSeries.x(5), TruncatedSeries.one(5))
+            RiordanElement.from_az(TruncatedSeries([0, 1], 5), TruncatedSeries([1], 5))
 
     def test_roundtrip_battery(self, battery):
         for e in battery[:12]:

@@ -14,7 +14,7 @@ import pytest
 import reference_data as ref
 from helpers import frac_rows
 from riordan import (
-    RiordanElement, RiordanError, TriMatrix, VerificationReport, arrays, cli, gfexpr,
+    RiordanElement, RiordanError, TriMatrix, VerificationReport, arrays, cli, families, gfexpr,
     iterate_second_production, pascal, production, series,
 )
 from riordan.arrays import ExactMatrix
@@ -612,6 +612,21 @@ class TestFamily:
         code, _, err = run(capsys, "family", "moment:1/2", "--size", "8", "--iterate", "5")
         assert (code, err, calls) == (0, "", 1)
 
+    def test_family_parses_its_parameter_once(self, capsys, monkeypatch):
+        parse = families.family_parameter
+        calls = 0
+
+        def counted(name, param):
+            nonlocal calls
+            calls += 1
+            return parse(name, param)
+
+        # counted in cli too, should the command ever parse it there itself
+        monkeypatch.setattr(families, "family_parameter", counted)
+        monkeypatch.setattr(cli, "family_parameter", counted, raising=False)
+        code, _, err = run(capsys, "family", "moment:1/2", "--size", "4")
+        assert (code, err, calls) == (0, "", 1)
+
     def test_unknown_family_exits_2(self, capsys):
         code, _, err = run(capsys, "family", "nosuch")
         assert code == 2
@@ -693,13 +708,17 @@ class TestEvaluationOrder:
         orders = []
 
         def recording(function):
-            def wrapper(text, order):
+            def wrapper(text, order, *rest):
                 orders.append(order)
-                return function(text, order)
+                return function(text, order, *rest)
             return wrapper
 
         monkeypatch.setattr(gfexpr, "evaluate_text", recording(gfexpr.evaluate_text))
         monkeypatch.setattr(cli, "family_element", recording(cli.family_element))
+        # the family command reads its element and its polynomials together
+        monkeypatch.setattr(
+            cli, "family_with_polynomials", recording(cli.family_with_polynomials)
+        )
         return orders
 
     def test_every_element_command_asks_for_size_plus_two(

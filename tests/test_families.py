@@ -212,7 +212,7 @@ class TestIteratedProcess:
 
     def test_appell_invariance(self):
         g = TruncatedSeries([1, 1, 1], 9)
-        e = RiordanElement(g, TruncatedSeries.x(9))
+        e = RiordanElement(g, TruncatedSeries([0, 1], 9))
         chain = iterate_second_production(e, 2)
         assert chain[1] == e and chain[2] == e
 

@@ -162,6 +162,21 @@ class TestEvaluate:
         with pytest.raises(ExpressionEvalError):
             evaluate_text("x/x^2", 5)
 
+    def test_shifted_numerator_that_does_not_vanish_is_refused_at_the_division(self):
+        # the kernel's shift_down refuses it, with the division's offset
+        for text, message in (
+            ("(1-x^3)/x^2", "cannot divide by x^2: coefficient 0 is nonzero (at offset 7)"),
+            ("x/x^2", "cannot divide by x^2: coefficient 1 is nonzero (at offset 1)"),
+        ):
+            with pytest.raises(ExpressionEvalError) as err:
+                evaluate_text(text, 5)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("text", ["1", "x", "c(x)", "sqrt(1+x)", "(1-x^3)/x^2", "-x^2"])
+    def test_negative_order_is_refused_by_the_first_leaf(self, text):
+        with pytest.raises(ValueError, match="^order must be non-negative$"):
+            evaluate_text(text, -1)
+
     def test_division_by_zero_series(self):
         with pytest.raises(ExpressionEvalError):
             evaluate_text("1/(x-x)", 5)
@@ -197,12 +212,12 @@ class TestEvaluate:
             return divide(a, b)
 
         monkeypatch.setattr(TruncatedSeries, "__truediv__", counted)
-        assert evaluate_text(text, 3) == TruncatedSeries.one(3)
+        assert evaluate_text(text, 3) == TruncatedSeries([1], 3)
 
     def test_shifted_division_may_raise_the_order_by_the_ceiling(self):
         # the working order may climb series._MAX_ORDER (1000) past the order
         # asked for and no further; the division that would pass it is at fault
-        assert evaluate_text("x^1000/x^1000", 1000) == TruncatedSeries.one(1000)
+        assert evaluate_text("x^1000/x^1000", 1000) == TruncatedSeries([1], 1000)
         assert evaluate_text("(1-sqrt(1-4*x))/(2*x)", 1000) == catalan_gf(1000)
         with pytest.raises(ExpressionEvalError) as err:
             evaluate_text("x^1001/x/x^1000", 1000)
@@ -213,9 +228,12 @@ class TestEvaluate:
         )
 
     def test_constant_base_power_bounded_by_the_literal_limit(self):
-        # the bound is a lower estimate: 2^14285 (4301 digits) passes, and
-        # printing it is refused later; one more bit is refused here
+        # the bound is a lower estimate, (bits - 1) |e| <= 14285 bits: 2^14285
+        # (4301 digits) passes, and printing it is refused later; one more
+        # bit is refused here; 3^14000 counts as 14000 bits and passes with
+        # 6680 digits
         assert evaluate_text("2^14285", 1).constant_term == 2**14285
+        assert evaluate_text("3^14000", 1).constant_term == 3**14000
         for text, pos in (
             ("1+(2+x)^14286", 7),
             ("(1/2)^100000", 5),

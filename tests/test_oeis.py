@@ -236,7 +236,7 @@ class TestTriangleLookup:
 
     def test_non_integral_entries_rejected(self, index):
         half = RiordanElement(
-            2 * TruncatedSeries.one(4), TruncatedSeries([0, 1, 1], 4) / 2
+            2 * TruncatedSeries([1], 4), TruncatedSeries([0, 1, 1], 4) / 2
         )
         with pytest.raises(OeisQueryError):
             index.identify_triangle(half.matrix(4))

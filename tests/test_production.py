@@ -301,7 +301,7 @@ class TestNthAZ:
     def test_pascal_classical(self):
         a, z = nth_az(pascal(9), 1)
         assert a == TruncatedSeries([1, 1], 8)
-        assert z == TruncatedSeries.one(7)
+        assert z == TruncatedSeries([1], 7)
 
     def test_a085478_classical(self):
         a, z = nth_az(a085478_element(9), 1)
@@ -310,8 +310,8 @@ class TestNthAZ:
 
     def test_identity_classical(self):
         a, z = nth_az(RiordanElement.identity(6), 1)
-        assert a == TruncatedSeries.one(5)
-        assert z == TruncatedSeries.zero(4)
+        assert a == TruncatedSeries([1], 5)
+        assert z == TruncatedSeries([0], 4)
 
     def test_a085478_second_columns(self):
         a, z = nth_az(a085478_element(10), 2)
@@ -459,7 +459,7 @@ class TestClosedForm:
 
     def test_appell_elements_are_fixed_points(self):
         g = TruncatedSeries([1, 1, 1, 1], 10)
-        e = RiordanElement(g, TruncatedSeries.x(10))
+        e = RiordanElement(g, TruncatedSeries([0, 1], 10))
         for n in range(2, 7):
             assert produced_matrix_closed_form(e, n) == e
 
@@ -490,7 +490,7 @@ class TestClosedFormLaw:
 
     @staticmethod
     def law_elements(order):
-        x = TruncatedSeries.x(order)
+        x = TruncatedSeries([0, 1], order)
         families = ["pascal", "catalan", "a085478", "binomial:2", "moment:1/2"]
         return [family_element(name, order) for name in families] + [
             RiordanElement(TruncatedSeries([2, 1], order), 3 * x / TruncatedSeries([1, -1], order)),
@@ -541,7 +541,7 @@ class TestDerivationFacts:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_dropping_k_rows_is_m_times_p_to_the_k(self, k):
         size = 6
-        x = TruncatedSeries.x(13)
+        x = TruncatedSeries([0, 1], 13)
         for e in (catalan_array(13), RiordanElement(2 + x, 3 * x / (1 - x))):
             m = frac_rows(e.matrix(size + k).rows)
             p = frac_rows(production_matrix(e, size + k).rows)
@@ -568,7 +568,7 @@ class TestDerivationFacts:
                 return (phi**power - tail).truncate(len(left) - 1).coefficients
 
             assert left == right(n - 1), (e, n)
-            if e.f != TruncatedSeries.x(e.order):
+            if e.f != TruncatedSeries([0, 1], e.order):
                 controls += 1
                 assert left != right(n), (e, n)
         assert controls > len(battery + non_normalized) * 0.9
