@@ -81,35 +81,23 @@ class ExactMatrix:
 
     BAND = 0
 
-    def __init__(self, rows: Iterable[Iterable[Fraction]]):
-        frozen = tuple(
-            tuple(c if isinstance(c, Fraction) else as_fraction(c) for c in row)
-            for row in rows
-        )
-        size = len(frozen)
+    def __init__(self, rows: Iterable[Iterable[Fraction | int]]):
+        """Row i lists entries 0, 1, ... and may stop anywhere up to the
+        size; a short row is padded with zeros."""
+        given = [tuple(c if isinstance(c, Fraction) else as_fraction(c) for c in row) for row in rows]
+        size = len(given)
         if size == 0:
             raise ShapeError("matrix must have at least one row")
-        for i, row in enumerate(frozen):
-            if len(row) != size:
-                raise ShapeError(f"row {i} has {len(row)} entries, expected {size}")
-            for j in range(i + self.BAND + 1, size):
+        for i, row in enumerate(given):
+            if len(row) > size:
+                raise ShapeError(f"row {i} is longer than the matrix size {size}")
+            for j in range(i + self.BAND + 1, len(row)):
                 if row[j]:
                     raise ShapeError(
                         f"entry ({i}, {j}) is {row[j]}, but a {type(self).__name__} "
                         f"is zero more than {self.BAND} places above the diagonal"
                     )
-        self._rows = frozen
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> ExactMatrix:
-        """Build from ragged rows (row i may list only entries 0..i+BAND)."""
-        size = len(rows)
-        full = []
-        for i, row in enumerate(rows):
-            if len(row) > size:
-                raise ShapeError(f"row {i} is longer than the matrix size {size}")
-            full.append([*row, *(_ZERO,) * (size - len(row))])
-        return cls(full)
+        self._rows = tuple(row + (_ZERO,) * (size - len(row)) for row in given)
 
     @property
     def size(self) -> int:
@@ -230,7 +218,7 @@ class RiordanElement:
                 f"but it has order {self.order}"
             )
         rows = _powers(self._g.coefficients[:size], self._f.coefficients, size)
-        return TriMatrix.from_rows([[_ratio(v, d) for v in r] for r, d in rows])
+        return TriMatrix([_ratio(v, d) for v in r] for r, d in rows)
 
     # -- group structure ---------------------------------------------------------
 

@@ -20,7 +20,7 @@ from operator import mul
 
 from .arrays import _ONE, ExactMatrix, RiordanElement, Rows, TriMatrix
 from .errors import PrecisionError, Record
-from .series import _ZERO, TruncatedSeries, _forward, _powers, _ratio, lift
+from .series import TruncatedSeries, _forward, _powers, _ratio, lift
 
 
 class ProductionMatrix(ExactMatrix):
@@ -107,7 +107,7 @@ def nth_production_matrix(e: RiordanElement, n: int, size: int) -> ProductionMat
     _require_order(e, size + 1 if n > 1 else size, what)
     # at order size where e allows, so every n at this size shares one solve
     a, z = (s.coefficients for s in _nth_az(e, n, min(size, e.order - 1)))
-    return ProductionMatrix.from_rows([((z[i],) + a[i::-1])[:size] for i in range(size)])
+    return ProductionMatrix([((z[i],) + a[i::-1])[:size] for i in range(size)])
 
 
 def generate_from_production(p: ProductionMatrix, size: int) -> TriMatrix:
@@ -125,14 +125,14 @@ def generate_from_production(p: ProductionMatrix, size: int) -> TriMatrix:
     lead = [lift(p.column(j)[:size]) for j in range(size)]
     # row i is zero past column i, and column j of p is zero above row j - 1
     starts = [0, *range(size - 1)]
-    rows = [(_ONE,) + (_ZERO,) * (size - 1)]
+    rows = [(_ONE,)]
     for i in range(size - 1):
-        ints, d = lift(rows[i][: i + 1])
+        ints, d = lift(rows[i])
         band = [
             _ratio(sum(map(mul, ints[lo:], col[lo : i + 1])), d * dc)
             for (col, dc), lo in zip(lead[: i + 2], starts)
         ]
-        rows.append((*band, *(_ZERO,) * (size - i - 2)))
+        rows.append(band)
     return TriMatrix(rows)
 
 

@@ -41,7 +41,7 @@ def report(name: str, ok: bool) -> None:
 
 
 def identity_matrix(size):
-    return TriMatrix.from_rows([[0] * i + [1] for i in range(size)])
+    return TriMatrix([[0] * i + [1] for i in range(size)])
 
 
 # -- criterion 1: worked-display reproduction ---------------------------------
@@ -51,7 +51,7 @@ def test_worked_display_reproduction():
     cat = catalan_array(12)
     checks = []
 
-    checks.append(e85.matrix(7) == TriMatrix.from_rows(ref.A085478_TRIANGLE_7))
+    checks.append(e85.matrix(7) == TriMatrix(ref.A085478_TRIANGLE_7))
     checks.append(
         production_matrix(e85, 7).rows == frac_rows(ref.A085478_PRODUCTION_7)
     )
@@ -63,8 +63,8 @@ def test_worked_display_reproduction():
 
     # 6x6 product identity: produced matrix = left factor times the triangle
     produced = produced_matrix_closed_form(e85, 2).matrix(6)
-    left = TriMatrix.from_rows(ref.A092276_TRIANGLE_6)
-    checks.append(produced == TriMatrix.from_rows(ref.A085478_SECOND_PRODUCED_6))
+    left = TriMatrix(ref.A092276_TRIANGLE_6)
+    checks.append(produced == TriMatrix(ref.A085478_SECOND_PRODUCED_6))
     checks.append(produced == left.mul(e85.matrix(6)))
 
     checks.append(production_block(e85, 3, 7) == frac_rows(ref.A085478_ROWS3_BLOCK_7))
@@ -74,17 +74,17 @@ def test_worked_display_reproduction():
     )
     checks.append(
         generate_from_production(nth_production_matrix(e85, 3, 8), 8)
-        == TriMatrix.from_rows(ref.A085478_THIRD_PRODUCED_8)
+        == TriMatrix(ref.A085478_THIRD_PRODUCED_8)
     )
 
-    checks.append(cat.matrix(7) == TriMatrix.from_rows(ref.A033184_TRIANGLE_7))
+    checks.append(cat.matrix(7) == TriMatrix(ref.A033184_TRIANGLE_7))
     checks.append(
         nth_production_matrix(cat, 2, 6).rows
         == frac_rows(ref.CATALAN_SECOND_PRODUCTION_6)
     )
     checks.append(
         produced_matrix_closed_form(cat, 2).matrix(6)
-        == TriMatrix.from_rows(ref.A092276_TRIANGLE_6)
+        == TriMatrix(ref.A092276_TRIANGLE_6)
     )
     checks.append(
         nth_production_matrix(cat, 3, 7).rows
@@ -92,7 +92,7 @@ def test_worked_display_reproduction():
     )
     checks.append(
         produced_matrix_closed_form(cat, 3).matrix(7)
-        == TriMatrix.from_rows(ref.CATALAN_THIRD_PRODUCED_7)
+        == TriMatrix(ref.CATALAN_THIRD_PRODUCED_7)
     )
     checks.append(
         nth_production_matrix(cat, 4, 7).rows
@@ -100,7 +100,7 @@ def test_worked_display_reproduction():
     )
     checks.append(
         produced_matrix_closed_form(cat, 4).matrix(7)
-        == TriMatrix.from_rows(ref.CATALAN_FOURTH_PRODUCED_7)
+        == TriMatrix(ref.CATALAN_FOURTH_PRODUCED_7)
     )
 
     # tridiagonal production matrix of the moment family, instantiated at r
@@ -215,7 +215,7 @@ def test_orthogonal_polynomial_family():
                 )
             ]
             ok &= lhs == rhs[: n + 1]
-        coeff = TriMatrix.from_rows(rows)
+        coeff = TriMatrix(rows)
         ok &= moment_element(r, 12).matrix(13).mul(coeff) == identity_matrix(13)
     report("orthogonal polynomial recurrence and inversion", ok)
     assert ok

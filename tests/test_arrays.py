@@ -46,7 +46,7 @@ class TestElementValidation:
 
     def test_identity_is_valid(self):
         e = RiordanElement.identity(4)
-        assert e.matrix(4) == TriMatrix.from_rows([[1], [0, 1], [0, 0, 1], [0, 0, 0, 1]])
+        assert e.matrix(4) == TriMatrix([[1], [0, 1], [0, 0, 1], [0, 0, 0, 1]])
 
     def test_zero_constant_g_rejected(self):
         x = TruncatedSeries([0, 1], 4)
@@ -74,11 +74,11 @@ class TestMatrix:
                 assert m[n, k] == math.comb(n, k)
 
     def test_pascal_three_rows(self):
-        assert pascal(4).matrix(3) == TriMatrix.from_rows(ref.PASCAL_TRIANGLE_3)
+        assert pascal(4).matrix(3) == TriMatrix(ref.PASCAL_TRIANGLE_3)
 
     def test_a085478_block(self):
         m = a085478_element(8).matrix(7)
-        assert m == TriMatrix.from_rows(ref.A085478_TRIANGLE_7)
+        assert m == TriMatrix(ref.A085478_TRIANGLE_7)
         assert m.rows[4] == frac_rows(ref.A085478_TRIANGLE_7)[4]
 
     def test_insufficient_precision_is_loud(self):
@@ -105,7 +105,7 @@ class TestGroupOps:
         sq = TruncatedSeries([1, -1], 10) ** 2
         left = RiordanElement(sq, sq.shift_up(1).truncate(10))
         product = left.inverse().mul(a085478_element(10))
-        assert product.matrix(6) == TriMatrix.from_rows(ref.A085478_SECOND_PRODUCED_6)
+        assert product.matrix(6) == TriMatrix(ref.A085478_SECOND_PRODUCED_6)
 
     def test_pascal_squared(self):
         twice = pascal(8).mul(pascal(8))
@@ -230,39 +230,60 @@ class TestFromAZ:
 
 class TestTriMatrix:
     def test_ragged_construction(self):
-        m = TriMatrix.from_rows([[1], [2, 3], [4, 5, 6]])
+        # row i may stop anywhere up to the size; a short row is padded
+        m = TriMatrix([[1], [2, 3], [4, 5, 6]])
         assert m.size == 3
         assert m[2, 1] == 5 and m[0, 2] == 0
+        assert TriMatrix([[1], [2, 3]])[0, 1] == 0
+        assert TriMatrix([[1], [1, 1]]).rows == ((1, 0), (1, 1))
+        assert TriMatrix([[1], []]).rows == ((1, 0), (0, 0))
+        assert TriMatrix([[1, 0], [0, 1]]) == TriMatrix([[1], [0, 1]])
+        # a generator of generators, every entry stored as a Fraction
+        g = TriMatrix((F(i + j) for j in range(i + 1)) for i in range(3))
+        assert g.rows == ((0, 0, 0), (1, 2, 0), (2, 3, 4))
+        assert all(type(c) is F for row in g.rows for c in row)
+        # the class constructor is the one way to build a matrix
+        assert not [name for name in dir(TriMatrix) if name.startswith("from_")]
+
+    def test_empty_rejected(self):
+        with pytest.raises(ShapeError, match="^matrix must have at least one row$"):
+            TriMatrix([])
 
     def test_above_diagonal_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(
+            ShapeError,
+            match=r"^entry \(0, 1\) is 2, but a TriMatrix is zero more than 0 "
+            r"places above the diagonal$",
+        ):
             TriMatrix([[F(1), F(2)], [F(0), F(1)]])
-        with pytest.raises(ShapeError):
-            TriMatrix.from_rows([[1, 1], [0, 1]])
+        with pytest.raises(ShapeError, match=r"^entry \(1, 2\) is -1/3, but a TriMatrix"):
+            TriMatrix([[1], [0, 1, F(-1, 3)], [0, 0, 1]])
         # one place above is the superdiagonal a ProductionMatrix may use
-        assert ProductionMatrix.from_rows([[1, 1], [0, 1]]).size == 2
+        assert ProductionMatrix([[1, 1], [0, 1]]).size == 2
 
     def test_never_equals_a_production_matrix(self):
         rows = [[1], [2, 3]]
-        t = TriMatrix.from_rows(rows)
-        p = ProductionMatrix.from_rows(rows)
+        t = TriMatrix(rows)
+        p = ProductionMatrix(rows)
         assert t.rows == p.rows
         assert t != p and p != t
         assert repr(t) == "TriMatrix(size=2)" and repr(p) == "ProductionMatrix(size=2)"
 
     def test_row_too_long_rejected(self):
-        with pytest.raises(ShapeError):
-            TriMatrix.from_rows([[1, 2]])
+        with pytest.raises(ShapeError, match="^row 0 is longer than the matrix size 1$"):
+            TriMatrix([[1, 2]])
+        with pytest.raises(ShapeError, match="^row 1 is longer than the matrix size 2$"):
+            TriMatrix([[1], [0, 1, 0]])
 
     def test_mul_size_mismatch(self):
-        a = TriMatrix.from_rows([[1]])
-        b = TriMatrix.from_rows([[1], [0, 1]])
+        a = TriMatrix([[1]])
+        b = TriMatrix([[1], [0, 1]])
         with pytest.raises(ShapeError):
             a.mul(b)
 
     def test_inverse_roundtrip(self):
         m = pascal(8).matrix(8)
-        identity = TriMatrix.from_rows(
+        identity = TriMatrix(
             [[0] * i + [1] for i in range(8)]
         )
         assert m.mul(m.inverse()) == identity
@@ -270,12 +291,12 @@ class TestTriMatrix:
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
-            TriMatrix.from_rows([[1], [1, 0]]).inverse()
+            TriMatrix([[1], [1, 0]]).inverse()
 
     def test_solve_matches_inverse_times_rhs(self):
         # rational diagonal; three right-hand rows with two columns against
         # a 4x4 matrix, so only its leading 3x3 block takes part
-        m = TriMatrix.from_rows(
+        m = TriMatrix(
             [[F(2, 3)], [1, F(-5, 2)], [F(1, 7), 3, 4], [0, 1, F(1, 2), F(9, 5)]]
         )
         rhs = [[F(1), F(1, 2)], [F(0), F(3)], [F(-2, 3), F(1)]]
@@ -284,7 +305,7 @@ class TestTriMatrix:
         assert m.solve(rhs) == tuple(tuple(row) for row in expected)
 
     def test_solve_rejects_zero_diagonal_and_extra_rows(self):
-        m = TriMatrix.from_rows([[1], [1, 0], [1, 1, 1]])
+        m = TriMatrix([[1], [1, 0], [1, 1, 1]])
         assert m.solve([[F(2)]]) == ((F(2),),)  # row 1 is not read
         with pytest.raises(SingularMatrixError, match=r"zero diagonal entry at \(1, 1\)"):
             m.solve([[F(1)], [F(1)]])
@@ -305,12 +326,12 @@ class TestTriMatrix:
 
     def test_solve_zero_width_rhs(self):
         # one empty row per right-hand row, and the diagonal is still checked
-        assert TriMatrix.from_rows([[1], [0, 1]]).solve([[], []]) == ((), ())
+        assert TriMatrix([[1], [0, 1]]).solve([[], []]) == ((), ())
         with pytest.raises(SingularMatrixError, match=r"zero diagonal entry at \(1, 1\)"):
-            TriMatrix.from_rows([[1], [0, 0]]).solve([[], []])
+            TriMatrix([[1], [0, 0]]).solve([[], []])
 
     def test_text_rendering_integral(self):
-        text = TriMatrix.from_rows([[1], [-2, 1], [3, 10, 1]]).to_text()
+        text = TriMatrix([[1], [-2, 1], [3, 10, 1]]).to_text()
         assert [line.split() for line in text.splitlines()] == [
             ["1", "0", "0"],
             ["-2", "1", "0"],
@@ -318,14 +339,14 @@ class TestTriMatrix:
         ]
 
     def test_text_rendering_mixed_uses_fractions_throughout(self):
-        text = TriMatrix.from_rows([[1], [F(1, 2), 1]]).to_text()
+        text = TriMatrix([[1], [F(1, 2), 1]]).to_text()
         assert [line.split() for line in text.splitlines()] == [
             ["1/1", "0/1"],
             ["1/2", "1/1"],
         ]
 
     def test_json_entries_roundtrip(self):
-        m = TriMatrix.from_rows([[F(1, 3)], [2, 1]])
+        m = TriMatrix([[F(1, 3)], [2, 1]])
         entries = m.to_json_entries()
         rebuilt = TriMatrix([[F(s) for s in row] for row in entries])
         assert rebuilt == m

@@ -420,8 +420,8 @@ class TestVerify:
             element=pascal(4),
             n=2,
             size=2,
-            produced=TriMatrix.from_rows([[1], [1, 1]]),
-            closed_form=TriMatrix.from_rows([[1], [2, 1]]),
+            produced=TriMatrix([[1], [1, 1]]),
+            closed_form=TriMatrix([[1], [2, 1]]),
             equal=False,
             first_mismatch=(1, 0),
         )
@@ -437,8 +437,8 @@ class TestVerify:
             element=pascal(4),
             n=2,
             size=2,
-            produced=TriMatrix.from_rows([[1], [1, 1]]),
-            closed_form=TriMatrix.from_rows([[2], [3, 2]]),
+            produced=TriMatrix([[1], [1, 1]]),
+            closed_form=TriMatrix([[2], [3, 2]]),
             equal=False,
             first_mismatch=(1, 0),
             scale=F(2),

@@ -59,7 +59,7 @@ class TestBinomialPowers:
 
 class TestCatalanArray:
     def test_displayed_block(self):
-        assert catalan_array(8).matrix(7) == TriMatrix.from_rows(ref.A033184_TRIANGLE_7)
+        assert catalan_array(8).matrix(7) == TriMatrix(ref.A033184_TRIANGLE_7)
 
     def test_first_two_columns_shifted(self):
         m = catalan_array(9).matrix(8)
@@ -73,10 +73,10 @@ class TestCatalanArray:
 class TestMomentArrays:
     def test_r1_first_rows(self):
         m = moment_element(1, 2).matrix(3)
-        assert m == TriMatrix.from_rows([[1], [2, 1], [5, 4, 1]])
+        assert m == TriMatrix([[1], [2, 1], [5, 4, 1]])
 
     def test_r0_is_identity(self):
-        assert moment_element(0, 4).matrix(5) == TriMatrix.from_rows(
+        assert moment_element(0, 4).matrix(5) == TriMatrix(
             [[0] * i + [1] for i in range(5)]
         )
 
@@ -153,9 +153,9 @@ class TestOrthogonalPolys:
     @pytest.mark.parametrize("r", [F(-1), F(1), F(2), F(1, 3)])
     def test_rows_invert_the_moment_array(self, r):
         size = 9
-        coeff_matrix = TriMatrix.from_rows(orthogonal_polys(r, size))
+        coeff_matrix = TriMatrix(orthogonal_polys(r, size))
         product = moment_element(r, size - 1).matrix(size).mul(coeff_matrix)
-        assert product == TriMatrix.from_rows([[0] * i + [1] for i in range(size)])
+        assert product == TriMatrix([[0] * i + [1] for i in range(size)])
 
     def test_monic_of_exact_degree(self):
         for n, row in enumerate(orthogonal_polys(F(3, 2), 7)):

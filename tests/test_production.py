@@ -53,14 +53,26 @@ def a033184_entry(n, k):
 
 class TestProductionMatrixType:
     def test_hessenberg_validation(self):
-        with pytest.raises(ShapeError):
+        above = r"is zero more than 1 places above the diagonal$"
+        with pytest.raises(ShapeError, match=r"^entry \(0, 2\) is 1, but a ProductionMatrix " + above):
             ProductionMatrix([[F(1), F(1), F(1)], [F(0), F(1), F(1)], [F(0), F(0), F(1)]])
-        with pytest.raises(ShapeError):
-            ProductionMatrix.from_rows([[1, 1, 1], [0, 1], [0, 0, 1]])
-        assert ProductionMatrix.from_rows([[1, 1], [0, 1, 1], [0, 0, 1]]).size == 3
+        with pytest.raises(ShapeError, match=r"^entry \(0, 2\) is 5/2, but a ProductionMatrix " + above):
+            ProductionMatrix([[1, 1, F(5, 2)], [0, 1], [0, 0, 1]])
+        with pytest.raises(ShapeError, match="^matrix must have at least one row$"):
+            ProductionMatrix(iter([]))
+        with pytest.raises(ShapeError, match="^row 1 is longer than the matrix size 2$"):
+            ProductionMatrix([[1, 1], [0, 1, 0]])
+        assert ProductionMatrix([[1, 1], [0, 1, 1], [0, 0, 1]]).size == 3
+
+    def test_ragged_construction(self):
+        # row i may stop anywhere up to the size; a short row is padded
+        assert ProductionMatrix([[1, 1], [2], [3, 4, 5]]).rows == ((1, 1, 0), (2, 0, 0), (3, 4, 5))
+        p = ProductionMatrix((F(i + j) for j in range(min(i + 2, 3))) for i in range(3))
+        assert p.rows == ((0, 1, 0), (1, 2, 3), (2, 3, 4))
+        assert not [name for name in dir(ProductionMatrix) if name.startswith("from_")]
 
     def test_accessors(self):
-        p = ProductionMatrix.from_rows([[1, 1], [0, 2, 1], [0, -1, 2]])
+        p = ProductionMatrix([[1, 1], [0, 2, 1], [0, -1, 2]])
         assert p.column(0) == (1, 0, 0)
         assert p.column(1) == (1, 2, -1)
         assert [p[i, i + 1] for i in range(2)] == [1, 1]
@@ -70,7 +82,7 @@ class TestProductionMatrixType:
 class TestClassicalProduction:
     def test_a085478_display(self):
         p = production_matrix(a085478_element(8), 7)
-        assert p == ProductionMatrix.from_rows(ref.A085478_PRODUCTION_7)
+        assert p == ProductionMatrix(ref.A085478_PRODUCTION_7)
 
     def test_identity_gives_superdiagonal_ones(self):
         p = production_matrix(RiordanElement.identity(6), 5)
@@ -162,23 +174,23 @@ class TestProductionBlock:
 class TestNthProduction:
     def test_a085478_second(self):
         p = nth_production_matrix(a085478_element(10), 2, 7)
-        assert p == ProductionMatrix.from_rows(ref.A085478_SECOND_PRODUCTION_7)
+        assert p == ProductionMatrix(ref.A085478_SECOND_PRODUCTION_7)
 
     def test_a085478_third(self):
         p = nth_production_matrix(a085478_element(12), 3, 8)
-        assert p == ProductionMatrix.from_rows(ref.A085478_THIRD_PRODUCTION_8)
+        assert p == ProductionMatrix(ref.A085478_THIRD_PRODUCTION_8)
 
     def test_catalan_second(self):
         p = nth_production_matrix(catalan_array(9), 2, 6)
-        assert p == ProductionMatrix.from_rows(ref.CATALAN_SECOND_PRODUCTION_6)
+        assert p == ProductionMatrix(ref.CATALAN_SECOND_PRODUCTION_6)
 
     def test_catalan_third(self):
         p = nth_production_matrix(catalan_array(10), 3, 7)
-        assert p == ProductionMatrix.from_rows(ref.CATALAN_THIRD_PRODUCTION_7)
+        assert p == ProductionMatrix(ref.CATALAN_THIRD_PRODUCTION_7)
 
     def test_catalan_fourth(self):
         p = nth_production_matrix(catalan_array(11), 4, 7)
-        assert p == ProductionMatrix.from_rows(ref.CATALAN_FOURTH_PRODUCTION_7)
+        assert p == ProductionMatrix(ref.CATALAN_FOURTH_PRODUCTION_7)
 
     def test_n1_degrades_to_classical(self, battery):
         for e in battery[:6]:
@@ -269,19 +281,19 @@ class TestNthProduction:
 
 class TestGenerate:
     def test_superdiagonal_ones_generate_identity(self):
-        p = ProductionMatrix.from_rows([[0, 1], [0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]])
+        p = ProductionMatrix([[0, 1], [0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]])
         m = generate_from_production(p, 4)
-        assert m == TriMatrix.from_rows([[1], [0, 1], [0, 0, 1], [0, 0, 0, 1]])
+        assert m == TriMatrix([[1], [0, 1], [0, 0, 1], [0, 0, 0, 1]])
 
     def test_a085478_second_production_generates_displayed_matrix(self):
         p = nth_production_matrix(a085478_element(10), 2, 7)
-        assert generate_from_production(p, 6) == TriMatrix.from_rows(
+        assert generate_from_production(p, 6) == TriMatrix(
             ref.A085478_SECOND_PRODUCED_6
         )
 
     def test_catalan_fourth_generates_displayed_matrix(self):
         p = nth_production_matrix(catalan_array(12), 4, 7)
-        assert generate_from_production(p, 7) == TriMatrix.from_rows(
+        assert generate_from_production(p, 7) == TriMatrix(
             ref.CATALAN_FOURTH_PRODUCED_7
         )
 
@@ -384,23 +396,23 @@ class TestClosedForm:
 
     def test_a085478_second(self):
         produced = produced_matrix_closed_form(a085478_element(8), 2)
-        assert produced.matrix(6) == TriMatrix.from_rows(ref.A085478_SECOND_PRODUCED_6)
+        assert produced.matrix(6) == TriMatrix(ref.A085478_SECOND_PRODUCED_6)
 
     def test_a085478_third(self):
         produced = produced_matrix_closed_form(a085478_element(10), 3)
-        assert produced.matrix(8) == TriMatrix.from_rows(ref.A085478_THIRD_PRODUCED_8)
+        assert produced.matrix(8) == TriMatrix(ref.A085478_THIRD_PRODUCED_8)
 
     def test_catalan_second_is_a092276(self):
         produced = produced_matrix_closed_form(catalan_array(8), 2)
-        assert produced.matrix(6) == TriMatrix.from_rows(ref.A092276_TRIANGLE_6)
+        assert produced.matrix(6) == TriMatrix(ref.A092276_TRIANGLE_6)
 
     def test_catalan_third(self):
         produced = produced_matrix_closed_form(catalan_array(9), 3)
-        assert produced.matrix(7) == TriMatrix.from_rows(ref.CATALAN_THIRD_PRODUCED_7)
+        assert produced.matrix(7) == TriMatrix(ref.CATALAN_THIRD_PRODUCED_7)
 
     def test_catalan_fourth(self):
         produced = produced_matrix_closed_form(catalan_array(9), 4)
-        assert produced.matrix(7) == TriMatrix.from_rows(ref.CATALAN_FOURTH_PRODUCED_7)
+        assert produced.matrix(7) == TriMatrix(ref.CATALAN_FOURTH_PRODUCED_7)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_reverted_f_formulation_agrees(self, battery, n):
@@ -535,8 +547,9 @@ class TestClosedFormLaw:
 
 
 class TestDerivationFacts:
-    """Two facts the derivation reads (``docs/derivation.md``): dropping the
-    top k rows of M is M P^k at finite size, and x Z_n(f) has a closed form."""
+    """Three facts the derivation reads (``docs/derivation.md``): dropping the
+    top k rows of M is M P^k at finite size, column j >= k of P^k is
+    x^(j-k) A^k, and x Z_n(f) has a closed form."""
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_dropping_k_rows_is_m_times_p_to_the_k(self, k):
@@ -551,6 +564,36 @@ class TestDerivationFacts:
             assert [list(row[:size]) for row in product[:size]] == [
                 list(row[:size]) for row in m[k : k + size]
             ], (e, k)
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_columns_of_p_to_the_k(self, k):
+        # P is lower Hessenberg, so the leading size x size block of P^k is
+        # read from the leading (size + k) x (size + k) block of P; the
+        # control A^(k+1) in place of A^k fails on every element
+        size = 6
+        x = TruncatedSeries([0, 1], 13)
+        elements = (
+            catalan_array(13),
+            RiordanElement(2 + x, 3 * x / (1 - x)),
+            RiordanElement(3 / (3 - x), 2 * x / (1 - x / 5)),
+        )
+        for e in elements:
+            p = frac_rows(production_matrix(e, size + k).rows)
+            power = p
+            for _ in range(k - 1):
+                power = mat_mul_rows(power, p)
+            a, _ = nth_az(e, 1)
+
+            def columns(exponent):
+                c = (a**exponent).coefficients
+                return [
+                    [c[i - j + k] if i >= j - k else 0 for i in range(size)]
+                    for j in range(k, size)
+                ]
+
+            got = [[power[i][j] for i in range(size)] for j in range(k, size)]
+            assert got == columns(k), (e, k)
+            assert got != columns(k + 1), (e, k)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_z_n_of_f(self, battery, non_normalized, n):
@@ -583,7 +626,7 @@ class TestVerification:
     def test_catalan_fourth_equal(self):
         report = verify_nth_conjecture(catalan_array(12), 4, 7)
         assert report.equal
-        assert report.produced == TriMatrix.from_rows(ref.CATALAN_FOURTH_PRODUCED_7)
+        assert report.produced == TriMatrix(ref.CATALAN_FOURTH_PRODUCED_7)
 
     def test_specific_random_element_n5(self):
         e = RiordanElement(
@@ -643,8 +686,8 @@ class TestVerification:
         assert rebuilt == report.closed_form
 
     def test_json_document_reports_mismatch(self):
-        a = TriMatrix.from_rows([[1], [1, 1]])
-        b = TriMatrix.from_rows([[1], [2, 1]])
+        a = TriMatrix([[1], [1, 1]])
+        b = TriMatrix([[1], [2, 1]])
         report = VerificationReport(
             element=pascal(4), n=2, size=2, produced=a, closed_form=b,
             equal=False, first_mismatch=(1, 0),

@@ -325,7 +325,7 @@ class TestExactInputs:
         [
             (lambda: TruncatedSeries([1, 0.1]), 0.1),
             (lambda: TriMatrix([[0.5]]), 0.5),
-            (lambda: TriMatrix.from_rows([[0.5]]), 0.5),
+            (lambda: TriMatrix([[0.5]]), 0.5),
             (lambda: binomial_power(0.1, 4), 0.1),
             (lambda: moment_element(0.1, 4), 0.1),
             (lambda: moment_entry(0.1, 1, 0), 0.1),
