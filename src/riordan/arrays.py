@@ -53,7 +53,7 @@ def rows_to_strings(rows: Sequence[Sequence[Fraction]]) -> list[list[str]]:
     return [[str(c) for c in row] for row in rows]
 
 
-# kept public: perfbench/tracer.py binds it, and ROADMAP item 1 moves it out
+# kept public: perfbench/tracer.py binds it until ROADMAP item 1b; item 9 removes it
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Rows:
     """Dense product of two row-major rational matrices, lifting each row and
     each column once (``series.lift``)."""
@@ -137,29 +137,13 @@ class TriMatrix(ExactMatrix):
 
     __slots__ = ()
 
-    def mul(self, other: "TriMatrix") -> "TriMatrix":
-        if self.size != other.size:
-            raise ShapeError("matrix sizes differ")
-        return TriMatrix(mat_mul(self._rows, other._rows))
-
-    __matmul__ = mul
-
-    def solve(self, rhs: Sequence[Sequence[Fraction]]) -> Rows:
-        """X with self * X = rhs, by forward substitution (``series._forward``);
-        only the first len(rhs) rows of self are read."""
-        if len(rhs) > self.size:
-            raise ShapeError(f"{len(rhs)} right-hand rows for a size-{self.size} matrix")
-        if any(len(row) != len(rhs[0]) for row in rhs):  # zip(*rhs) would cut rhs short
-            raise ShapeError("the right-hand side has ragged rows")
-        rows = (lift(self._rows[i][: i + 1]) for i in range(len(rhs)))
-        return tuple(_forward(rows, [lift(col) for col in zip(*rhs)]))
-
-    # kept public: perfbench/tracer.py binds it, and ROADMAP item 1 moves it out
+    # kept public: perfbench/tracer.py binds it until ROADMAP item 1b; item 9 removes it
     def inverse(self) -> "TriMatrix":
-        """Exact inverse: a solve against the identity."""
+        """Exact inverse: one forward substitution (``series._forward``)
+        against the identity's columns."""
         n = self.size
-        identity = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-        return TriMatrix(self.solve(identity))
+        rows = (lift(row[: i + 1]) for i, row in enumerate(self._rows))
+        return TriMatrix(_forward(rows, [([int(i == j) for i in range(n)], 1) for j in range(n)]))
 
 
 class RiordanElement:

@@ -142,7 +142,7 @@ class OeisIndex:
                     matches.append(SequenceMatch(fields[0], offset))
         return sorted(matches, key=lambda m: (m.offset, m.anumber))
 
-    # kept public: perfbench/tracer.py binds it, and ROADMAP item 1 moves it out
+    # kept public: perfbench/tracer.py binds it until ROADMAP item 1b; item 9 removes it
     def identify_triangle(self, m: TriMatrix) -> list[SequenceMatch]:
         """Identify a triangle read by rows; see :func:`triangle_query`."""
         return self.identify_sequence(triangle_query(m))

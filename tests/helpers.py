@@ -11,7 +11,7 @@ import random
 import re
 from fractions import Fraction
 
-from riordan import ProductionMatrix, RiordanElement, SequenceMatch, TruncatedSeries
+from riordan import ProductionMatrix, RiordanElement, SequenceMatch, TriMatrix, TruncatedSeries
 
 
 def frac_rows(rows):
@@ -116,22 +116,37 @@ def mat_mul_rows(a, b):
 
 
 def lower_inverse_rows(m):
-    """Inverse of a lower-triangular Fraction matrix by row elimination."""
+    """Inverse of a lower-triangular Fraction matrix by row elimination;
+    row i of the matrix and of the inverse is zero past column i, so only
+    columns 0..i take part."""
     n = len(m)
     out = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     work = [list(row) for row in m]
     for i in range(n):
         pivot = work[i][i]
-        for j in range(n):
+        for j in range(i + 1):
             work[i][j] /= pivot
             out[i][j] /= pivot
         for r in range(i + 1, n):
             factor = work[r][i]
             if factor:
-                for j in range(n):
+                for j in range(i + 1):
                     work[r][j] -= factor * work[i][j]
                     out[r][j] -= factor * out[i][j]
     return out
+
+
+def lower_solve_rows(m, rhs):
+    """X with L X = rhs for L the leading len(rhs) x len(rhs) block of the
+    lower-triangular Fraction rows ``m``: L's inverse by row elimination
+    times ``rhs``, rows past len(rhs) unread."""
+    k = len(rhs)
+    return mat_mul_rows(lower_inverse_rows([row[:k] for row in m[:k]]), rhs)
+
+
+def matrix_product(a, b):
+    """The product of two ``TriMatrix`` values by the naive row product."""
+    return TriMatrix(mat_mul_rows(a.rows, b.rows))
 
 
 def production_by_series(e, n, size):
@@ -154,22 +169,22 @@ def production_by_series(e, n, size):
 
 def production_by_whole_matrix(e, n, size):
     """The n-th production matrix by its definition on the element's whole
-    matrix at size + n: solve M * X = (M without its top n rows), then keep
-    the size x size block from column n - 1.  A former route of the library,
-    an oracle for the one it takes now, which reads every n-th production
-    matrix from the A- and Z-series of the first."""
-    m = e.matrix(size + n)
-    x = m.solve(m.rows[n:])
+    matrix at size + n: solve M * X = (M without its top n rows) in plain
+    Fractions, then keep the size x size block from column n - 1.  A former
+    route of the library, an oracle for the one it takes now, which reads
+    every n-th production matrix from the A- and Z-series of the first."""
+    m = e.matrix(size + n).rows
+    x = lower_solve_rows(m, m[n:])
     return ProductionMatrix(row[n - 1 : n - 1 + size] for row in x)
 
 
 def block_by_matrix_solve(e, n, size):
     """``production_block`` by the library's former route, an oracle for the
     solve on the integer rows of ``series._powers``: the element's matrix at
-    size + n as Fractions, ``TriMatrix.solve`` against its rows n..n+size-1
-    cut to ``size`` columns (derivation step 1)."""
-    m = e.matrix(size + n)
-    return m.solve([row[:size] for row in m.rows[n:]])
+    size + n as Fractions, solved in plain Fractions against its rows
+    n..n+size-1 cut to ``size`` columns (derivation step 1)."""
+    m = e.matrix(size + n).rows
+    return tuple(map(tuple, lower_solve_rows(m, [row[:size] for row in m[n:]])))
 
 
 def az_by_reversion(e, n):
@@ -187,11 +202,11 @@ def az_by_matrix_solve(e, n, order):
     """A_n to ``order`` and Z_n to order - 1 (to ``order`` for n = 1) by the
     library's former route, an oracle for ``production._nth_az``, which
     solves on the integer rows of ``series._powers``: the element's matrix at
-    size order + 2 as Fractions, ``TriMatrix.solve`` against its rows 1..
-    in columns 0 and 1 for P_1's Z and A, then P_n = P_1 T(B) with
+    size order + 2 as Fractions, solved in plain Fractions against its rows
+    1.. in columns 0 and 1 for P_1's Z and A, then P_n = P_1 T(B) with
     B = A^(n-1) (derivation step 3)."""
-    m = e.matrix(order + 2)
-    cols = m.solve([row[:2] for row in m.rows[1:]])
+    m = e.matrix(order + 2).rows
+    cols = lower_solve_rows(m, [row[:2] for row in m[1:]])
     a, z = TruncatedSeries(r[1] for r in cols), TruncatedSeries(r[0] for r in cols)
     if n == 1:
         return a, z
@@ -229,14 +244,14 @@ def sqrt_by_recurrence(c):
 
 def closed_form_by_solve(e, n):
     """((x/f)^(n-1), x(x/f)^(n-1))^-1 * (g, f) for n >= 2 by one triangular
-    solve of the left factor's matrix against the columns g and g*f, an
-    oracle for the library's closed form, which takes r = rev(x(x/f)^(n-1))
-    and returns the group product (r/x, r) * (g, f); it shares neither the
-    reversion nor ``RiordanElement.mul`` with the library."""
+    solve of the left factor's matrix against the columns g and g*f, in
+    plain Fractions, an oracle for the library's closed form, which takes
+    r = rev(x(x/f)^(n-1)) and returns the group product (r/x, r) * (g, f); it
+    shares neither the reversion nor ``RiordanElement.mul`` with the library."""
     p = (1 / e.f.shift_down(1)) ** (n - 1)
     left = RiordanElement(p, p.shift_up(1).truncate(p.order)).matrix(p.order + 1)
     m = e.truncate(p.order)
-    x = left.solve(tuple(zip(m.g.coefficients, (m.g * m.f).coefficients)))
+    x = lower_solve_rows(left.rows, list(zip(m.g.coefficients, (m.g * m.f).coefficients)))
     g = TruncatedSeries(row[0] for row in x)
     return RiordanElement(g, TruncatedSeries(row[1] for row in x) / g)
 

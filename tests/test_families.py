@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import reference_data as ref
+from helpers import matrix_product
 from riordan import (
     FAMILY_NAMES,
     PrecisionError,
@@ -50,7 +51,7 @@ class TestBinomialPowers:
             for k in range(n + 1):
                 assert m[n, k] == 2 ** (n - k) * math.comb(n, k)
         # and B^2 multiplies out as pascal . pascal
-        assert m == pascal(7).matrix(7).mul(pascal(7).matrix(7))
+        assert m == matrix_product(pascal(7).matrix(7), pascal(7).matrix(7))
 
     def test_rational_parameter(self):
         e = binomial_power(F(1, 2), 5)
@@ -154,7 +155,7 @@ class TestOrthogonalPolys:
     def test_rows_invert_the_moment_array(self, r):
         size = 9
         coeff_matrix = TriMatrix(orthogonal_polys(r, size))
-        product = moment_element(r, size - 1).matrix(size).mul(coeff_matrix)
+        product = matrix_product(moment_element(r, size - 1).matrix(size), coeff_matrix)
         assert product == TriMatrix([[0] * i + [1] for i in range(size)])
 
     def test_monic_of_exact_degree(self):

@@ -33,7 +33,7 @@ from riordan import (
     NonUnitError,
     ProductionMatrix,
     RiordanElement,
-    TriMatrix,
+    SingularMatrixError,
     TruncatedSeries,
     generate_from_production,
     produced_matrix_closed_form,
@@ -54,6 +54,15 @@ def assert_normalized(values):
 
 def unit(rng):
     return F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+
+
+def forward(m, rhs):
+    """``series._forward`` on the rows of the lower-triangular ``m``, each
+    up to its diagonal, and the columns of ``rhs``, lifted; ``rhs`` has one
+    row per row of ``m`` (or more) and is given by rows."""
+    rows = [series.lift(row[: i + 1]) for i, row in enumerate(m)]
+    width = len(rhs[0])
+    return series._forward(rows, [series.lift([row[j] for row in rhs]) for j in range(width)])
 
 
 def lengths(rng):
@@ -170,9 +179,24 @@ class TestMatrixKernel:
             width = rng.randint(1, 6)
             wide = random_wide(rng, 4300 if n < 12 else 200)
             rhs = [random_rationals(rng, width, wide) for _ in range(n)]
-            got = TriMatrix(m).solve(rhs)
+            got = forward(m, rhs)
             assert [list(row) for row in got] == mat_mul_rows(lower_inverse_rows(m), rhs)
             assert_normalized(c for row in got for c in row)
+
+    def test_solve_rejects_zero_diagonal_and_extra_rows(self):
+        m = [[F(1)], [F(1), F(0)], [F(1), F(1), F(1)]]
+        # the rows given are the rows read: the zero pivot of row 1 is not
+        # reached by a solve on row 0 alone, whose right-hand side is read no
+        # further than that row
+        assert forward(m[:1], [[F(2), F(7)], [F(5), F(1)]]) == [(F(2), F(7))]
+        with pytest.raises(SingularMatrixError, match=r"^zero diagonal entry at \(1, 1\)$"):
+            forward(m, [[F(1)], [F(1)], [F(1)]])
+
+    def test_solve_zero_width_rhs(self):
+        # one empty row per matrix row, and the diagonal is still checked
+        assert forward([[F(1)], [F(0), F(1)]], [[], []]) == [(), ()]
+        with pytest.raises(SingularMatrixError, match=r"^zero diagonal entry at \(1, 1\)$"):
+            forward([[F(1)], [F(0), F(0)]], [[], []])
 
     def test_powers(self):
         # the rows of the matrix of (g, b), and of (1, b), over one
@@ -228,7 +252,7 @@ class TestCoefficientBudget:
             lambda: TruncatedSeries([0, BIG], 2).compose(TruncatedSeries([0, BIG], 2)),
             lambda: TruncatedSeries([0, 1, BIG], 4).revert(),
             lambda: mat_mul([[BIG]], [[BIG]]),
-            lambda: TriMatrix([[F(1, BIG)]]).solve([[BIG]]),
+            lambda: forward([[F(1, BIG)]], [[BIG]]),  # the solution BIG**2
             lambda: generate_from_production(
                 ProductionMatrix([[BIG, 1, 0], [1, BIG, 1], [0, 1, BIG]]), 3
             ),

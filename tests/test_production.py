@@ -547,9 +547,9 @@ class TestClosedFormLaw:
 
 
 class TestDerivationFacts:
-    """Three facts the derivation reads (``docs/derivation.md``): dropping the
+    """Four facts the derivation reads (``docs/derivation.md``): dropping the
     top k rows of M is M P^k at finite size, column j >= k of P^k is
-    x^(j-k) A^k, and x Z_n(f) has a closed form."""
+    x^(j-k) A^k, and A_n(f) and x Z_n(f) have closed forms."""
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_dropping_k_rows_is_m_times_p_to_the_k(self, k):
@@ -594,6 +594,26 @@ class TestDerivationFacts:
             got = [[power[i][j] for i in range(size)] for j in range(k, size)]
             assert got == columns(k), (e, k)
             assert got != columns(k + 1), (e, k)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_a_n_of_f(self, battery, non_normalized, n):
+        # A_n(f) = (f/x)^n, to the order nth_az gives A_n; the control
+        # (f/x)^(n+1) fails on every element but those with f = x, where
+        # both powers are 1
+        controls = 0
+        for e in battery + non_normalized:
+            a, _ = nth_az(e, n)
+            left = a.compose(e.f).coefficients
+            phi = e.f.shift_down(1)
+
+            def right(power):
+                return (phi**power).truncate(a.order).coefficients
+
+            assert left == right(n), (e, n)
+            if e.f != TruncatedSeries([0, 1], e.order):
+                controls += 1
+                assert left != right(n + 1), (e, n)
+        assert controls > len(battery + non_normalized) * 0.9
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_z_n_of_f(self, battery, non_normalized, n):
