@@ -146,6 +146,22 @@ class TriMatrix(ExactMatrix):
         return TriMatrix(_forward(rows, [([int(i == j) for i in range(n)], 1) for j in range(n)]))
 
 
+def _require(e: "RiordanElement", needed: int, what: str, n: int = 1, size: int = 1) -> None:
+    """The argument checks that ``matrix`` and the production functions
+    share, in this order: n >= 1, size >= 1, then ``e`` known to order
+    ``needed``; ``what`` names the read, formatted with n and size only for
+    its error."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if size < 1:
+        raise ValueError("size must be positive")
+    if e.order < needed:
+        raise PrecisionError(
+            f"{what.format(n=n, size=size)} needs the element at order >= {needed}, "
+            f"but it has order {e.order}"
+        )
+
+
 class RiordanElement:
     """A validated pair (g, f) representing a Riordan group element."""
 
@@ -194,13 +210,7 @@ class RiordanElement:
 
     def matrix(self, size: int) -> TriMatrix:
         """Leading size x size block of the represented matrix."""
-        if size < 1:
-            raise ValueError("size must be positive")
-        if size > self.order + 1:
-            raise PrecisionError(
-                f"a {size}x{size} matrix needs the element at order >= {size - 1}, "
-                f"but it has order {self.order}"
-            )
+        _require(self, size - 1, "a {size}x{size} matrix", size=size)
         rows = _powers(self._g.coefficients[:size], self._f.coefficients, size)
         return TriMatrix([_ratio(v, d) for v in r] for r, d in rows)
 

@@ -130,25 +130,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     element = _resolve_element(args)
     # each report is rendered as it is computed, in the one format printed:
     # an entry past the print limit fails only if printed, at its first report
-    docs, lines, all_equal = [], [], True
+    parts, all_equal = [], True
     for n in ns:
         report = verify_nth_conjecture(element, n, args.size)
         all_equal = all_equal and report.equal
-        if args.json:
-            docs.append(report.to_json_dict())
-        elif report.equal:
-            lines.append(f"n={report.n} size={report.size}: equal")
-        else:
-            i, j = report.first_mismatch
-            scale = f" scale={report.scale}" if report.scale != 1 else ""
-            lines.append(
-                f"n={report.n} size={report.size}: MISMATCH at ({i}, {j}): "
-                f"produced={report.produced[i, j]} "
-                f"closed_form={report.closed_form[i, j]}{scale}"
-            )
-            lines += ["produced:", report.produced.to_text()]
-            lines += ["closed form:", report.closed_form.to_text()]
-    _emit(args.json, lambda: {"reports": docs, "all_equal": all_equal}, lambda: "\n".join(lines))
+        parts.append(report.to_json_dict() if args.json else report.to_text())
+    _emit(args.json, lambda: {"reports": parts, "all_equal": all_equal}, lambda: "\n".join(parts))
     return EXIT_OK if all_equal else EXIT_MISMATCH
 
 
@@ -244,7 +231,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
                 blocks.extend(f"  {k.replace('_', ' ')} = {v}" for k, v in parts.items())
         if args.json:
             doc["iterates"] = iterates
-    print(json.dumps(doc, indent=2) if args.json else "\n".join(blocks))
+    _emit(args.json, lambda: doc, lambda: "\n".join(blocks))
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .arrays import _ONE, ExactMatrix, RiordanElement, Rows, TriMatrix
+from .arrays import _ONE, ExactMatrix, RiordanElement, Rows, TriMatrix, _require
 from .errors import PrecisionError, Record
 from .series import TruncatedSeries, _forward, _powers, _ratio, lift
 
@@ -39,14 +39,6 @@ class ProductionMatrix(ExactMatrix):
 # ---------------------------------------------------------------------------
 # extraction
 # ---------------------------------------------------------------------------
-
-def _require_order(e: RiordanElement, needed: int, what: str) -> None:
-    if e.order < needed:
-        raise PrecisionError(
-            f"{what} needs the element at order >= {needed}, but it has "
-            f"order {e.order}"
-        )
-
 
 def _block(e: RiordanElement, n: int, size: int, cols: int) -> list[tuple[Fraction, ...]]:
     # columns 0..cols-1 of M^-1 (M without its top n rows) to ``size`` rows
@@ -81,11 +73,7 @@ def production_block(e: RiordanElement, n: int, size: int) -> Rows:
     first n-1 columns have not yet been removed, so it is generally not
     Hessenberg.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if size < 1:
-        raise ValueError("size must be positive")
-    _require_order(e, size + n - 1, f"a size-{size} block with {n} rows removed")
+    _require(e, size + n - 1, "a size-{size} block with {n} rows removed", n, size)
     return tuple(_block(e, n, size, size))
 
 
@@ -99,12 +87,8 @@ def nth_production_matrix(e: RiordanElement, n: int, size: int) -> ProductionMat
     then drop the first n-1 columns (n=1 is the classical production matrix).
     Column 0 is Z_n and column j >= 1 is A_n shifted down j - 1 places.
     Needs e at order size, or size + 1 for n >= 2, whatever n is."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if size < 1:
-        raise ValueError("size must be positive")
-    what = f"the order-{n} production matrix at size {size}"
-    _require_order(e, size + 1 if n > 1 else size, what)
+    what = "the order-{n} production matrix at size {size}"
+    _require(e, size + 1 if n > 1 else size, what, n, size)
     # at order size where e allows, so every n at this size shares one solve
     a, z = (s.coefficients for s in _nth_az(e, n, min(size, e.order - 1)))
     return ProductionMatrix([((z[i],) + a[i::-1])[:size] for i in range(size)])
@@ -147,9 +131,7 @@ def nth_az(e: RiordanElement, n: int) -> tuple[TruncatedSeries, TruncatedSeries]
     For n=1 these are the classical A- and Z-sequences; the returned orders
     are e.order-1 and e.order-2.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    _require_order(e, 2, "A/Z extraction")
+    _require(e, 2, "A/Z extraction", n)
     a, z = _nth_az(e, n, e.order - 1)
     return a, z.truncate(e.order - 2)
 
@@ -162,11 +144,9 @@ def produced_matrix_closed_form(e: RiordanElement, n: int) -> RiordanElement:
     For n=1 this is ``e`` itself, at e.order; for n >= 2 the result is at
     order e.order - 1 (one order is consumed by the x/f cancellation).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require(e, 2 if n > 1 else 0, "the produced-matrix closed form", n)
     if n == 1:
         return e
-    _require_order(e, 2, "the produced-matrix closed form")
     # (h, x*h)^-1 = (r/x, r) with h = (x/f)^(n-1) and r = rev(x*h) (derivation
     # step 4); x/f is known to order e.order - 1, so x*h and r to order e.order
     r = (e.f.shift_down(1) ** (1 - n)).shift_up(1).revert()
@@ -217,6 +197,20 @@ class VerificationReport(Record):
                 "closed_form": str(self.closed_form[i, j]),
             }
         return doc
+
+    def to_text(self) -> str:
+        """The verdict line; after a mismatch, both matrices too."""
+        head = f"n={self.n} size={self.size}: "
+        if self.equal:
+            return head + "equal"
+        i, j = self.first_mismatch
+        scale = f" scale={self.scale}" if self.scale != 1 else ""
+        return "\n".join([
+            f"{head}MISMATCH at ({i}, {j}): produced={self.produced[i, j]} "
+            f"closed_form={self.closed_form[i, j]}{scale}",
+            "produced:", self.produced.to_text(),
+            "closed form:", self.closed_form.to_text(),
+        ])
 
 
 def verify_nth_conjecture(

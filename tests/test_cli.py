@@ -431,6 +431,7 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--family", "pascal", "--n", "2")
         assert code == 1
         assert "MISMATCH at (1, 0)" in out
+        assert out == fake.to_text() + "\n"
 
     def test_mismatch_line_names_a_scale_other_than_one(self, capsys, monkeypatch):
         fake = VerificationReport(
@@ -451,6 +452,7 @@ class TestVerify:
         assert out.startswith(
             "n=2 size=2: MISMATCH at (1, 0): produced=1 closed_form=3 scale=2\n"
         )
+        assert out == fake.to_text() + "\n"
 
 
 class TestIdentify:

@@ -1,0 +1,119 @@
+"""The docs are checked like the code: the README's Python example runs and
+states true values, each ``riordan`` line of its command examples exits 0,
+and every test or test class that ``README.md`` or ``docs/derivation.md``
+cites exists under ``tests/``."""
+
+import ast
+import re
+import shlex
+import shutil
+from pathlib import Path
+
+import pytest
+
+from riordan.cli import OEIS_PATH_ENV, main
+
+ROOT = Path(__file__).resolve().parents[1]
+TESTS = ROOT / "tests"
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+CITING = ("README.md", "docs/derivation.md")
+
+FENCE = re.compile(r"^```(\w*)\n(.*?)^```", flags=re.M | re.S)
+# a test module path, a test class or a test function, each optionally
+# followed by ::-separated names, as pytest writes a node id
+CITATION = re.compile(r"(?:tests/)?test_\w+\.py(?:::\w+)*|\bTest\w+(?:::\w+)*|\btest_\w+")
+
+
+def fenced(text: str, language: str) -> list[str]:
+    """The bodies of the text's fenced code blocks in ``language``."""
+    return [body for lang, body in FENCE.findall(text) if lang == language]
+
+
+def backquoted(text: str) -> list[str]:
+    """Every fenced block body and every inline code span of the text."""
+    blocks = [body for _, body in FENCE.findall(text)]
+    return blocks + re.findall(r"`([^`]+)`", FENCE.sub("", text))
+
+
+def cited(text: str) -> list[str]:
+    return [m.group() for span in backquoted(text) for m in CITATION.finditer(span)]
+
+
+def defined_tests() -> dict[str, set[str]]:
+    """Each test module's file name, with its test classes and functions as
+    ``TestX``, ``TestX::test_y``, ``test_y`` (a method too) and ``test_z``."""
+    names = {}
+    for path in TESTS.glob("test_*.py"):
+        found = set()
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                methods = [m.name for m in node.body if isinstance(m, ast.FunctionDef)]
+                found.update([node.name, *methods, *(f"{node.name}::{m}" for m in methods)])
+            elif isinstance(node, ast.FunctionDef):
+                found.add(node.name)
+        names[path.name] = found
+    return names
+
+
+# each riordan line of the command examples, split as the shell splits it
+COMMANDS = [
+    shlex.split(line, comments=True)
+    for body in fenced(README, "sh")
+    for line in body.splitlines()
+    if line.startswith("riordan ")
+]
+DEFINED = defined_tests()
+CITATIONS = sorted({name for doc in CITING for name in cited((ROOT / doc).read_text(encoding="utf-8"))})
+
+
+def test_python_example_runs_and_states_true_values():
+    checked = 0
+    for source in fenced(README, "python"):
+        lines = source.splitlines()
+        namespace: dict = {}
+        for stmt in ast.parse(source).body:
+            comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+            try:
+                stated = [ast.literal_eval(comment)]
+            except (ValueError, SyntaxError):  # a comment in prose states no value
+                stated = []
+            if isinstance(stmt, ast.Expr) and stated:
+                value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+                assert [value] == stated, ast.unparse(stmt)
+                checked += 1
+            else:
+                exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
+    assert checked >= 1
+
+
+def test_command_examples_cover_every_command():
+    assert {argv[1] for argv in COMMANDS} == {"show", "prod", "verify", "identify", "family"}
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(argv) for argv in COMMANDS])
+def test_command_example_exits_0(argv, tmp_path, monkeypatch, capsys):
+    # the identify examples read stripped.txt in the working directory, or
+    # the dump OEIS_STRIPPED_PATH names: both are one copy of the fixture
+    # dump, so the sidecar a lookup writes stays out of the checkout
+    dump = tmp_path / "stripped.txt"
+    shutil.copyfile(TESTS / "data" / "oeis_stripped.txt", dump)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(OEIS_PATH_ENV, str(dump))
+    assert main(argv[1:]) == 0, capsys.readouterr().err
+
+
+def test_derivation_cites_tests():
+    # each step of the derivation names its tests: none found means the
+    # scan, not the doc, is broken
+    assert cited((ROOT / "docs" / "derivation.md").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", CITATIONS)
+def test_cited_test_exists(name):
+    first, _, rest = name.partition("::")
+    if first.endswith(".py"):
+        module = Path(first).name
+        assert module in DEFINED, f"no module tests/{module}"
+        assert not rest or rest in DEFINED[module], f"no {rest} in tests/{module}"
+    else:
+        assert any(name in found for found in DEFINED.values()), f"no {name} under tests/"

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -277,6 +278,60 @@ class TestNthProduction:
     def test_bad_n_rejected(self):
         with pytest.raises(ValueError):
             nth_production_matrix(pascal(8), 0, 4)
+
+
+class TestArgumentChecks:
+    """Each production function, and ``RiordanElement.matrix``, checks n,
+    then size, then the element's order; a case with n = 0 and size = 0 on
+    an element too low for the call pins that order."""
+
+    N = "n must be at least 1"
+    SIZE = "size must be positive"
+
+    @staticmethod
+    def low(what, needed, order):
+        return f"{what} needs the element at order >= {needed}, but it has order {order}"
+
+    CASES = [
+        ("production_block n", lambda: production_block(catalan_array(8), 0, 3), ValueError, N),
+        ("production_block size", lambda: production_block(catalan_array(8), 2, 0), ValueError, SIZE),
+        ("production_block both", lambda: production_block(catalan_array(1), 0, 0), ValueError, N),
+        (
+            "production_block order", lambda: production_block(catalan_array(3), 2, 3),
+            PrecisionError, low("a size-3 block with 2 rows removed", 4, 3),
+        ),
+        ("nth_production_matrix n", lambda: nth_production_matrix(catalan_array(8), 0, 3), ValueError, N),
+        ("nth_production_matrix size", lambda: nth_production_matrix(catalan_array(8), 2, 0), ValueError, SIZE),
+        ("nth_production_matrix both", lambda: nth_production_matrix(catalan_array(1), 0, 0), ValueError, N),
+        (
+            "nth_production_matrix order n=1", lambda: nth_production_matrix(catalan_array(2), 1, 3),
+            PrecisionError, low("the order-1 production matrix at size 3", 3, 2),
+        ),
+        (
+            "nth_production_matrix order n=2", lambda: nth_production_matrix(catalan_array(3), 2, 3),
+            PrecisionError, low("the order-2 production matrix at size 3", 4, 3),
+        ),
+        ("nth_az n", lambda: nth_az(catalan_array(8), 0), ValueError, N),
+        ("nth_az both", lambda: nth_az(catalan_array(1), 0), ValueError, N),
+        ("nth_az order", lambda: nth_az(catalan_array(1), 2), PrecisionError, low("A/Z extraction", 2, 1)),
+        ("closed_form n", lambda: produced_matrix_closed_form(catalan_array(8), 0), ValueError, N),
+        ("closed_form both", lambda: produced_matrix_closed_form(catalan_array(1), 0), ValueError, N),
+        (
+            "closed_form order", lambda: produced_matrix_closed_form(catalan_array(1), 2),
+            PrecisionError, low("the produced-matrix closed form", 2, 1),
+        ),
+        ("matrix size", lambda: catalan_array(8).matrix(0), ValueError, SIZE),
+        ("matrix order", lambda: catalan_array(3).matrix(5), PrecisionError, low("a 5x5 matrix", 4, 3)),
+    ]
+
+    @pytest.mark.parametrize("call, error, message", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+    def test_message(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_closed_form_of_n_1_is_the_element_at_any_order(self):
+        e = catalan_array(1)
+        assert produced_matrix_closed_form(e, 1) is e
 
 
 class TestGenerate:
@@ -692,6 +747,34 @@ class TestVerification:
         )
         report = verify_nth_conjecture(e, 2, 5)
         assert not report.equal and report.first_mismatch[0] == 2
+
+    # the text of a report, as verify prints it
+    MISMATCH_TEXT = (
+        "n=2 size=2: MISMATCH at (1, 0): produced=1 closed_form=2\n"
+        "produced:\n1  0\n1  1\nclosed form:\n1  0\n2  1"
+    )
+    SCALED_MISMATCH_TEXT = (
+        "n=2 size=2: MISMATCH at (1, 0): produced=1 closed_form=3 scale=2\n"
+        "produced:\n1  0\n1  1\nclosed form:\n2  0\n3  2"
+    )
+
+    def test_text_of_an_equal_report(self):
+        assert verify_nth_conjecture(catalan_array(12), 4, 7).to_text() == "n=4 size=7: equal"
+
+    def test_text_of_a_mismatch(self):
+        report = VerificationReport(
+            element=pascal(4), n=2, size=2, produced=TriMatrix([[1], [1, 1]]),
+            closed_form=TriMatrix([[1], [2, 1]]), equal=False, first_mismatch=(1, 0),
+        )
+        assert report.to_text() == self.MISMATCH_TEXT
+
+    def test_text_of_a_mismatch_names_a_scale_other_than_one(self):
+        report = VerificationReport(
+            element=pascal(4), n=2, size=2, produced=TriMatrix([[1], [1, 1]]),
+            closed_form=TriMatrix([[2], [3, 2]]), equal=False, first_mismatch=(1, 0),
+            scale=F(2),
+        )
+        assert report.to_text() == self.SCALED_MISMATCH_TEXT
 
     def test_json_document_shape(self):
         report = verify_nth_conjecture(pascal(9), 2, 5)
