@@ -13,7 +13,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import mul
 
-from .errors import InvalidElementError, PrecisionError, ShapeError
+from .errors import InvalidElementError, PrecisionError, Record, ShapeError
 from .series import _ZERO, TruncatedSeries, _compose_lists, _forward, _powers, _ratio, as_fraction, lift
 
 Rows = tuple[tuple[Fraction, ...], ...]
@@ -68,16 +68,18 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
     )
 
 
-class ExactMatrix:
+class ExactMatrix(Record):
     """Dense square matrix with exact rational entries that vanish more than
-    ``BAND`` places above the diagonal.
+    ``BAND`` places above the diagonal; ``rows`` holds every row at full
+    length.
 
-    Storage, validation, access, rendering and equality live here; each
-    subclass fixes ``BAND`` and adds its own operations.  Matrices of
-    different classes never compare equal, even with equal entries.
+    Storage, validation, access and rendering live here; equality, hash and
+    immutability come from ``Record``, so matrices of different classes
+    never compare equal, even with equal entries.  Each subclass fixes
+    ``BAND`` and adds its own operations.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("rows",)
 
     BAND = 0
 
@@ -97,36 +99,24 @@ class ExactMatrix:
                         f"entry ({i}, {j}) is {row[j]}, but a {type(self).__name__} "
                         f"is zero more than {self.BAND} places above the diagonal"
                     )
-        self._rows = tuple(row + (_ZERO,) * (size - len(row)) for row in given)
+        super().__init__(tuple(row + (_ZERO,) * (size - len(row)) for row in given))
 
     @property
     def size(self) -> int:
-        return len(self._rows)
-
-    @property
-    def rows(self) -> Rows:
-        return self._rows
+        return len(self.rows)
 
     def __getitem__(self, index: tuple[int, int]) -> Fraction:
         n, k = index
-        return self._rows[n][k]
+        return self.rows[n][k]
 
     def column(self, k: int) -> tuple[Fraction, ...]:
-        return tuple(row[k] for row in self._rows)
+        return tuple(row[k] for row in self.rows)
 
     def to_text(self) -> str:
-        return render_rows(self._rows)
+        return render_rows(self.rows)
 
     def to_json_entries(self) -> list[list[str]]:
-        return rows_to_strings(self._rows)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
+        return rows_to_strings(self.rows)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(size={self.size})"
@@ -142,7 +132,7 @@ class TriMatrix(ExactMatrix):
         """Exact inverse: one forward substitution (``series._forward``)
         against the identity's columns."""
         n = self.size
-        rows = (lift(row[: i + 1]) for i, row in enumerate(self._rows))
+        rows = (lift(row[: i + 1]) for i, row in enumerate(self.rows))
         return TriMatrix(_forward(rows, [([int(i == j) for i in range(n)], 1) for j in range(n)]))
 
 

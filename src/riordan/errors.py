@@ -3,30 +3,65 @@
 Domain errors derive from :class:`RiordanError`; argument checks raise plain
 ValueError (a size, order, count, n or key out of range) or TypeError (a
 value that is not an exact int or Fraction, or of the wrong type).
+:class:`Record` is the base of the immutable value classes that name their
+fields once, in ``__slots__``: the syntax-tree nodes and tokens of
+``gfexpr``, ``SequenceMatch``, ``VerificationReport`` and the exact matrices.
 """
 
 from __future__ import annotations
 
 
 class Record:
-    """Base of the package's small immutable value classes: the syntax-tree
-    nodes and tokens of ``gfexpr``, ``SequenceMatch`` and ``VerificationReport``.
+    """Base of the package's immutable value classes: the syntax-tree nodes
+    and tokens of ``gfexpr``, ``SequenceMatch``, ``VerificationReport`` and
+    the exact matrices, ``TriMatrix`` and ``ProductionMatrix``.
 
-    A subclass names its fields in ``__slots__`` and passes their values, in
-    that order, to ``Record.__init__``.  Equality (between instances of one
-    class), hash and repr read the fields named by ``_compared``; assigning
-    or deleting a field raises AttributeError.
+    A class names its fields once, in ``__slots__``, and its fields are
+    those of each class in its MRO, base first: a subclass with empty
+    ``__slots__`` keeps its base's.  ``_defaults`` maps the fields that may
+    be left out to their values.  The constructor binds values by position
+    and by name, and raises TypeError for a missing field, a surplus
+    positional value, a field given twice or an unknown keyword.  Equality
+    (within one class), hash and repr read the fields named by
+    ``_compared``; pickling and copying go through the constructor; any
+    attribute assignment or deletion raises AttributeError.
     """
 
     __slots__ = ()
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        slots = (c.__dict__.get("__slots__", ()) for c in reversed(cls.__mro__))
+        cls._fields = tuple(name for names in slots for name in names)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(self._fields, args):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """One value per field: ``args`` in field order, ``kwargs`` by name,
+        then the class's defaults."""
+        fields, what = cls._fields, cls.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{what} takes at most {len(fields)} positional values, got {len(args)}")
+        for name in kwargs:
+            if name not in fields:
+                raise TypeError(f"{what} has no field {name!r}")
+            if name in fields[: len(args)]:
+                raise TypeError(f"{what} got field {name!r} twice")
+        values = {**cls._defaults, **dict(zip(fields, args)), **kwargs}
+        if missing := [name for name in fields if name not in values]:
+            raise TypeError(f"{what} is missing field(s) {', '.join(missing)}")
+        return tuple(values[name] for name in fields)
 
     @property
     def _compared(self) -> tuple[str, ...]:
-        return self.__slots__
+        return self._fields
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._compared)
@@ -50,7 +85,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 class RiordanError(Exception):

@@ -44,56 +44,40 @@ from .series import _MAX_LITERAL_BITS, _MAX_LITERAL_DIGITS, _MAX_ORDER, Truncate
 # ---------------------------------------------------------------------------
 
 class _Node(Record):
-    """A syntax-tree node; its last field, ``pos``, is the source offset and
-    takes no part in equality, hash or repr."""
+    """A syntax-tree node; its last field, ``pos``, is the source offset,
+    0 unless given, and takes no part in equality, hash or repr."""
 
     __slots__ = ()
 
+    _defaults = {"pos": 0}
+
     @property
     def _compared(self) -> tuple[str, ...]:
-        return self.__slots__[:-1]
+        return self._fields[:-1]
 
 
 class Lit(_Node):
     __slots__ = ("value", "pos")
 
-    def __init__(self, value: Fraction, pos: int = 0):
-        super().__init__(value, pos)
-
 
 class Var(_Node):
     __slots__ = ("pos",)
-
-    def __init__(self, pos: int = 0):
-        super().__init__(pos)
 
 
 class Neg(_Node):
     __slots__ = ("arg", "pos")
 
-    def __init__(self, arg: GfExpression, pos: int = 0):
-        super().__init__(arg, pos)
-
 
 class Pow(_Node):
     __slots__ = ("base", "exponent", "pos")
-
-    def __init__(self, base: GfExpression, exponent: int, pos: int = 0):
-        super().__init__(base, exponent, pos)
 
 
 class BinOp(_Node):
     __slots__ = ("op", "left", "right", "pos")  # op is one of "+", "-", "*", "/"
 
-    def __init__(self, op: str, left: GfExpression, right: GfExpression, pos: int = 0):
-        super().__init__(op, left, right, pos)
-
 
 class Call(_Node):
     __slots__ = ("name", "arg", "pos")  # name is "sqrt" or "c"
-
-    def __init__(self, name: str, arg: GfExpression, pos: int = 0):
-        super().__init__(name, arg, pos)
 
 
 GfExpression = Lit | Var | Neg | Pow | BinOp | Call
@@ -114,9 +98,6 @@ _EXPONENT_BITS = 64
 
 class _Token(Record):
     __slots__ = ("kind", "text", "pos")  # kind is "int", "ident", a symbol or "end"
-
-    def __init__(self, kind: str, text: str, pos: int):
-        super().__init__(kind, text, pos)
 
 
 def _tokenize(text: str) -> list[_Token]:

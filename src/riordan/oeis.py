@@ -67,9 +67,6 @@ _BLOCK = 1 << 16
 class SequenceMatch(Record):
     __slots__ = ("anumber", "offset")
 
-    def __init__(self, anumber: str, offset: int):
-        super().__init__(anumber, offset)
-
 
 def _text(values: Sequence[int]) -> str:
     """``values`` as a record writes them: ``,v1,v2,...,``."""

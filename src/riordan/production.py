@@ -164,15 +164,9 @@ class VerificationReport(Record):
     __slots__ = (
         "element", "n", "size", "produced", "closed_form", "equal", "first_mismatch", "scale"
     )
+    _defaults = {"scale": _ONE}
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(
-        self, element: RiordanElement, n: int, size: int, produced: TriMatrix,
-        closed_form: TriMatrix, equal: bool, first_mismatch: tuple[int, int] | None,
-        scale: Fraction = _ONE,
-    ):
-        super().__init__(element, n, size, produced, closed_form, equal, first_mismatch, scale)
 
     def to_json_dict(self) -> dict:
         doc: dict = {

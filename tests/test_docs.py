@@ -1,7 +1,7 @@
 """The docs are checked like the code: the README's Python example runs and
 states true values, each ``riordan`` line of its command examples exits 0,
-and every test or test class that ``README.md`` or ``docs/derivation.md``
-cites exists under ``tests/``."""
+its exit codes are the CLI's, and every test or test class that
+``README.md`` or ``docs/derivation.md`` cites exists under ``tests/``."""
 
 import ast
 import re
@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from riordan import cli
 from riordan.cli import OEIS_PATH_ENV, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -100,6 +101,13 @@ def test_command_example_exits_0(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv(OEIS_PATH_ENV, str(dump))
     assert main(argv[1:]) == 0, capsys.readouterr().err
+
+
+def test_exit_codes_are_the_cli_constants():
+    # the ``- `N`:`` bullets under "### Exit codes", up to the next heading
+    section = README.partition("\n### Exit codes\n")[2].partition("\n#")[0]
+    listed = sorted(int(code) for code in re.findall(r"^- `(\d+)`:", section, flags=re.M))
+    assert listed == sorted(value for name, value in vars(cli).items() if name.startswith("EXIT_"))
 
 
 def test_derivation_cites_tests():

@@ -1,5 +1,7 @@
 """Value semantics of the package's small immutable classes: the syntax-tree
-nodes and tokens of ``gfexpr``, ``SequenceMatch`` and ``VerificationReport``.  Reprs are recorded as literals."""
+nodes and tokens of ``gfexpr``, ``SequenceMatch``, ``VerificationReport`` and
+the exact matrices ``TriMatrix`` and ``ProductionMatrix``.  Reprs are recorded
+as literals."""
 
 import copy
 import pickle
@@ -11,8 +13,10 @@ from riordan import (
     OeisIndex,
     SequenceMatch,
     VerificationReport,
+    catalan_array,
     parse,
     pascal,
+    production_matrix,
     verify_nth_conjecture,
 )
 from riordan.gfexpr import BinOp, Call, Lit, Neg, Pow, Var, _Token, _tokenize
@@ -50,13 +54,6 @@ class TestNodes:
         with pytest.raises(AttributeError):
             del node.pos
 
-    def test_positional_and_keyword_construction(self):
-        node = BinOp(op="*", left=Var(), right=Lit(value=F(2)), pos=5)
-        assert (node.op, node.left, node.right, node.pos) == ("*", Var(), Lit(F(2)), 5)
-        assert Lit(F(2)).pos == 0 and Var().pos == 0
-        with pytest.raises(TypeError):
-            Pow(Var())
-
     def test_repr_leaves_out_pos(self):
         assert repr(parse("-(1+x)^2/sqrt(c(x)) - 3*x")) == (
             "Neg(arg=BinOp(op='-', left=BinOp(op='/', left=Pow(base=BinOp(op='+', "
@@ -69,6 +66,73 @@ class TestNodes:
         tree = parse("sqrt(1-4*x)/(2*x)^-1")
         assert copy.deepcopy(tree) == tree
         assert pickle.loads(pickle.dumps(tree)) == tree
+
+
+REPORT = verify_nth_conjecture(pascal(3), 2, 2)
+# each record class with a value for every field, in field order, and the
+# fields it may leave out with their defaults
+RECORDS = [
+    (Lit, dict(value=F(3), pos=7), dict(pos=0)),
+    (Var, dict(pos=2), dict(pos=0)),
+    (Neg, dict(arg=Var(), pos=4), dict(pos=0)),
+    (Pow, dict(base=Var(), exponent=2, pos=3), dict(pos=0)),
+    (BinOp, dict(op="*", left=Var(), right=Lit(F(2)), pos=5), dict(pos=0)),
+    (Call, dict(name="sqrt", arg=Var(), pos=9), dict(pos=0)),
+    (_Token, dict(kind="ident", text="x", pos=1), {}),
+    (SequenceMatch, dict(anumber="A000108", offset=1), {}),
+    (
+        VerificationReport,
+        dict(
+            element=REPORT.element, n=2, size=2, produced=REPORT.produced,
+            closed_form=REPORT.closed_form, equal=True, first_mismatch=None, scale=F(1, 2),
+        ),
+        dict(scale=1),
+    ),
+]
+
+
+class TestRecord:
+    @pytest.mark.parametrize(
+        "cls, fields, defaults", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS]
+    )
+    def test_positional_and_keyword_construction(self, cls, fields, defaults):
+        # fields bind by name, positionally or by keyword, and only the
+        # fields with a default may be left out
+        names, values = list(fields), list(fields.values())
+        rest = dict(zip(names[1:], values[1:]))
+        for record in (cls(*values), cls(**fields), cls(values[0], **rest)):
+            assert [getattr(record, name) for name in names] == values
+        kept = {name: value for name, value in fields.items() if name not in defaults}
+        record = cls(**kept)
+        assert {name: getattr(record, name) for name in defaults} == defaults
+        required = [name for name in names if name not in defaults]
+        if required:
+            with pytest.raises(TypeError):
+                cls(**{name: value for name, value in fields.items() if name != required[0]})
+        with pytest.raises(TypeError):
+            cls(*values, None)
+        with pytest.raises(TypeError):
+            cls(values[0], **fields)
+        with pytest.raises(TypeError):
+            cls(**fields, unknown=None)
+
+
+MATRICES = [catalan_array(5).matrix(5), production_matrix(catalan_array(6), 5)]
+
+
+@pytest.mark.parametrize("matrix", MATRICES, ids=["TriMatrix", "ProductionMatrix"])
+class TestMatrices:
+    def test_copy_and_pickle_give_an_equal_matrix(self, matrix):
+        for copied in (pickle.loads(pickle.dumps(matrix)), copy.deepcopy(matrix)):
+            assert type(copied) is type(matrix) and copied == matrix
+            assert hash(copied) == hash(matrix)
+        assert hash(type(matrix)(matrix.rows)) == hash(matrix)
+
+    def test_rows_cannot_be_assigned(self, matrix):
+        with pytest.raises(AttributeError):
+            matrix.rows = ()
+        with pytest.raises(AttributeError):
+            del matrix.rows
 
 
 class TestToken:
