@@ -37,9 +37,7 @@ class Record:
         cls._fields = tuple(name for names in slots for name in names)
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._fields):
-            args = self._bind(args, kwargs)
-        for name, value in zip(self._fields, args):
+        for name, value in zip(self._fields, self._bind(args, kwargs)):
             object.__setattr__(self, name, value)
 
     @classmethod

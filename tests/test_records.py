@@ -107,8 +107,12 @@ class TestRecord:
         assert {name: getattr(record, name) for name in defaults} == defaults
         required = [name for name in names if name not in defaults]
         if required:
+            # the first required field left out by keyword, the last by a
+            # short positional call (for Pow, ``Pow(Var())``)
             with pytest.raises(TypeError):
                 cls(**{name: value for name, value in fields.items() if name != required[0]})
+            with pytest.raises(TypeError):
+                cls(*values[: names.index(required[-1])])
         with pytest.raises(TypeError):
             cls(*values, None)
         with pytest.raises(TypeError):
