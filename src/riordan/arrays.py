@@ -152,10 +152,14 @@ def _require(e: "RiordanElement", needed: int, what: str, n: int = 1, size: int 
         )
 
 
-class RiordanElement:
-    """A validated pair (g, f) representing a Riordan group element."""
+class RiordanElement(Record):
+    """A validated pair (g, f) representing a Riordan group element; it
+    caches its reverted f and, for ``riordan.production``, its A- and
+    Z-series (``_frev``, ``_az``)."""
 
-    __slots__ = ("_g", "_f", "_frev", "_az")
+    __slots__ = ("g", "f", "_frev", "_az")
+
+    __hash__ = None  # series equality ignores surplus precision
 
     def __init__(self, g: TruncatedSeries, f: TruncatedSeries):
         if g.order != f.order:
@@ -169,39 +173,27 @@ class RiordanElement:
             raise InvalidElementError("f must have zero constant term")
         if f.order < 1 or not f.coefficient(1):
             raise InvalidElementError("f must have nonzero linear coefficient")
-        self._g = g
-        self._f = f
-        self._frev: TruncatedSeries | None = None
-        # A- and Z-series, kept by riordan.production
-        self._az: tuple[TruncatedSeries, TruncatedSeries] | None = None
+        super().__init__(g, f)
 
     @classmethod
     def identity(cls, order: int) -> "RiordanElement":
         return cls(TruncatedSeries([1], order), TruncatedSeries([0, 1], order))
 
     @property
-    def g(self) -> TruncatedSeries:
-        return self._g
-
-    @property
-    def f(self) -> TruncatedSeries:
-        return self._f
-
-    @property
     def order(self) -> int:
-        return self._g.order
+        return self.g.order
 
     def truncate(self, order: int) -> "RiordanElement":
         if order == self.order:
             return self
-        return RiordanElement(self._g.truncate(order), self._f.truncate(order))
+        return RiordanElement(self.g.truncate(order), self.f.truncate(order))
 
     # -- matrix representation -------------------------------------------------
 
     def matrix(self, size: int) -> TriMatrix:
         """Leading size x size block of the represented matrix."""
         _require(self, size - 1, "a {size}x{size} matrix", size=size)
-        rows = _powers(self._g.coefficients[:size], self._f.coefficients, size)
+        rows = _powers(self.g.coefficients[:size], self.f.coefficients, size)
         return TriMatrix([_ratio(v, d) for v in r] for r, d in rows)
 
     # -- group structure ---------------------------------------------------------
@@ -213,20 +205,20 @@ class RiordanElement:
                 "group multiplication needs equal orders; truncate explicitly"
             )
         # one chain of the powers of self.f serves both series of other
-        u, v = _compose_lists([other._g.coefficients, other._f.coefficients], self._f.coefficients)
-        return RiordanElement(self._g * TruncatedSeries(u), TruncatedSeries(v))
+        u, v = _compose_lists([other.g.coefficients, other.f.coefficients], self.f.coefficients)
+        return RiordanElement(self.g * TruncatedSeries(u), TruncatedSeries(v))
 
     __mul__ = mul
 
     def reverted_f(self) -> TruncatedSeries:
         """Compositional inverse of f (cached: elements are immutable)."""
         if self._frev is None:
-            self._frev = self._f.revert()
+            object.__setattr__(self, "_frev", self.f.revert())
         return self._frev
 
     def inverse(self) -> "RiordanElement":
         frev = self.reverted_f()
-        return RiordanElement(1 / self._g.compose(frev), frev)
+        return RiordanElement(1 / self.g.compose(frev), frev)
 
     # -- A- and Z-sequences -------------------------------------------------------
 
@@ -244,15 +236,3 @@ class RiordanElement:
         common = min(a.order, z.order)
         f = (1 / a.truncate(common)).shift_up(1).revert()
         return cls(1 / (1 - z.truncate(common).compose(f).shift_up(1)), f)
-
-    # -- comparison and display ----------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RiordanElement):
-            return NotImplemented
-        return self._g == other._g and self._f == other._f
-
-    __hash__ = None  # series equality ignores surplus precision
-
-    def __repr__(self) -> str:
-        return f"RiordanElement(g={self._g!r}, f={self._f!r})"

@@ -3,42 +3,54 @@
 Domain errors derive from :class:`RiordanError`; argument checks raise plain
 ValueError (a size, order, count, n or key out of range) or TypeError (a
 value that is not an exact int or Fraction, or of the wrong type).
-:class:`Record` is the base of the immutable value classes that name their
-fields once, in ``__slots__``: the syntax-tree nodes and tokens of
-``gfexpr``, ``SequenceMatch``, ``VerificationReport`` and the exact matrices.
+:class:`Record` is the base of every immutable value class:
+``TruncatedSeries``, ``RiordanElement``, the exact matrices, the syntax-tree
+nodes and tokens of ``gfexpr``, ``SequenceMatch`` and ``VerificationReport``.
+Each names its fields, and its caches (named with a leading ``_``), once, in
+``__slots__``.  ``OeisIndex`` is no record: its state is dump text cut into
+blocks, a representation rather than a value, which a record's repr would
+print whole, and its constructor takes a mapping.
 """
 
 from __future__ import annotations
 
 
 class Record:
-    """Base of the package's immutable value classes: the syntax-tree nodes
-    and tokens of ``gfexpr``, ``SequenceMatch``, ``VerificationReport`` and
-    the exact matrices, ``TriMatrix`` and ``ProductionMatrix``.
+    """Base of the package's immutable value classes: ``TruncatedSeries``,
+    ``RiordanElement``, the exact matrices ``TriMatrix`` and
+    ``ProductionMatrix``, the syntax-tree nodes and tokens of ``gfexpr``,
+    ``SequenceMatch`` and ``VerificationReport``.
 
-    A class names its fields once, in ``__slots__``, and its fields are
-    those of each class in its MRO, base first: a subclass with empty
-    ``__slots__`` keeps its base's.  ``_defaults`` maps the fields that may
-    be left out to their values.  The constructor binds values by position
-    and by name, and raises TypeError for a missing field, a surplus
-    positional value, a field given twice or an unknown keyword.  Equality
-    (within one class), hash and repr read the fields named by
-    ``_compared``; pickling and copying go through the constructor; any
-    attribute assignment or deletion raises AttributeError.
+    A class names its slots once, in ``__slots__``, and its slots are those
+    of each class in its MRO, base first: a subclass with empty
+    ``__slots__`` keeps its base's.  A slot whose name starts with ``_`` is
+    a cache, the rest are fields.  ``_defaults`` maps the fields that may be
+    left out to their values.  The constructor binds values by position and
+    by name, and raises TypeError for a missing field, a surplus positional
+    value, a field given twice or an unknown keyword; it sets every cache to
+    None, and each cache is filled once, by ``object.__setattr__`` at its
+    one fill site.  Equality (within one class), hash and repr read the
+    fields named by ``_compared``; pickling and copying go through the
+    constructor, so no cache is carried over; any attribute assignment or
+    deletion raises AttributeError.
     """
 
     __slots__ = ()
 
     _fields: tuple[str, ...] = ()
+    _caches: tuple[str, ...] = ()
     _defaults: dict = {}
 
     def __init_subclass__(cls):
-        slots = (c.__dict__.get("__slots__", ()) for c in reversed(cls.__mro__))
-        cls._fields = tuple(name for names in slots for name in names)
+        slots = [name for c in reversed(cls.__mro__) for name in c.__dict__.get("__slots__", ())]
+        cls._fields = tuple(name for name in slots if not name.startswith("_"))
+        cls._caches = tuple(name for name in slots if name.startswith("_"))
 
     def __init__(self, *args, **kwargs):
         for name, value in zip(self._fields, self._bind(args, kwargs)):
             object.__setattr__(self, name, value)
+        for name in self._caches:
+            object.__setattr__(self, name, None)
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> tuple:
@@ -76,11 +88,16 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
         return f"{type(self).__qualname__}({fields})"
 
+    def _refuse(self, verb: str, name: str) -> AttributeError:
+        if name in self._fields:
+            return AttributeError(f"cannot {verb} field {name!r}")
+        return AttributeError(f"{type(self).__qualname__} has no field {name!r}")
+
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        raise self._refuse("assign to", name)
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        raise self._refuse("delete", name)
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)

@@ -56,7 +56,8 @@ def _nth_az(e: RiordanElement, n: int, order: int) -> tuple[TruncatedSeries, Tru
     az = e._az
     if az is None or az[0].order < order:
         cols = _block(e, 1, order + 1, 2)
-        az = e._az = TruncatedSeries(r[1] for r in cols), TruncatedSeries(r[0] for r in cols)
+        az = TruncatedSeries(r[1] for r in cols), TruncatedSeries(r[0] for r in cols)
+        object.__setattr__(e, "_az", az)
     a, z = (s.truncate(order) for s in az)
     if n == 1:
         return a, z

@@ -33,6 +33,7 @@ from .errors import (
     CompositionError,
     NonUnitError,
     PrecisionError,
+    Record,
     ReversionError,
     SingularMatrixError,
     SqrtError,
@@ -204,10 +205,11 @@ def as_fraction(c: Rational) -> Fraction:
     raise TypeError(f"exact values are int or Fraction, got {c!r}")
 
 
-class TruncatedSeries:
-    """Power series truncated at a fixed order, with exact rational entries."""
+class TruncatedSeries(Record):
+    """Power series truncated at a fixed order, with exact rational entries
+    c0..cN in ``coefficients``; equal up to the smaller of two orders."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("coefficients",)
 
     def __init__(self, coeffs: Iterable[Rational], order: int | None = None):
         """Build a series from its coefficients c0, c1, ...
@@ -226,21 +228,17 @@ class TruncatedSeries:
                 values = values[: order + 1]
         if not values:
             raise ValueError("a series needs at least the constant coefficient")
-        self._coeffs = tuple(values)
+        super().__init__(tuple(values))
 
     # -- basic access ----------------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return len(self.coefficients) - 1
 
     @property
     def constant_term(self) -> Fraction:
-        return self._coeffs[0]
+        return self.coefficients[0]
 
     def coefficient(self, n: int) -> Fraction:
         """Coefficient of x^n; raises beyond the truncation order."""
@@ -250,16 +248,16 @@ class TruncatedSeries:
             raise PrecisionError(
                 f"coefficient {n} requested but series is only known to order {self.order}"
             )
-        return self._coeffs[n]
+        return self.coefficients[n]
 
     __getitem__ = coefficient
 
     def is_zero(self) -> bool:
-        return not any(self._coeffs)
+        return not any(self.coefficients)
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None if all are zero."""
-        for i, c in enumerate(self._coeffs):
+        for i, c in enumerate(self.coefficients):
             if c:
                 return i
         return None
@@ -272,7 +270,7 @@ class TruncatedSeries:
             )
         if order == self.order:
             return self
-        return TruncatedSeries(self._coeffs[: order + 1])
+        return TruncatedSeries(self.coefficients[: order + 1])
 
     # -- ring operations -------------------------------------------------------
 
@@ -289,7 +287,7 @@ class TruncatedSeries:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return TruncatedSeries([_checked(op(a, b)) for a, b in zip(self._coeffs, rhs._coeffs)])
+        return TruncatedSeries([_checked(op(a, b)) for a, b in zip(self.coefficients, rhs.coefficients)])
 
     __add__ = __radd__ = partialmethod(_termwise, add)
     __sub__ = partialmethod(_termwise, sub)
@@ -301,15 +299,15 @@ class TruncatedSeries:
         return lhs - self
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self._coeffs])
+        return TruncatedSeries([-c for c in self.coefficients])
 
     def __mul__(self, other: "TruncatedSeries | Rational") -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([_checked(c * other) for c in self._coeffs])
+            return TruncatedSeries([_checked(c * other) for c in self.coefficients])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(self.order, other.order) + 1
-        (ia, da), (ib, db) = lift(self._coeffs[:n]), lift(other._coeffs[:n])
+        (ia, da), (ib, db) = lift(self.coefficients[:n]), lift(other.coefficients[:n])
         d = da * db
         return TruncatedSeries([_ratio(v, d) for v in _convolve(ia, ib)])
 
@@ -319,20 +317,20 @@ class TruncatedSeries:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division by zero scalar")
-            return TruncatedSeries([_checked(c / other) for c in self._coeffs])
+            return TruncatedSeries([_checked(c / other) for c in self.coefficients])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if not other._coeffs[0]:
+        if not other.coefficients[0]:
             raise NonUnitError(
                 "division requires a divisor with nonzero constant term"
             )
         # the divisor's Toeplitz rows, each cut past its last nonzero term
         n = min(self.order, other.order) + 1
-        ib, db = lift(other._coeffs[:n])
+        ib, db = lift(other.coefficients[:n])
         top = max(i for i, v in enumerate(ib) if v)
         rb = ib[top::-1]
         rows = ((rb[max(top - i, 0) :], db) for i in range(n))
-        return TruncatedSeries([v for v, in _forward(rows, [lift(self._coeffs[:n])])])
+        return TruncatedSeries([v for v, in _forward(rows, [lift(self.coefficients[:n])])])
 
     def __rtruediv__(self, other: Rational) -> "TruncatedSeries":
         lhs = self._coerce(other)
@@ -354,7 +352,7 @@ class TruncatedSeries:
         shift = self.order + 1 if v is None else v * exponent
         if shift > self.order:
             return TruncatedSeries([0], self.order)
-        c = self._coeffs[v : self.order + 1 + v - shift]
+        c = self.coefficients[v : self.order + 1 + v - shift]
         # c0^e has more than (bits - 1) |e| bits: refused before it is computed
         bits = max(c[0].numerator.bit_length(), c[0].denominator.bit_length())
         width = (bits - 1) * abs(exponent) + 1
@@ -367,7 +365,7 @@ class TruncatedSeries:
         """Multiply by x^k; all knowledge is preserved, order grows by k."""
         if k < 0:
             raise ValueError("shift_up needs k >= 0")
-        return TruncatedSeries((_ZERO,) * k + self._coeffs)
+        return TruncatedSeries((_ZERO,) * k + self.coefficients)
 
     def shift_down(self, k: int = 1) -> "TruncatedSeries":
         """Divide by x^k; the first k coefficients must vanish."""
@@ -380,21 +378,21 @@ class TruncatedSeries:
                 f"cannot shift an order-{self.order} series down by {k}"
             )
         for i in range(k):
-            if self._coeffs[i]:
+            if self.coefficients[i]:
                 raise NonUnitError(
                     f"cannot divide by x^{k}: coefficient {i} is nonzero"
                 )
-        return TruncatedSeries(self._coeffs[k:])
+        return TruncatedSeries(self.coefficients[k:])
 
     # -- composition, reversion, square root ----------------------------------
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """Substitute ``inner`` (which must have zero constant term) for x."""
-        if inner._coeffs[0]:
+        if inner.coefficients[0]:
             raise CompositionError(
                 "composition requires an inner series with zero constant term"
             )
-        return TruncatedSeries(_compose_lists([self._coeffs], inner._coeffs)[0])
+        return TruncatedSeries(_compose_lists([self.coefficients], inner.coefficients)[0])
 
     def revert(self) -> "TruncatedSeries":
         """Compositional inverse: the series r with self(r(x)) = x.
@@ -402,7 +400,7 @@ class TruncatedSeries:
         In the Riordan group (1, f)^-1 = (1, rev f), so rev f is column 1 of
         (1, f)^-1: X with M X = e_1, M the matrix of (1, f) (:func:`_powers`).
         """
-        if self._coeffs[0]:
+        if self.coefficients[0]:
             raise ReversionError(
                 "reversion requires a series with zero constant term"
             )
@@ -410,23 +408,23 @@ class TruncatedSeries:
             raise ReversionError(
                 "reversion needs the linear coefficient; order 0 is not enough"
             )
-        if not self._coeffs[1]:
+        if not self.coefficients[1]:
             raise ReversionError(
                 "reversion requires a nonzero linear coefficient"
             )
         n = self.order + 1
         e1 = ([0, 1] + [0] * (n - 2), 1)
-        rows = _powers([1] + [0] * (n - 1), self._coeffs, n)
+        rows = _powers([1] + [0] * (n - 1), self.coefficients, n)
         return TruncatedSeries([v for v, in _forward(rows, [e1])])
 
     def sqrt(self) -> "TruncatedSeries":
         """Square root with positive constant term, which must be the square
         of a nonzero rational: Miller's recurrence for the exponent 1/2."""
-        c0 = self._coeffs[0]
+        c0 = self.coefficients[0]
         rn, rd = math.isqrt(max(c0.numerator, 0)), math.isqrt(c0.denominator)
         if not c0 or rn * rn != c0.numerator or rd * rd != c0.denominator:
             raise SqrtError(f"constant term {c0} has no nonzero rational square root")
-        return TruncatedSeries(_power_lists(self._coeffs, Fraction(1, 2), Fraction(rn, rd)))
+        return TruncatedSeries(_power_lists(self.coefficients, Fraction(1, 2), Fraction(rn, rd)))
 
     # -- comparison and display -------------------------------------------------
 
@@ -435,19 +433,19 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        return self._coeffs[: n + 1] == other._coeffs[: n + 1]
+        return self.coefficients[: n + 1] == other.coefficients[: n + 1]
 
     __hash__ = None  # equality ignores surplus precision, so no stable hash
 
     def __repr__(self) -> str:
-        shown = ", ".join(str(c) for c in self._coeffs[:8])
+        shown = ", ".join(str(c) for c in self.coefficients[:8])
         if self.order >= 8:
             shown += ", ..."
         return f"TruncatedSeries([{shown}], order={self.order})"
 
     def __str__(self) -> str:
         terms = []
-        for i, c in enumerate(self._coeffs):
+        for i, c in enumerate(self.coefficients):
             if not c:
                 continue
             if i == 0:

@@ -1,24 +1,32 @@
-"""Value semantics of the package's small immutable classes: the syntax-tree
-nodes and tokens of ``gfexpr``, ``SequenceMatch``, ``VerificationReport`` and
-the exact matrices ``TriMatrix`` and ``ProductionMatrix``.  Reprs are recorded
+"""Value semantics of the package's immutable classes, every one a
+``Record``: ``TruncatedSeries``, ``RiordanElement``, the exact matrices
+``TriMatrix`` and ``ProductionMatrix``, the syntax-tree nodes and tokens of
+``gfexpr``, ``SequenceMatch`` and ``VerificationReport``.  Reprs are recorded
 as literals."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction as F
 
 import pytest
 
+import riordan
 from riordan import (
     OeisIndex,
+    RiordanElement,
     SequenceMatch,
+    TruncatedSeries,
     VerificationReport,
     catalan_array,
+    nth_az,
     parse,
     pascal,
     production_matrix,
     verify_nth_conjecture,
 )
+from riordan.errors import Record
 from riordan.gfexpr import BinOp, Call, Lit, Neg, Pow, Var, _Token, _tokenize
 
 NODES = [
@@ -69,6 +77,7 @@ class TestNodes:
 
 
 REPORT = verify_nth_conjecture(pascal(3), 2, 2)
+CATALAN = catalan_array(4)
 # each record class with a value for every field, in field order, and the
 # fields it may leave out with their defaults
 RECORDS = [
@@ -88,6 +97,7 @@ RECORDS = [
         ),
         dict(scale=1),
     ),
+    (RiordanElement, dict(g=CATALAN.g, f=CATALAN.f), {}),
 ]
 
 
@@ -137,6 +147,112 @@ class TestMatrices:
             matrix.rows = ()
         with pytest.raises(AttributeError):
             del matrix.rows
+
+
+@pytest.mark.parametrize(
+    "value, others",
+    [
+        (pascal(4).matrix(3), ["size", "foo"]),
+        (Var(pos=2), ["foo"]),
+        (CATALAN, ["order", "_g", "_f", "_frev", "_az", "foo"]),
+        (TruncatedSeries([1, 2]), ["order", "_coeffs", "foo"]),
+    ],
+    ids=["TriMatrix", "Var", "RiordanElement", "TruncatedSeries"],
+)
+def test_no_attribute_can_be_assigned_or_deleted(value, others):
+    for name in type(value)._fields:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+    # any other name, a property or a cache among them, is no field
+    for name in others:
+        text = f"^{type(value).__qualname__} has no field '{name}'$"
+        with pytest.raises(AttributeError, match=text):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match=text):
+            delattr(value, name)
+
+
+def test_every_slotted_class_is_a_record():
+    # a value class that names its slots but skips the base would hand-write
+    # its own construction, equality, copying and immutability
+    modules = [
+        importlib.import_module(f"riordan.{info.name}") for info in pkgutil.iter_modules(riordan.__path__)
+    ]
+    slotted = [
+        cls
+        for module in modules
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__ and "__slots__" in vars(cls)
+    ]
+    assert {Record, TruncatedSeries, RiordanElement} <= set(slotted)
+    assert [cls.__qualname__ for cls in slotted if not issubclass(cls, Record)] == []
+
+
+SERIES = TruncatedSeries([1, F(1, 2), -3], 9)
+VALUES = [SERIES, CATALAN]
+
+
+class TestSeriesAndElement:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TruncatedSeries(),
+            lambda: TruncatedSeries([1], 2, 3),
+            lambda: TruncatedSeries([1], order=2, unknown=None),
+            lambda: TruncatedSeries([0.5]),
+        ],
+    )
+    def test_series_construction_errors_are_type_errors(self, build):
+        # an element's are checked with every other record's, in TestRecord
+        with pytest.raises(TypeError):
+            build()
+
+    def test_equality_up_to_the_smaller_order_and_no_hash(self):
+        assert TruncatedSeries([1, 2, 3]) == TruncatedSeries([1, 2]) != TruncatedSeries([1, 5])
+        assert SERIES != SERIES.coefficients
+        assert catalan_array(8) == catalan_array(5) != pascal(5)
+        assert CATALAN != (CATALAN.g, CATALAN.f)
+        for value in VALUES:
+            with pytest.raises(TypeError):
+                hash(value)
+
+    def test_repr(self):
+        assert repr(SERIES) == "TruncatedSeries([1, 1/2, -3, 0, 0, 0, 0, 0, ...], order=9)"
+        assert repr(CATALAN) == (
+            "RiordanElement(g=TruncatedSeries([1, 1, 2, 5, 14], order=4), "
+            "f=TruncatedSeries([0, 1, 1, 2, 5], order=4))"
+        )
+
+    @pytest.mark.parametrize("value", VALUES, ids=["TruncatedSeries", "RiordanElement"])
+    def test_copy_and_pickle_go_through_the_constructor(self, value, monkeypatch):
+        cls, built = type(value), []
+        init = cls.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert type(copied) is cls and copied == value
+            assert repr(copied) == repr(value)
+        assert built == [tuple(getattr(value, name) for name in cls._fields)] * 3
+
+    def test_caches_read_none_until_filled_and_change_no_value(self):
+        assert RiordanElement._fields == ("g", "f")
+        assert RiordanElement._caches == ("_frev", "_az")
+        element, fresh = catalan_array(6), catalan_array(6)
+        assert element._frev is None and element._az is None
+        reverted = element.reverted_f()
+        nth_az(element, 1)
+        assert element._frev is reverted and element.reverted_f() is reverted
+        assert element._az is not None
+        assert element == fresh and repr(element) == repr(fresh)
+        assert pickle.dumps(element) == pickle.dumps(fresh)
+        for copied in (pickle.loads(pickle.dumps(element)), copy.deepcopy(element)):
+            assert copied._frev is None and copied._az is None
 
 
 class TestToken:
