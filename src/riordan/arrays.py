@@ -13,7 +13,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import mul
 
-from .errors import InvalidElementError, PrecisionError, Record, ShapeError
+from .errors import InvalidElementError, PrecisionError, Record, ShapeError, shown
 from .series import _ZERO, TruncatedSeries, _compose_lists, _forward, _powers, _ratio, as_fraction, lift
 
 Rows = tuple[tuple[Fraction, ...], ...]
@@ -96,7 +96,7 @@ class ExactMatrix(Record):
             for j in range(i + self.BAND + 1, len(row)):
                 if row[j]:
                     raise ShapeError(
-                        f"entry ({i}, {j}) is {row[j]}, but a {type(self).__name__} "
+                        f"entry ({i}, {j}) is {shown(row[j])}, but a {type(self).__name__} "
                         f"is zero more than {self.BAND} places above the diagonal"
                     )
         super().__init__(tuple(row + (_ZERO,) * (size - len(row)) for row in given))

@@ -21,7 +21,7 @@ import re
 import sys
 from collections.abc import Callable, Iterator, Sequence
 
-from .arrays import RiordanElement
+from .arrays import RiordanElement, rows_to_strings
 from .errors import RiordanError
 from .families import (
     FAMILY_NAMES,
@@ -200,38 +200,38 @@ def _cmd_family(args: argparse.Namespace) -> int:
     element, polys = family_with_polynomials(args.name, _headroom(args.size, steps), args.size)
     p = production_matrix(element, args.size)
     matrix = element.matrix(args.size)
-    # each part is rendered as it is computed, in the one format printed
-    if args.json:
-        doc = {
+    chain = iterate_second_production(element, steps) if args.iterate is not None else []
+    stages = [  # zip reads chain first, so an empty one starts no inversion
+        {"g": stage.g, "f": stage.f, "inverse_g": inv.g, "inverse_f": inv.f}
+        for stage, inv in zip(chain, _chain_inverses(chain))
+    ]
+
+    def doc() -> dict:
+        out = {
             "name": args.name,
             "size": args.size,
             "matrix": matrix.to_json_entries(),
             "production_matrix": p.to_json_entries(),
         }
-    else:
+        if polys:
+            out["polynomial_rows"] = rows_to_strings(polys)
+        if stages:
+            out["iterates"] = [{k: [str(c) for c in v.coefficients] for k, v in s.items()} for s in stages]
+        return out
+
+    def text() -> str:
         blocks = [matrix.to_text(), "production matrix:", p.to_text()]
-    if polys is not None:
-        rows = [[str(c) for c in row] for row in polys]
-        if args.json:
-            doc["polynomial_rows"] = rows
-        else:
+        if polys:
             blocks.append("orthogonal polynomial coefficient rows:")
-            blocks.extend("  ".join(row) for row in rows)
-    if args.iterate is not None:
-        iterates = []
-        if not args.json:
+            blocks.extend("  ".join(row) for row in rows_to_strings(polys))
+        if stages:
             blocks.append(f"iterated second-production chain ({steps} steps):")
-        chain = iterate_second_production(element, steps)
-        for j, (stage, inv) in enumerate(zip(chain, _chain_inverses(chain))):
-            parts = {"g": stage.g, "f": stage.f, "inverse_g": inv.g, "inverse_f": inv.f}
-            if args.json:
-                iterates.append({k: [str(c) for c in v.coefficients] for k, v in parts.items()})
-            else:
+            for j, parts in enumerate(stages):
                 blocks.append(f"step {j}:")
                 blocks.extend(f"  {k.replace('_', ' ')} = {v}" for k, v in parts.items())
-        if args.json:
-            doc["iterates"] = iterates
-    _emit(args.json, lambda: doc, lambda: "\n".join(blocks))
+        return "\n".join(blocks)
+
+    _emit(args.json, doc, text)
     return EXIT_OK
 
 

@@ -14,6 +14,16 @@ print whole, and its constructor takes a mapping.
 
 from __future__ import annotations
 
+import sys
+
+
+def shown(value, form=str) -> str:
+    """``form(value)`` for an error message, or a stand-in naming the print limit."""
+    try:
+        return form(value)
+    except ValueError:  # CPython's int-to-str digit limit
+        return f"<a number of more than {sys.get_int_max_str_digits()} digits>"
+
 
 class Record:
     """Base of the package's immutable value classes: ``TruncatedSeries``,

@@ -156,9 +156,6 @@ _FAMILIES = {
     "moment:r": moment_element,
     "a085478": a085478_element,
 }
-# the families whose matrices are moment arrays -> the builder of their
-# orthogonal polynomials, which takes the family's parameter and a count
-_POLYNOMIALS = {"moment:r": orthogonal_polys}
 FAMILY_NAMES = tuple(_FAMILIES)
 
 # group 1 is a decimal exponent; re.fullmatch compiles the pattern at first use
@@ -203,15 +200,17 @@ def family_with_polynomials(
     """``family_element(spec, order)``, and the coefficient rows of the
     family's first ``count`` orthogonal polynomials if it has them
     (``moment:r``) and ``count`` is positive, else None."""
-    name, _, param = spec.partition(":")
+    name, colon, param = spec.partition(":")
     key = f"{name}:r" if f"{name}:r" in _FAMILIES else name
     if key not in _FAMILIES:
         raise UnknownFamilyError(
             f"unknown family {spec!r}; valid names: {', '.join(FAMILY_NAMES)}"
         )
-    if (key != name) != bool(param):  # a parameter for exactly the NAME:r families
-        why = "takes no parameter" if param else f"needs a rational parameter, e.g. {name}:2"
+    # a parameter for exactly the NAME:r families; to the others a bare ':' is one
+    given = param if key != name else colon
+    if (key != name) != bool(given):
+        why = "takes no parameter" if given else f"needs a rational parameter, e.g. {name}:2"
         raise UnknownFamilyError(f"family '{name}' {why}")
     params = (family_parameter(name, param),) if param else ()
-    polys = _POLYNOMIALS.get(key) if count else None
-    return _FAMILIES[key](*params, order), polys and polys(*params, count)
+    polys = orthogonal_polys(*params, count) if key == "moment:r" and count else None
+    return _FAMILIES[key](*params, order), polys

@@ -36,7 +36,7 @@ import re
 from fractions import Fraction
 
 from .errors import ExpressionEvalError, ExpressionSyntaxError, Record, RiordanError
-from .series import _MAX_LITERAL_BITS, _MAX_LITERAL_DIGITS, _MAX_ORDER, TruncatedSeries, catalan_gf
+from .series import _MAX_LITERAL_DIGITS, _MAX_ORDER, TruncatedSeries, catalan_gf
 
 
 # ---------------------------------------------------------------------------
@@ -270,18 +270,7 @@ def _eval(node: GfExpression, order: int, memo: dict, ceiling: int) -> Truncated
         result = -_eval(node.arg, order, memo, ceiling)
     elif isinstance(node, Pow):
         base = _eval(node.base, order, memo, ceiling)
-        c = base.constant_term
-        # c^e has a numerator or denominator of at least 2^((bits - 1) |e|);
-        # for c other than 0 and +-1 that can outgrow memory before it is
-        # computed
-        bits = max(c.numerator.bit_length(), c.denominator.bit_length())
-        if (bits - 1) * abs(node.exponent) > _MAX_LITERAL_BITS:
-            raise ExpressionEvalError(
-                f"constant term {c} to the power {node.exponent} has more "
-                f"than {_MAX_LITERAL_DIGITS} digits",
-                node.pos,
-            )
-        with _positioned(node.pos):
+        with _positioned(node.pos):  # the kernel refuses a power past its budget
             result = base**node.exponent
     elif isinstance(node, BinOp):
         if node.op == "/":

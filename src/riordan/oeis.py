@@ -40,7 +40,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from pathlib import Path
 
 from .arrays import TriMatrix
-from .errors import OeisFormatError, OeisQueryError, Record
+from .errors import OeisFormatError, OeisQueryError, Record, shown
 from .series import _MAX_LITERAL_DIGITS
 
 # shorter queries match uselessly many entries
@@ -88,7 +88,7 @@ class OeisIndex:
             if not isinstance(key, str) or key.split() != [key] or key.startswith("#"):
                 raise ValueError(f"{key!r} cannot be the A-number of a record line")
             if bad := [v for v in seq if not isinstance(v, int)]:
-                raise TypeError(f"record terms are int, got {bad[0]!r} in {key}")
+                raise TypeError(f"record terms are int, got {shown(bad[0], repr)} in {key}")
         self._text = ["".join(f"{key} {_text(seq)}\n" for key, seq in entries.items())]
         self._skipped, self._table = 0, None
 
@@ -163,7 +163,7 @@ def query(values: Sequence[int]) -> tuple[int, ...]:
         )
     for v in values:
         if not isinstance(v, int):
-            raise OeisQueryError(f"query values must be integers, got {v!r}")
+            raise OeisQueryError(f"query values must be integers, got {shown(v, repr)}")
     return tuple(values)
 
 
@@ -179,7 +179,7 @@ def triangle_query(m: TriMatrix) -> tuple[int, ...]:
     for v in entries:
         if v.denominator != 1:
             raise OeisQueryError(
-                f"matrix entry {v} is not an integer; OEIS lookup needs "
+                f"matrix entry {shown(v)} is not an integer; OEIS lookup needs "
                 "integer entries"
             )
     return tuple(v.numerator for v in entries)

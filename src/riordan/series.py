@@ -37,6 +37,7 @@ from .errors import (
     ReversionError,
     SingularMatrixError,
     SqrtError,
+    shown,
 )
 
 Rational = Fraction | int
@@ -423,7 +424,7 @@ class TruncatedSeries(Record):
         c0 = self.coefficients[0]
         rn, rd = math.isqrt(max(c0.numerator, 0)), math.isqrt(c0.denominator)
         if not c0 or rn * rn != c0.numerator or rd * rd != c0.denominator:
-            raise SqrtError(f"constant term {c0} has no nonzero rational square root")
+            raise SqrtError(f"constant term {shown(c0)} has no nonzero rational square root")
         return TruncatedSeries(_power_lists(self.coefficients, Fraction(1, 2), Fraction(rn, rd)))
 
     # -- comparison and display -------------------------------------------------

@@ -259,6 +259,13 @@ class TestTriMatrix:
             TriMatrix([[F(1), F(2)], [F(0), F(1)]])
         with pytest.raises(ShapeError, match=r"^entry \(1, 2\) is -1/3, but a TriMatrix"):
             TriMatrix([[1], [0, 1, F(-1, 3)], [0, 0, 1]])
+        # an entry too wide for str() is named by the print limit
+        with pytest.raises(ShapeError) as err:
+            TriMatrix([[1, 10**4400], [1, 1]])
+        assert str(err.value) == (
+            "entry (0, 1) is <a number of more than 4300 digits>, but a TriMatrix "
+            "is zero more than 0 places above the diagonal"
+        )
         # one place above is the superdiagonal a ProductionMatrix may use
         assert ProductionMatrix([[1, 1], [0, 1]]).size == 2
 

@@ -113,21 +113,38 @@ class TestShow:
         )
         assert code == 2 and out == ""
         assert err == (
-            "error: constant term 2 to the power 4611686018427387904 has more "
-            "than 4300 digits (at offset 1)\n"
+            "error: a coefficient needs more than 57140 bits (about 17200 digits), "
+            "the most a result may hold (at offset 1)\n"
         )
 
     def test_entries_over_the_digit_limit_exit_2(self, capsys):
-        cases = (
-            ("show", "--g", "1", "--f", "10^1000*x", "--size", "6"),
-            ("show", "--g", "(1/2)^100000", "--f", "x", "--size", "3"),
-            ("show", "--g", "3^9100", "--f", "x", "--size", "2"),
+        printing = (
+            "error: a result has an integer of more than 4300 digits, the most "
+            "this interpreter prints\n"
         )
-        for argv in cases:
+        budget = (
+            "error: a coefficient needs more than 57140 bits (about 17200 digits), "
+            "the most a result may hold (at offset 5)\n"
+        )
+        root = (
+            "error: constant term <a number of more than 4300 digits> has no "
+            "nonzero rational square root (at offset 0)\n"
+        )
+        cases = (
+            (("show", "--g", "1", "--f", "10^1000*x", "--size", "6"), printing),
+            (("show", "--g", "(1/2)^100000", "--f", "x", "--size", "3"), budget),
+            (("show", "--g", "3^9100", "--f", "x", "--size", "2"), printing),
+            (("show", "--g", "sqrt(10^4000*10^4000*10+x)", "--f", "x"), root),
+        )
+        for argv, message in cases:
             for extra in ((), ("--json",)):
                 code, out, err = run(capsys, *argv, *extra)
-                assert code == 2 and out == ""
-                assert err.startswith("error: ") and "4300 digits" in err
+                assert (code, out, err) == (2, "", message)
+
+    def test_a_power_is_bounded_like_a_product(self, capsys):
+        _, power, _ = run(capsys, "verify", "--g", "(10^4000)^2", "--f", "x")
+        assert power == run(capsys, "verify", "--g", "10^4000*10^4000", "--f", "x")[1]
+        assert power == "n=2 size=8: equal\n"
 
     def test_deep_nesting_exits_2(self, capsys):
         # too deep for the recursive parser (parentheses) and for the
@@ -633,6 +650,11 @@ class TestFamily:
         code, _, err = run(capsys, "family", "nosuch")
         assert code == 2
         assert "pascal" in err
+
+    def test_bare_colon_exits_2(self, capsys):
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, "family", "pascal:", "--size", "2", *extra)
+            assert (code, out, err) == (2, "", "error: family 'pascal' takes no parameter\n")
 
     def test_wide_parameter_exits_2(self, capsys):
         for spec in ("binomial:1e5000", "binomial:1e3000000", "moment:1e-3000000"):

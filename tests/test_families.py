@@ -28,6 +28,7 @@ from riordan import (
     production_matrix,
     series,
 )
+from riordan.families import family_with_polynomials
 
 
 def poly_recurrence_step(prev, prev2, r):
@@ -269,6 +270,16 @@ class TestFamilyRegistry:
         with pytest.raises(UnknownFamilyError) as err:
             family_element(spec, 5)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_every_listed_name_refuses_a_bare_colon(self, name):
+        # a colon with nothing after it is no parameter of a NAME:r family
+        # and a parameter the others do not take
+        bare, _, r = name.partition(":")
+        why = f"needs a rational parameter, e.g. {bare}:2" if r else "takes no parameter"
+        with pytest.raises(UnknownFamilyError) as err:
+            family_with_polynomials(f"{bare}:", 5, 3)
+        assert str(err.value) == f"family '{bare}' {why}"
 
     def test_parameter_requirements(self):
         with pytest.raises(UnknownFamilyError):

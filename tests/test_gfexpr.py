@@ -227,22 +227,29 @@ class TestEvaluate:
             "order asked for (at offset 6)"
         )
 
-    def test_constant_base_power_bounded_by_the_literal_limit(self):
-        # the bound is a lower estimate, (bits - 1) |e| <= 14285 bits: 2^14285
-        # (4301 digits) passes, and printing it is refused later; one more
-        # bit is refused here; 3^14000 counts as 14000 bits and passes with
-        # 6680 digits
-        assert evaluate_text("2^14285", 1).constant_term == 2**14285
-        assert evaluate_text("3^14000", 1).constant_term == 3**14000
+    def test_constant_base_power_bounded_by_the_coefficient_budget(self):
+        # a power is bounded like every result, by the kernel's 57140-bit
+        # budget, and an over-wide constant term is refused before it is
+        # computed: 2^57139 has 57140 bits and passes, 2^57140 does not
+        assert evaluate_text("2^57139", 1).constant_term == 2**57139
+        assert evaluate_text("1+(2+x)^14286", 1).constant_term == 1 + 2**14286
+        budget = (
+            "a coefficient needs more than 57140 bits (about 17200 digits), "
+            "the most a result may hold"
+        )
         for text, pos in (
-            ("1+(2+x)^14286", 7),
+            ("2^57140", 1),
             ("(1/2)^100000", 5),
             ("(3*x-7)^-4611686018427387904", 7),
+            ("(10^4000*10^4000*10^4000)^2", 25),
         ):
             with pytest.raises(ExpressionEvalError) as err:
                 evaluate_text(text, 3)
             assert err.value.position == pos
-            assert "4300 digits" in str(err.value)
+            assert str(err.value) == f"{budget} (at offset {pos})"
+        # a power of a constant is the product it abbreviates
+        assert evaluate_text("(10^4000)^2", 3) == evaluate_text("10^4000*10^4000", 3)
+        assert evaluate_text("(10^4000*10^4000)^2", 0).constant_term == 10**16000
         wide = 2**63 - 1
         got = evaluate_text(f"(1+x)^{wide}", 2)
         assert got.coefficients == (1, wide, wide * (wide - 1) // 2)

@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction as F
 
 import pytest
 
@@ -17,6 +18,7 @@ from riordan import (
     OeisIndex,
     OeisQueryError,
     SequenceMatch,
+    TriMatrix,
     TruncatedSeries,
     RiordanElement,
     a085478_element,
@@ -158,6 +160,25 @@ class TestSequenceLookup:
     def test_non_integer_values(self, index):
         with pytest.raises(OeisQueryError):
             index.identify_sequence([1, 1, 2, 5, 14, 42.0])
+
+    def test_values_past_the_print_limit_are_named_by_it(self, index):
+        wide = F(10**4400 + 1, 2)
+        stand_in = "<a number of more than 4300 digits>"
+        with pytest.raises(OeisQueryError) as err:
+            index.identify_sequence([1, 1, 2, 5, 14, wide])
+        assert str(err.value) == f"query values must be integers, got {stand_in}"
+        with pytest.raises(OeisQueryError) as err:
+            index.identify_triangle(TriMatrix([[1], [wide, 1], [1, 1, 1]]))
+        assert str(err.value) == (
+            f"matrix entry {stand_in} is not an integer; OEIS lookup needs integer entries"
+        )
+        with pytest.raises(TypeError) as err:
+            OeisIndex({"A000045": [0, 1, wide]})
+        assert str(err.value) == f"record terms are int, got {stand_in} in A000045"
+        # a printable value is shown as before
+        with pytest.raises(OeisQueryError) as err:
+            index.identify_sequence([1, 1, 2, 5, 14, F(1, 2)])
+        assert str(err.value) == "query values must be integers, got Fraction(1, 2)"
 
     def test_run_must_fit_in_stored_prefix(self, index):
         stored = list(index.get("A000108"))

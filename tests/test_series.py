@@ -229,6 +229,15 @@ class TestSqrt:
             f"constant term {F(coeffs[0])} has no nonzero rational square root"
         )
 
+    def test_no_rational_root_past_the_print_limit(self):
+        # str() of the constant term would raise ValueError; the message names
+        # the print limit in its place
+        with pytest.raises(SqrtError) as err:
+            TruncatedSeries([10**4401, 1]).sqrt()
+        assert str(err.value) == (
+            "constant term <a number of more than 4300 digits> has no nonzero rational square root"
+        )
+
 
 class TestIntPow:
     def test_square(self):
