@@ -6,7 +6,8 @@ leading zeros, no ``-0``, at most 4300 digits): ``A000108 ,1,1,2,5,14,42,``.
 Other lines but ``#`` comments are skipped and counted; lookups are local.
 ``identify`` reads a dump in one pass, in memory independent of its size
 (:func:`scan_stripped`); :func:`load_stripped` builds an :class:`OeisIndex`,
-which keeps the records as dump text, for callers that run many queries.
+which keeps the records as dump text, for callers that run many queries, and
+answers each query, ``get`` and ``len`` by a scan of that text.
 Every read is one loop over raw 64 KiB reads, each hashed if a sidecar is
 kept, decoded as UTF-8 with universal newlines and cut at line ends for one
 record rule: blank and ``#`` lines skipped, others parsed or counted, a later
@@ -76,11 +77,10 @@ def _text(values: Sequence[int]) -> str:
 class OeisIndex:
     """Read-only index over a stripped dump, kept as dump text: blocks of whole
     lines in which every line neither blank nor a ``#`` comment is a record,
-    and no A-number repeats.  A lookup searches the blocks for the query's
-    text; ``get`` and ``len`` read a table of where each record's line sits in
-    the text, found on first use.  Safe to share between threads: threads that
-    build the table at once each build the same one.  Queries are checked by
-    :func:`query` and :func:`triangle_query`, which need no dump.
+    and no A-number repeats.  Every read scans the text and keeps nothing: a
+    lookup reads the lines that hold the query's text, ``get`` those that hold
+    the A-number, ``len`` every line.  Queries are checked by :func:`query`
+    and :func:`triangle_query`, which need no dump.
     """
 
     def __init__(self, entries: Mapping[str, Sequence[int]]):
@@ -90,36 +90,29 @@ class OeisIndex:
             if bad := [v for v in seq if not isinstance(v, int)]:
                 raise TypeError(f"record terms are int, got {shown(bad[0], repr)} in {key}")
         self._text = ["".join(f"{key} {_text(seq)}\n" for key, seq in entries.items())]
-        self._skipped, self._table = 0, None
+        self._skipped = 0
 
     def __len__(self) -> int:
-        return len(self._records())
+        return sum(1 for _ in self._records(""))
 
     @property
     def skipped_lines(self) -> int:
         """Count of malformed lines dropped while loading."""
         return self._skipped
 
-    def _records(self) -> dict[str, int]:
-        """Where each record's line starts in the index's text, by A-number,
-        found once: one int per record, ``offset * blocks + block``."""
-        if self._table is None:
-            table, blocks = {}, len(self._text)
-            for b, block in enumerate(self._text):
-                at = 0
-                for line in block.split("\n"):
-                    if (fields := line.split(None, 1)) and fields[0][0] != "#":
-                        table[fields[0]] = at * blocks + b
-                    at += len(line) + 1
-            self._table = table
-        return self._table
+    def _records(self, key: str) -> Iterator[list[str]]:
+        """``[A-number, record text]`` of each record line that holds ``key``
+        (its A-number may be what holds it), or of every one for ``""``."""
+        for block in self._text:
+            for line in _holding(block, key) if key else block.split("\n"):
+                if (fields := line.split(None, 1)) and fields[0][0] != "#":
+                    yield fields
 
     def get(self, anumber: str) -> tuple[int, ...] | None:
-        if (where := self._records().get(anumber)) is None:
-            return None
-        at, b = divmod(where, len(self._text))
-        line = self._text[b][at : self._text[b].index("\n", at)]
-        return tuple(map(int, line.split(None, 1)[1].split(",")[1:-1]))
+        for name, record in self._records(anumber):
+            if name == anumber:
+                return tuple(map(int, record.split(",")[1:-1]))
+        return None
 
     def identify_sequence(self, values: Sequence[int]) -> list[SequenceMatch]:
         """Entries whose stored prefix contains ``values`` as a contiguous
@@ -132,11 +125,10 @@ class OeisIndex:
         if key is None:
             return []
         matches = []
-        for fields in (line.split(None, 1) for block in self._text for line in _holding(block, key)):
+        for anumber, record in self._records(key):
             # the first hit has the smallest offset: the commas before it
-            if fields[0][0] != "#" and (at := fields[1].find(key)) >= 0:
-                if (offset := fields[1].count(",", 0, at)) <= MAX_START_OFFSET:
-                    matches.append(SequenceMatch(fields[0], offset))
+            if (at := record.find(key)) >= 0 and (offset := record.count(",", 0, at)) <= MAX_START_OFFSET:
+                matches.append(SequenceMatch(anumber, offset))
         return sorted(matches, key=lambda m: (m.offset, m.anumber))
 
     # kept public: perfbench/tracer.py binds it until ROADMAP item 1b; item 9 removes it
@@ -296,7 +288,7 @@ def _holding(lines: str, key: str) -> Iterator[str]:
     while at >= 0:
         end = lines.find("\n", at)
         yield lines[lines.rfind("\n", 0, at) + 1 : end]
-        at = lines.find(key, end)
+        at = lines.find(key, end + 1)  # past the line end, which a key may start with
 
 
 def _trusted(side: str, size: int) -> dict | None:

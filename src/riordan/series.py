@@ -439,10 +439,10 @@ class TruncatedSeries(Record):
     __hash__ = None  # equality ignores surplus precision, so no stable hash
 
     def __repr__(self) -> str:
-        shown = ", ".join(str(c) for c in self.coefficients[:8])
+        terms = ", ".join(map(shown, self.coefficients[:8]))  # never raises, unlike __str__
         if self.order >= 8:
-            shown += ", ..."
-        return f"TruncatedSeries([{shown}], order={self.order})"
+            terms += ", ..."
+        return f"TruncatedSeries([{terms}], order={self.order})"
 
     def __str__(self) -> str:
         terms = []

@@ -823,8 +823,9 @@ class TestSidecar:
     def test_a_trusted_clean_load_answers_as_the_full_pass(self, tmp_path, monkeypatch, seed, block):
         """A trusted clean load keeps the dump's lines as its text, comments
         included: ``len``, ``get`` and ``identify_sequence`` answer as the full
-        pass and the oracle do, also for a name or a run that only a comment
-        line holds."""
+        pass, an index built from the oracle's records and the oracle do, also
+        for a name or a run that only a comment line holds, and ``get`` of an
+        empty, ``#``, blank or newline name ends."""
         monkeypatch.setattr(oeis, "_BLOCK", block)
         rng = random.Random(seed)
         # a run that no record holds: 7 is no term of clean_dump's records
@@ -841,19 +842,30 @@ class TestSidecar:
         assert counting.lines == []
 
         present = sorted(entries)
-        # only a comment holds it, a proper prefix of a present one, never present
-        absent = ["A000001", present[0][:-1], "A9999999"]
+        # only a comment holds it, a proper prefix of a present one, never
+        # present, and names that every line, a comment, a blank or a line end holds
+        absent = ["A000001", present[0][:-1], "A9999999", "", "#", " ", "\n"]
         want = [entries[a] for a in present] + [None] * len(absent)
-        for index in (full, trusted):
+        indexes = (full, trusted, OeisIndex(entries))
+        got = []
+
+        def gets():
+            got.extend([index.get(a) for a in present + absent] for index in indexes)
+
+        reader = threading.Thread(target=gets, daemon=True)
+        reader.start()
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert got == [want] * 3
+        for index in indexes:
             assert (len(index), index.skipped_lines) == (len(entries), 0)
-            assert [index.get(a) for a in present + absent] == want
         for values in [*self.queries(rng, entries), [7] * 6]:
             found = identify_by_slices(entries, values)
-            assert full.identify_sequence(values) == trusted.identify_sequence(values) == found, values
+            assert [index.identify_sequence(values) for index in indexes] == [found] * 3, values
 
     def test_threads_share_a_fresh_trusted_load(self, tmp_path):
         """Eight threads that call ``get`` and ``len`` at once on a trusted
-        load, whose table none has built yet, all see the whole dump."""
+        load all see the whole dump."""
         rng = random.Random(3)
         lines = [f"A{k:06d} ,{','.join(str(rng.randint(-2, 3)) for _ in range(8))},\n" for k in range(1, 20001)]
         path = tmp_path / "dump.txt"
@@ -883,10 +895,11 @@ class TestSidecar:
         assert not any(reader.is_alive() for reader in readers)
         assert got == [want] * 8 and want[0] == 20000
 
-    def test_the_table_keeps_no_copy_of_the_records(self, tmp_path):
-        """``len`` and ``get`` build a table of where each line sits, not of
-        the record texts: on a trusted load of 1.4 MB of records it holds
-        under a third of that, and ``get`` still reads every record back."""
+    def test_lookups_keep_no_copy_of_the_records(self, tmp_path):
+        """``len`` and ``get`` scan the index's text and keep nothing of it:
+        on a trusted load of 1.4 MB of records, ``len`` holds under a third of
+        that, and ``len`` with a ``get`` of every record, each read back,
+        under 64 KiB."""
         rng = random.Random(5)
         lines = [f"A{k:06d} ,{','.join(str(rng.randrange(10**5, 10**6)) for _ in range(100))},\n" for k in range(1, 2001)]
         path = tmp_path / "dump.txt"
@@ -899,10 +912,12 @@ class TestSidecar:
             before = tracemalloc.get_traced_memory()[0]
             assert len(index) == 2000
             grown = tracemalloc.get_traced_memory()[0] - before
+            assert all(index.get(a) == seq for a, seq in entries.items())
+            kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert grown < path.stat().st_size / 3, grown
-        assert all(index.get(a) == seq for a, seq in entries.items())
+        assert kept < 64 * 1024, kept
 
     def test_a_trusted_load_ends(self, seeded, monkeypatch):
         """A load's key is empty, and so is found at every offset of a block:

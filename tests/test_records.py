@@ -224,6 +224,14 @@ class TestSeriesAndElement:
             "RiordanElement(g=TruncatedSeries([1, 1, 2, 5, 14], order=4), "
             "f=TruncatedSeries([0, 1, 1, 2, 5], order=4))"
         )
+        # past the print limit a repr names the stand-in where str raises
+        wide = TruncatedSeries([10**4400, 1])
+        limit = "<a number of more than 4300 digits>"
+        assert repr(wide) == f"TruncatedSeries([{limit}, 1], order=1)"
+        assert repr(RiordanElement(TruncatedSeries([10**4400, 1], 2), wide.shift_up(1))) == (
+            f"RiordanElement(g=TruncatedSeries([{limit}, 1, 0], order=2), "
+            f"f=TruncatedSeries([0, {limit}, 1], order=2))"
+        )
 
     @pytest.mark.parametrize("value", VALUES, ids=["TruncatedSeries", "RiordanElement"])
     def test_copy_and_pickle_go_through_the_constructor(self, value, monkeypatch):
