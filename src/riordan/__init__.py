@@ -17,7 +17,7 @@ _SOURCES = {
     "UnknownFamilyError",
     "families": "FAMILY_NAMES a085478_element a085478_second_entry "
     "a092276_entry binomial_power catalan_array family_element iterate_second_production "
-    "moment_element moment_entry orthogonal_polys pascal",
+    "moment_element moment_entry pascal",
     "gfexpr": "evaluate evaluate_text parse",
     "oeis": "MIN_QUERY_VALUES OeisIndex SequenceMatch load_stripped",
     "production": "ProductionMatrix VerificationReport generate_from_production nth_az "

@@ -3,7 +3,9 @@
 Elements are named either by ``--family`` (a name of ``FAMILY_NAMES``) or
 by a pair of generating-function expressions ``--g`` and ``--f``, evaluated
 to order size + 2 (plus ``--iterate`` for ``family``, at most ``MAX_ORDER``)
-so users never manage truncation orders by hand.
+so users never manage truncation orders by hand.  ``family`` also prints
+the element's orthogonal polynomials, the rows of its inverse matrix, when
+its production matrix is a Jacobi matrix at the printed size.
 Every integer the CLI reads is ASCII, ``[+-]?[0-9]+``.
 
 Exit codes: 0 on success (and when ``verify`` finds every instance equal,
@@ -23,12 +25,7 @@ from collections.abc import Callable, Iterator, Sequence
 
 from .arrays import RiordanElement, rows_to_strings
 from .errors import RiordanError
-from .families import (
-    FAMILY_NAMES,
-    family_element,
-    family_with_polynomials,
-    iterate_second_production,
-)
+from .families import FAMILY_NAMES, family_element, iterate_second_production
 from .production import nth_production_matrix, production_matrix, verify_nth_conjecture
 from .series import _MAX_ORDER as MAX_ORDER  # the highest order a command may ask for
 
@@ -197,8 +194,9 @@ def _cmd_family(args: argparse.Namespace) -> int:
     steps = args.iterate if args.iterate is not None else 0
     if steps < 0:
         raise RiordanError("--iterate must be non-negative")
-    element, polys = family_with_polynomials(args.name, _headroom(args.size, steps), args.size)
+    element = family_element(args.name, _headroom(args.size, steps))
     p = production_matrix(element, args.size)
+    polys = p.orthogonal_rows(element.g.constant_term)  # None unless p is a Jacobi matrix
     matrix = element.matrix(args.size)
     chain = iterate_second_production(element, steps) if args.iterate is not None else []
     stages = [  # zip reads chain first, so an empty one starts no inversion

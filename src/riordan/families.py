@@ -3,8 +3,9 @@
 Covers the binomial powers B^r = (1/(1-rx), x/(1-rx)), the Catalan array
 (c, xc), the element behind the binomial-coefficient triangle A085478, the
 one-parameter moment elements M(r) = (c(rx)^2, x c(rx)^2), whose matrices are
-the moment arrays, with their orthogonal polynomials, and the iterated
-second-production process.
+the moment arrays, and the iterated second-production process.  A moment
+array's orthogonal polynomials come from its production matrix
+(``ProductionMatrix.orthogonal_rows``).
 """
 
 from __future__ import annotations
@@ -72,21 +73,6 @@ def moment_entry(r: Rational, n: int, k: int) -> Fraction:
         * math.comb(2 * n + 1, n - k)
         * as_fraction(r) ** (n - k)
     )
-
-
-def orthogonal_polys(r: Rational, count: int) -> list[tuple[Fraction, ...]]:
-    """Rows of M(r)^-1 = (1/(1+rx)^2, x/(1+rx)^2), row n cut at its diagonal.
-
-    Row n holds the coefficients, ascending in x, of the monic degree-n
-    polynomial P_n, where P_n = (x - 2r) P_(n-1) - r^2 P_(n-2) with P_0 = 1
-    and P_1 = x - 2r.
-    """
-    if count < 1:
-        raise ValueError("count must be positive")
-    # at order count, one past what the rows read, so f = x g has its x term
-    g = TruncatedSeries([1, as_fraction(r)], count) ** -2
-    rows = RiordanElement(g, g.shift_up(1).truncate(count)).matrix(count).rows
-    return [row[: n + 1] for n, row in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +177,6 @@ def family_parameter(name: str, param: str) -> Fraction:
 
 def family_element(spec: str, order: int) -> RiordanElement:
     """Resolve a family identifier like ``pascal`` or ``moment:1/2``."""
-    return family_with_polynomials(spec, order, 0)[0]
-
-
-def family_with_polynomials(
-    spec: str, order: int, count: int
-) -> tuple[RiordanElement, list[tuple[Fraction, ...]] | None]:
-    """``family_element(spec, order)``, and the coefficient rows of the
-    family's first ``count`` orthogonal polynomials if it has them
-    (``moment:r``) and ``count`` is positive, else None."""
     name, colon, param = spec.partition(":")
     key = f"{name}:r" if f"{name}:r" in _FAMILIES else name
     if key not in _FAMILIES:
@@ -212,5 +189,4 @@ def family_with_polynomials(
         why = "takes no parameter" if given else f"needs a rational parameter, e.g. {name}:2"
         raise UnknownFamilyError(f"family '{name}' {why}")
     params = (family_parameter(name, param),) if param else ()
-    polys = orthogonal_polys(*params, count) if key == "moment:r" and count else None
-    return _FAMILIES[key](*params, order), polys
+    return _FAMILIES[key](*params, order)

@@ -20,7 +20,7 @@ from operator import mul
 
 from .arrays import _ONE, ExactMatrix, RiordanElement, Rows, TriMatrix, _require
 from .errors import PrecisionError, Record
-from .series import TruncatedSeries, _forward, _powers, _ratio, lift
+from .series import Rational, TruncatedSeries, _forward, _powers, _ratio, as_fraction, lift
 
 
 class ProductionMatrix(ExactMatrix):
@@ -34,6 +34,25 @@ class ProductionMatrix(ExactMatrix):
     __slots__ = ()
 
     BAND = 1
+
+    def orthogonal_rows(self, g0: Rational) -> Rows | None:
+        """The rows of M^-1, each cut at its diagonal, where M is the matrix
+        of the element with this production matrix and g(0) = ``g0``, when
+        this is a Jacobi matrix at its size: zero below the subdiagonal and
+        nonzero on it; else None.  Row k is then the k-th orthogonal
+        polynomial of M's column 0, ascending in x, and
+        x p_k = P[k,k+1] p_(k+1) + P[k,k] p_k + P[k,k-1] p_(k-1) (Favard).
+
+        M^-1 = (1/g(fbar), fbar) is the matrix of ((1 - x*Z/A)/g0, x/A), since
+        fbar = x/A and x*Z(f) = 1 - g0/g, with A and Z columns 1 and 0."""
+        rows, size = self.rows, self.size
+        below = (c for i in range(2, size) for c in rows[i][: i - 1])
+        if any(below) or not all(rows[k][k - 1] for k in range(1, size)):
+            return None
+        u = 1 / TruncatedSeries(self.column(1) if size > 1 else [1])  # no A at size 1
+        g = (1 - (TruncatedSeries(self.column(0)) * u).shift_up(1)).truncate(size - 1)
+        chain = _powers((g / as_fraction(g0)).coefficients, u.shift_up(1).coefficients, size)
+        return tuple(tuple(_ratio(v, d) for v in r) for r, d in chain)
 
 
 # ---------------------------------------------------------------------------

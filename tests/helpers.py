@@ -269,6 +269,89 @@ def closed_form_by_group(e, n):
     return left.inverse().mul(e.truncate(p.order))
 
 
+def closed_form_by_lagrange(e, n, size):
+    """The closed form ((x/f)^(n-1), x(x/f)^(n-1))^-1 * (g, f) at ``size``,
+    entry by entry by Lagrange-Buermann (derivation step 4): with phi = f/x
+    and E = k + (n-1)(m+1), entry (m, k) is
+    [x^(m-k)] g * phi^E * (n - (n-1) x f'/f)
+      = [x^(m-k)] g * (phi^E - (n-1) * x phi' * phi^(E-1)),
+    since x f'/f = 1 + x phi'/phi.  Plain Fraction lists, each power of phi
+    the product of the last: no reversion, group product or solve."""
+    degree = size - 1
+    g = [Fraction(c) for c in e.g.coefficients[:size]]
+    phi = [Fraction(c) for c in e.f.coefficients[1 : size + 1]]
+    g_x_dphi = poly_mul(g, [i * c for i, c in enumerate(phi)], degree)
+    powers = [[Fraction(1)] + [Fraction(0)] * degree]
+    while len(powers) <= degree + (n - 1) * size:
+        powers.append(poly_mul(powers[-1], phi, degree))
+
+    def entry(m, k):
+        power, j = k + (n - 1) * (m + 1), m - k
+        value = sum(g[i] * powers[power][j - i] for i in range(j + 1))
+        if n > 1:
+            value -= (n - 1) * sum(g_x_dphi[i] * powers[power - 1][j - i] for i in range(j + 1))
+        return value
+
+    return tuple(
+        tuple(entry(m, k) if k <= m else Fraction(0) for k in range(size)) for m in range(size)
+    )
+
+
+def poly_power(a, exponent, degree):
+    """a ** exponent up to x^degree, by binary powering on ``poly_mul``."""
+    result, base = [Fraction(1)] + [Fraction(0)] * degree, list(a[: degree + 1])
+    while exponent:
+        if exponent & 1:
+            result = poly_mul(result, base, degree)
+        exponent >>= 1
+        if exponent:
+            base = poly_mul(base, base, degree)
+    return result
+
+
+def bell_entry(a, n, m, k):
+    """Entry (m, k) of Pi_n(e) for the Bell element e = (f/x, f) with
+    f = x A(f), A given by its coefficient list ``a``: Pi_n(e) is the Bell
+    element of A^n, so by Lagrange inversion the entry is
+    (k+1)/(m+1) [t^(m-k)] A(t)^(n(m+1)) (docs/derivation.md, "The Bell
+    subgroup")."""
+    if not 0 <= k <= m:
+        return Fraction(0)
+    return Fraction(k + 1, m + 1) * poly_power(a, n * (m + 1), m - k)[m - k]
+
+
+def orthogonal_polys(r, count):
+    """Rows of M(r)^-1 = (1/(1+rx)^2, x/(1+rx)^2), row n cut at its diagonal:
+    the monic orthogonal polynomials of the moment array M(r), ascending in
+    x, with P_n = (x - 2r) P_(n-1) - r^2 P_(n-2).  Entry (n, k) is
+    [x^(n-k)] (1 + rx)^(-2(k+1)), a binomial series.  The library's former
+    formula for ``family moment:r``, an oracle for
+    ``ProductionMatrix.orthogonal_rows``."""
+    return [
+        tuple(general_binomial(Fraction(-2 * (k + 1)), n - k) * Fraction(r) ** (n - k) for k in range(n + 1))
+        for n in range(count)
+    ]
+
+
+def hankel_determinant(values, m):
+    """det(values[i + j]) for 0 <= i, j <= m by Gaussian elimination in
+    plain Fractions."""
+    rows = [[Fraction(values[i + j]) for j in range(m + 1)] for i in range(m + 1)]
+    det = Fraction(1)
+    for c in range(m + 1):
+        pivot = next((r for r in range(c, m + 1) if rows[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, m + 1):
+            factor = rows[r][c] / rows[c][c]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+    return det
+
+
 def from_az_by_inverse(a, z):
     """The element with A-sequence ``a`` and Z-sequence ``z`` as the group
     inverse of (1 - x*Z/A, x/A), an oracle for ``RiordanElement.from_az``."""

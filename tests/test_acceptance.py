@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 import reference_data as ref
-from helpers import frac_rows, matrix_product
+from helpers import frac_rows, matrix_product, orthogonal_polys
 from riordan import (
     RiordanElement,
     TriMatrix,
@@ -27,7 +27,6 @@ from riordan import (
     moment_element,
     moment_entry,
     nth_production_matrix,
-    orthogonal_polys,
     pascal,
     produced_matrix_closed_form,
     production_block,
@@ -201,7 +200,10 @@ def test_closed_form_entry_crosschecks():
 def test_orthogonal_polynomial_family():
     ok = True
     for r in (F(-1), F(1), F(2)):
-        rows = [list(row) for row in orthogonal_polys(r, 13)]
+        # the rows family prints, read off the production matrix, against
+        # the closed-form oracle
+        rows = [list(row) for row in production_matrix(moment_element(r, 13), 13).orthogonal_rows(1)]
+        ok &= rows == [list(row) for row in orthogonal_polys(r, 13)]
         ok &= rows[0] == [1] and rows[1] == [-2 * r, 1]
         for n in range(2, 13):
             lhs = rows[n]

@@ -599,6 +599,35 @@ class TestFamily:
         assert "production matrix:" in out
         assert "orthogonal polynomial coefficient rows:" in out
 
+    # the polynomial rows print exactly when the production matrix is a
+    # Jacobi matrix at the printed size: zero below the subdiagonal, nonzero on it
+    @pytest.mark.parametrize("name", ["pascal", "binomial:3", "catalan", "a085478", "moment:0"])
+    def test_size_1_prints_the_single_row_1(self, capsys, name):
+        code, out, err = run(capsys, "family", name, "--size", "1")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[:2] + lines[3:] == ["1", "production matrix:", "orthogonal polynomial coefficient rows:", "1"]
+        code, doc, _ = run_json(capsys, "family", name, "--size", "1")
+        assert (code, doc["polynomial_rows"]) == (0, [["1"]])
+
+    def test_catalan_prints_rows_at_size_2_only(self, capsys):
+        code, out, _ = run(capsys, "family", "catalan", "--size", "2")
+        assert code == 0
+        assert out.endswith("orthogonal polynomial coefficient rows:\n1\n-1  1\n")
+        for size in ("3", "5"):
+            code, doc, _ = run_json(capsys, "family", "catalan", "--size", size)
+            assert code == 0 and "polynomial_rows" not in doc
+
+    @pytest.mark.parametrize("name", ["pascal", "binomial:3", "a085478", "moment:0"])
+    def test_no_rows_past_size_1(self, capsys, name):
+        # P[1, 0] = Z(1) is 0: for binomial:r Z is the constant r, and
+        # moment:0 is the identity, whose lambda = r^2 is 0
+        for size in ("2", "6"):
+            code, out, _ = run(capsys, "family", name, "--size", size)
+            assert code == 0 and "orthogonal" not in out
+            code, doc, _ = run_json(capsys, "family", name, "--size", size)
+            assert code == 0 and "polynomial_rows" not in doc
+
     def test_pascal_iterate_doubles_exponents(self, capsys):
         code, doc, _ = run_json(capsys, "family", "pascal", "--iterate", "3", "--size", "4")
         assert code == 0
@@ -739,10 +768,6 @@ class TestEvaluationOrder:
 
         monkeypatch.setattr(gfexpr, "evaluate_text", recording(gfexpr.evaluate_text))
         monkeypatch.setattr(cli, "family_element", recording(cli.family_element))
-        # the family command reads its element and its polynomials together
-        monkeypatch.setattr(
-            cli, "family_with_polynomials", recording(cli.family_with_polynomials)
-        )
         return orders
 
     def test_every_element_command_asks_for_size_plus_two(

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import reference_data as ref
-from helpers import matrix_product
+from helpers import matrix_product, orthogonal_polys
 from riordan import (
     FAMILY_NAMES,
     PrecisionError,
@@ -22,13 +22,11 @@ from riordan import (
     iterate_second_production,
     moment_element,
     moment_entry,
-    orthogonal_polys,
     pascal,
     produced_matrix_closed_form,
     production_matrix,
     series,
 )
-from riordan.families import family_with_polynomials
 
 
 def poly_recurrence_step(prev, prev2, r):
@@ -130,23 +128,32 @@ class TestMomentArrays:
         assert calls == []
 
 
+def moment_rows(r, size):
+    """The polynomial rows of the moment array M(r) that ``family`` prints,
+    read off its production matrix at ``size``."""
+    return production_matrix(moment_element(r, size), size).orthogonal_rows(1)
+
+
 class TestOrthogonalPolys:
+    """The moment arrays' rows from ``ProductionMatrix.orthogonal_rows``
+    against the oracle ``helpers.orthogonal_polys``, the formula the library
+    once had for them."""
+
     def test_first_two(self):
-        rows = orthogonal_polys(F(5), 2)
-        assert rows[0] == (1,)
-        assert rows[1] == (-10, 1)
+        rows = moment_rows(F(5), 2)
+        assert rows == ((1,), (-10, 1))
+        assert list(rows) == orthogonal_polys(F(5), 2)
 
     def test_p2_at_r1(self):
-        rows = orthogonal_polys(1, 3)
-        assert rows[2] == (3, -4, 1)
+        assert moment_rows(1, 3)[2] == (3, -4, 1)
 
     def test_coefficient_rows_r1(self):
-        rows = orthogonal_polys(1, 3)
-        assert rows == [(1,), (-2, 1), (3, -4, 1)]
+        assert list(moment_rows(1, 3)) == orthogonal_polys(1, 3) == [(1,), (-2, 1), (3, -4, 1)]
 
     @pytest.mark.parametrize("r", [F(-1), F(1), F(2)])
     def test_recurrence_holds_through_degree_12(self, r):
-        rows = orthogonal_polys(r, 13)
+        rows = moment_rows(r, 13)
+        assert list(rows) == orthogonal_polys(r, 13)
         polys = [list(row) for row in rows]
         for n in range(2, 13):
             expected = poly_recurrence_step(polys[n - 1], polys[n - 2], r)
@@ -155,12 +162,13 @@ class TestOrthogonalPolys:
     @pytest.mark.parametrize("r", [F(-1), F(1), F(2), F(1, 3)])
     def test_rows_invert_the_moment_array(self, r):
         size = 9
-        coeff_matrix = TriMatrix(orthogonal_polys(r, size))
-        product = matrix_product(moment_element(r, size - 1).matrix(size), coeff_matrix)
+        rows = moment_rows(r, size)
+        assert list(rows) == orthogonal_polys(r, size)
+        product = matrix_product(moment_element(r, size - 1).matrix(size), TriMatrix(rows))
         assert product == TriMatrix([[0] * i + [1] for i in range(size)])
 
     def test_monic_of_exact_degree(self):
-        for n, row in enumerate(orthogonal_polys(F(3, 2), 7)):
+        for n, row in enumerate(moment_rows(F(3, 2), 7)):
             assert len(row) - 1 == n
             assert row[-1] == 1
 
@@ -278,7 +286,7 @@ class TestFamilyRegistry:
         bare, _, r = name.partition(":")
         why = f"needs a rational parameter, e.g. {bare}:2" if r else "takes no parameter"
         with pytest.raises(UnknownFamilyError) as err:
-            family_with_polynomials(f"{bare}:", 5, 3)
+            family_element(f"{bare}:", 5)
         assert str(err.value) == f"family '{bare}' {why}"
 
     def test_parameter_requirements(self):

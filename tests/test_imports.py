@@ -140,4 +140,4 @@ def test_package_names_load_on_first_use():
         "unknown": "module 'riordan' has no attribute 'no_such_name'",
         "arrays": "riordan.arrays",
     }
-    assert len(riordan.__all__) == 48
+    assert len(riordan.__all__) == 47

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction as F
 
@@ -9,16 +10,22 @@ from helpers import (
     az_by_matrix_solve,
     az_by_reversion,
     block_by_matrix_solve,
+    bell_entry,
     closed_form_by_group,
+    closed_form_by_lagrange,
     closed_form_by_solve,
     element_battery,
     frac_rows,
+    hankel_determinant,
     lower_inverse_rows,
     mat_mul_rows,
     non_normalized_battery,
+    orthogonal_polys,
+    poly_power,
     power_by_squaring,
     production_by_series,
     production_by_whole_matrix,
+    random_rationals,
 )
 from riordan import (
     CoefficientSizeError,
@@ -29,12 +36,17 @@ from riordan import (
     TriMatrix,
     TruncatedSeries,
     VerificationReport,
+    FAMILY_NAMES,
     a085478_element,
+    a092276_entry,
     arrays,
+    binomial_power,
     catalan_array,
     family_element,
     generate_from_production,
     iterate_second_production,
+    moment_element,
+    moment_entry,
     nth_az,
     nth_production_matrix,
     pascal,
@@ -524,6 +536,17 @@ class TestClosedForm:
                     c * v for v in rebuilt.g.coefficients
                 ), (e, n)
 
+    @pytest.mark.parametrize("kind", ["normalized", "non_normalized"])
+    def test_matches_lagrange_oracle(self, battery, non_normalized, kind):
+        # derivation step 4, entry by entry: the oracle shares no step with
+        # the library; n = 1..12 covers the primes 5, 7 and 11
+        elements = battery[:12] if kind == "normalized" else non_normalized
+        for e in elements:
+            for n in range(1, 13):
+                report = verify_nth_conjecture(e, n, 7)
+                assert report.equal, (e, n, report.first_mismatch)
+                assert report.closed_form.rows == closed_form_by_lagrange(e, n, 7), (e, n)
+
     def test_appell_elements_are_fixed_points(self):
         g = TruncatedSeries([1, 1, 1, 1], 10)
         e = RiordanElement(g, TruncatedSeries([0, 1], 10))
@@ -599,6 +622,196 @@ class TestClosedFormLaw:
             for j, step in enumerate(chain):
                 want = produced_matrix_closed_form(e, 2**j).truncate(e.order - j)
                 assert coefficients(step) == coefficients(want), (e, j)
+
+
+def bell_element(a, order):
+    """(f/x, f) with f = x A(f), that is f = rev(x/A), at ``order``."""
+    f = (1 / TruncatedSeries(a, order)).shift_up(1).revert()
+    return RiordanElement(f.shift_down(1), f.truncate(order))
+
+
+def bell_elements(order):
+    """Two seeded rational Bell elements for each a0 in {1, 2, -1/3, 5/2}:
+    (A, element) pairs, A a coefficient list of 2 to 5 terms."""
+    rng = random.Random(20261020)
+    out = []
+    for a0 in (F(1), F(2), F(-1, 3), F(5, 2)):
+        for _ in range(2):
+            a = [a0, *random_rationals(rng, rng.randint(1, 4))]
+            out.append((a, bell_element(a, order)))
+    return out
+
+
+class TestBellSubgroup:
+    """``docs/derivation.md``, "The Bell subgroup": for e = (f/x, f) with
+    f = x A(f), Pi_n(e) is the Bell element of A^n, with entries
+    (k+1)/(m+1) [t^(m-k)] A^(n(m+1)) (``helpers.bell_entry``)."""
+
+    SIZE = 7
+
+    def bell_rows(self, a, n, size=SIZE):
+        return frac_rows([[bell_entry(a, n, m, k) for k in range(m + 1)] for m in range(size)])
+
+    def test_closed_form_and_generated_matrix_are_bell_entries(self):
+        for a, e in bell_elements(self.SIZE + 2):
+            for n in range(1, 13):
+                # the report's closed form is produced_matrix_closed_form's matrix
+                report = verify_nth_conjecture(e, n, self.SIZE)
+                assert report.equal and report.scale == a[0] ** n, (a, n)
+                assert report.closed_form.rows == self.bell_rows(a, n), (a, n)
+
+    def test_exponent_one_higher_fails(self):
+        # control: (k+1)/(m+1) [t^(m-k)] A^(n(m+1)+1) misses every element
+        for a, e in bell_elements(self.SIZE + 2):
+            for n in range(1, 5):
+                closed = produced_matrix_closed_form(e, n).matrix(self.SIZE)
+                assert any(
+                    F(k + 1, m + 1) * poly_power(a, n * (m + 1) + 1, m - k)[m - k] != closed[m, k]
+                    for m in range(self.SIZE)
+                    for k in range(m + 1)
+                ), (a, n)
+
+    def test_catalan_is_fuss_catalan(self):
+        # A = 1/(1-t): Pi_n(catalan) = (B_(n+1)^n, x B_(n+1)^n), whose entries
+        # are n(k+1)/((n+1)m - k + n) C((n+1)m - k + n, m - k)
+        ones = [F(1)] * 6
+        for n in range(1, 51):
+            for m in range(6):
+                for k in range(m + 1):
+                    top = (n + 1) * m - k + n
+                    want = F(n * (k + 1), top) * math.comb(top, m - k)
+                    assert bell_entry(ones, n, m, k) == want, (n, m, k)
+                    if n == 2:
+                        assert want == a092276_entry(m, k)
+        assert produced_matrix_closed_form(catalan_array(8), 7).matrix(6).rows == self.bell_rows(ones, 7, 6)
+
+    @pytest.mark.parametrize("r", [F(1), F(2), F(-1, 3)])
+    def test_binomial_power_entries(self, r):
+        # A = 1 + r t: n(k+1)/(n(m+1) - m + k) C(n(m+1) - 1, m - k) r^(m-k)
+        for n in range(1, 51):
+            for m in range(6):
+                for k in range(m + 1):
+                    want = (
+                        F(n * (k + 1), n * (m + 1) - m + k)
+                        * math.comb(n * (m + 1) - 1, m - k)
+                        * r ** (m - k)
+                    )
+                    assert bell_entry([F(1), r], n, m, k) == want, (n, m, k)
+        assert produced_matrix_closed_form(binomial_power(r, 8), 5).matrix(6).rows == self.bell_rows([1, r], 5, 6)
+
+    @pytest.mark.parametrize("r", [F(1), F(1, 2), F(-3)])
+    def test_moment_is_second_of_binomial(self, r):
+        # moment:r = Pi_2(binomial:r), so Pi_n(moment:r) = Pi_2n(binomial:r)
+        size = 8
+        second = produced_matrix_closed_form(binomial_power(r, size + 1), 2)
+        assert second.matrix(size) == moment_element(r, size).matrix(size)
+        for m in range(size):
+            for k in range(m + 1):
+                assert bell_entry([1, r], 2, m, k) == moment_entry(r, m, k)
+        for n in (1, 2, 3, 5):
+            got = produced_matrix_closed_form(moment_element(r, size + 1), n).matrix(size)
+            assert got.rows == self.bell_rows([1, r], 2 * n, size), n
+
+
+class TestJacobi:
+    """``ProductionMatrix.orthogonal_rows``: the rows of M^-1 exactly when P
+    is a Jacobi matrix at its size (``docs/derivation.md``, "The Bell
+    subgroup")."""
+
+    SIZE = 9
+
+    @staticmethod
+    def az_element(a, z, order):
+        return RiordanElement.from_az(TruncatedSeries(a, order), TruncatedSeries(z, order))
+
+    @staticmethod
+    def assert_three_term(p, rows):
+        # x p_k = P[k,k+1] p_(k+1) + P[k,k] p_k + P[k,k-1] p_(k-1), on rows
+        # padded to ``size`` terms, for every k with p_(k+1) among the rows
+        size = len(rows)
+        pad = [list(row) + [F(0)] * (size - len(row)) for row in rows]
+        for k in range(size - 1):
+            below = pad[k - 1] if k else [F(0)] * size
+            rhs = [
+                p[k, k + 1] * up + p[k, k] * here + (p[k, k - 1] if k else 0) * down
+                for up, here, down in zip(pad[k + 1], pad[k], below)
+            ]
+            assert [F(0)] + pad[k][:-1] == rhs, k
+
+    @pytest.mark.parametrize("r", [F(-1), F(1, 3), F(1, 2), F(2), F(3)])
+    def test_moment_rows_follow_the_recurrence(self, r):
+        p = production_matrix(moment_element(r, self.SIZE), self.SIZE)
+        rows = p.orthogonal_rows(1)
+        self.assert_three_term(p, rows)
+        # b_k = 2r and lambda_k = r^2, the moved oracle's recurrence
+        assert {p[k, k] for k in range(self.SIZE)} == {2 * r}
+        assert {p[k, k - 1] for k in range(1, self.SIZE)} == {r * r}
+        assert list(rows) == orthogonal_polys(r, self.SIZE)
+
+    def test_second_production_of_a_linear_pair(self):
+        # A = 1 + 2t, Z = 3 + t/2: P_2 has A^2 and Z_2 = 5 + 9t/2, a Jacobi
+        # matrix; its rows are the inverse of Pi_2(e)'s matrix (c = 1)
+        e = self.az_element([1, 2], [3, F(1, 2)], self.SIZE + 1)
+        p = nth_production_matrix(e, 2, self.SIZE)
+        rows = p.orthogonal_rows(1)
+        self.assert_three_term(p, rows)
+        closed = produced_matrix_closed_form(e, 2).matrix(self.SIZE)
+        assert TriMatrix(rows) == closed.inverse()
+
+    def test_tridiagonal_with_a_zero_subdiagonal_has_no_rows(self):
+        # P_1 of the same pair is tridiagonal, but its P[k, k-1] = A's t^2
+        # term = 0 for k >= 2: at size 2 it is a Jacobi matrix, past it not;
+        # the recurrence still holds for the rows of M^-1
+        e = self.az_element([1, 2], [3, F(1, 2)], self.SIZE + 1)
+        p = production_matrix(e, self.SIZE)
+        assert p.orthogonal_rows(1) is None
+        assert TriMatrix(production_matrix(e, 2).orthogonal_rows(1)) == e.matrix(2).inverse()
+        inverse = e.matrix(self.SIZE).inverse().rows
+        self.assert_three_term(p, [row[: i + 1] for i, row in enumerate(inverse)])
+
+    def test_controls_return_none(self):
+        e = self.az_element([1, 2], [3, F(1, 2)], self.SIZE + 1)
+        assert nth_production_matrix(e, 3, self.SIZE).orthogonal_rows(1) is None
+        for size in range(3, self.SIZE + 1):
+            assert production_matrix(catalan_array(size), size).orthogonal_rows(1) is None
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_rows_are_the_inverse_where_the_rule_holds(self, name):
+        # the rule's sizes on every family: moment:r at every size, catalan
+        # at sizes 1 and 2, the others at size 1, where the one row is 1/g(0)
+        spec = name.replace(":r", ":1/2")
+        sizes = {"moment:1/2": range(1, 8), "catalan": (1, 2)}.get(spec, (1,))
+        for size in range(1, 8):
+            e = family_element(spec, size + 1)
+            rows = production_matrix(e, size).orthogonal_rows(1)
+            assert (rows is not None) == (size in sizes), size
+            if rows is not None:
+                assert TriMatrix(rows) == e.matrix(size).inverse()
+
+    @pytest.mark.parametrize("g0", [F(2), F(-3, 4)])
+    def test_rows_divide_by_g0(self, g0):
+        m = moment_element(F(1, 2), self.SIZE)
+        e = RiordanElement(g0 * m.g, m.f)
+        p = production_matrix(e, self.SIZE)
+        assert p == production_matrix(m, self.SIZE)
+        assert TriMatrix(p.orthogonal_rows(g0)) == e.matrix(self.SIZE).inverse()
+
+    @pytest.mark.parametrize("name", ["moment:1/2", "from_az"])
+    def test_hankel_determinants_of_column_zero(self, name):
+        # det(mu_(i+j)) for 0 <= i, j <= m is lambda_1^m lambda_2^(m-1)...lambda_m
+        # (Barry 2011), mu the column 0 of M and lambda_k = P[k, k-1]; the
+        # second element is from_az(1 + 2t - t^2/3, 3 + t/2)
+        order = self.SIZE + 1
+        if name == "from_az":
+            e = self.az_element([1, 2, F(-1, 3)], [3, F(1, 2)], order)
+        else:
+            e = family_element(name, order)
+        p = production_matrix(e, self.SIZE)
+        assert p.orthogonal_rows(1) is not None
+        mu = e.matrix(self.SIZE).column(0)
+        for m in range(5):
+            want = math.prod(p[k, k - 1] ** (m + 1 - k) for k in range(1, m + 1))
+            assert hankel_determinant(mu, m) == want, m
 
 
 class TestDerivationFacts:

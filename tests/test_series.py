@@ -22,7 +22,7 @@ from riordan import (
     catalan_gf,
     moment_element,
     moment_entry,
-    orthogonal_polys,
+    production_matrix,
 )
 
 
@@ -338,7 +338,7 @@ class TestExactInputs:
             (lambda: binomial_power(0.1, 4), 0.1),
             (lambda: moment_element(0.1, 4), 0.1),
             (lambda: moment_entry(0.1, 1, 0), 0.1),
-            (lambda: orthogonal_polys(0.1, 3), 0.1),
+            (lambda: production_matrix(moment_element(1, 3), 3).orthogonal_rows(0.1), 0.1),
             (lambda: TruncatedSeries([1, "1/2"]), "1/2"),
         ],
         ids=["series", "matrix", "matrix-from-rows", "binomial-power",
