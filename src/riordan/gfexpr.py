@@ -15,10 +15,12 @@ Grammar (whitespace-insensitive, no implicit multiplication)::
     atom     := INT | 'x' | 'sqrt' '(' expr ')' | 'c' '(' expr ')' | '(' expr ')'
 
 A leading minus therefore negates the whole expression, and exponents are
-integer literals (folded right-associatively at parse time, each within 64
-bits).  ``c(e)`` is the Catalan generating function composed with ``e``,
-which must have zero constant term.  Rational constants are written as
-quotients of integers, e.g. ``3/4``.
+integer literals, folded right-associatively at parse time; each step of a
+tower is bounded, like every result, by the kernel's coefficient budget, and
+one past it is refused at its own offset before it is computed.  ``c(e)`` is
+the Catalan generating function composed with ``e``, which must have zero
+constant term.  Rational constants are written as quotients of integers,
+e.g. ``3/4``.
 
 Division is valuation-aware: a common power of x is cancelled between
 numerator and denominator first, so quotients like ``(1-sqrt(1-4*x))/(2*x)``
@@ -33,10 +35,11 @@ from __future__ import annotations
 import contextlib
 import operator
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ExpressionEvalError, ExpressionSyntaxError, Record, RiordanError
-from .series import _MAX_LITERAL_DIGITS, _MAX_ORDER, TruncatedSeries, catalan_gf
+from .series import _MAX_LITERAL_DIGITS, _MAX_ORDER, TruncatedSeries, _checked_power, catalan_gf
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +94,6 @@ GfExpression = Lit | Var | Neg | Pow | BinOp | Call
 _TOKEN = re.compile(r"(\s+)|([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()])")
 _KINDS = {2: "int", 3: "ident"}
 
-# folded exponents must fit in this many bits, so towers such as 2^2^2^2^2^2
-# fail before their value is computed
-_EXPONENT_BITS = 64
-
 
 class _Token(Record):
     __slots__ = ("kind", "text", "pos")  # kind is "int", "ident", a symbol or "end"
@@ -114,17 +113,11 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 def _int_literal(tok: _Token) -> int:
-    if len(tok.text) > _MAX_LITERAL_DIGITS:
-        raise ExpressionSyntaxError(
-            f"integer literal has more than {_MAX_LITERAL_DIGITS} digits", tok.pos
-        )
+    # the grammar's limit, or the interpreter's int/str limit when it is lower
+    limit = min(_MAX_LITERAL_DIGITS, sys.get_int_max_str_digits() or _MAX_LITERAL_DIGITS)
+    if len(tok.text) > limit:
+        raise ExpressionSyntaxError(f"integer literal has more than {limit} digits", tok.pos)
     return int(tok.text)
-
-
-def _too_wide(tok: _Token) -> ExpressionSyntaxError:
-    return ExpressionSyntaxError(
-        f"exponent does not fit in {_EXPONENT_BITS} bits", tok.pos
-    )
 
 
 class _Parser:
@@ -191,19 +184,16 @@ class _Parser:
             return -self._exponent()
         tok = self._expect("int", "an integer exponent")
         value = _int_literal(tok)
-        if self._tok.kind == "^":
-            self._advance()
-            rest = self._exponent()
-            if rest < 0:
-                raise ExpressionSyntaxError(
-                    "nested exponent must be non-negative", tok.pos
-                )
-            if value > 1 and rest > _EXPONENT_BITS:
-                raise _too_wide(tok)  # value**rest >= 2**rest; never computed
-            value = value**rest
-        if value.bit_length() > _EXPONENT_BITS:
-            raise _too_wide(tok)
-        return value
+        if self._tok.kind != "^":
+            return value
+        self._advance()
+        rest = self._exponent()
+        if rest < 0:
+            raise ExpressionSyntaxError("nested exponent must be non-negative", tok.pos)
+        try:  # a step past the coefficient budget is refused before it is computed
+            return _checked_power(value, rest)
+        except RiordanError as exc:
+            raise ExpressionSyntaxError(str(exc), tok.pos) from exc
 
     def _atom(self) -> GfExpression:
         tok = self._tok

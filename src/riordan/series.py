@@ -72,7 +72,7 @@ def lift(values: Sequence[Rational]) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def _checked(c: Fraction, bits: int = 0) -> Fraction:
+def _checked(c: Rational, bits: int = 0) -> Rational:
     """``c`` itself, or CoefficientSizeError if it, or ``bits`` (a width known
     before a value is computed), is wider than the budget."""
     if max(bits, c.numerator.bit_length(), c.denominator.bit_length()) > _MAX_COEFFICIENT_BITS:
@@ -81,6 +81,13 @@ def _checked(c: Fraction, bits: int = 0) -> Fraction:
             f"{4 * _MAX_LITERAL_DIGITS} digits), the most a result may hold"
         )
     return c
+
+
+def _checked_power(c: Rational, e: int) -> Rational:
+    """``c**e``, or CoefficientSizeError if it is wider than the budget; it has
+    more than (bits - 1) |e| bits, so a wider one is refused before it is computed."""
+    width = (max(c.numerator.bit_length(), c.denominator.bit_length()) - 1) * abs(e) + 1
+    return _checked(c**e if width <= _MAX_COEFFICIENT_BITS else c, width)
 
 
 def _ratio(num: int, den: int) -> Fraction:
@@ -354,10 +361,7 @@ class TruncatedSeries(Record):
         if shift > self.order:
             return TruncatedSeries([0], self.order)
         c = self.coefficients[v : self.order + 1 + v - shift]
-        # c0^e has more than (bits - 1) |e| bits: refused before it is computed
-        bits = max(c[0].numerator.bit_length(), c[0].denominator.bit_length())
-        width = (bits - 1) * abs(exponent) + 1
-        lead = _checked(c[0] ** exponent if width <= _MAX_COEFFICIENT_BITS else c[0], width)
+        lead = _checked_power(c[0], exponent)
         return TruncatedSeries([_ZERO] * shift + _power_lists(c, Fraction(exponent), lead))
 
     # -- shifts ---------------------------------------------------------------

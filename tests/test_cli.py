@@ -14,8 +14,8 @@ import pytest
 import reference_data as ref
 from helpers import frac_rows
 from riordan import (
-    RiordanElement, RiordanError, TriMatrix, VerificationReport, arrays, cli, families, gfexpr,
-    iterate_second_production, pascal, production, series,
+    RiordanElement, RiordanError, TriMatrix, TruncatedSeries, VerificationReport, arrays, cli,
+    families, gfexpr, iterate_second_production, pascal, production, series,
 )
 from riordan.arrays import ExactMatrix
 from riordan.cli import main
@@ -100,12 +100,38 @@ class TestShow:
             assert err.startswith("error: integer literal has more than")
             assert "Traceback" not in err
 
+    def test_literal_past_a_lowered_int_limit_is_an_input_error(self, capsys):
+        # under an int/str limit below the grammar's 4300 digits, a literal
+        # past it is refused at its offset as input, naming the live limit,
+        # not reported as an unprintable result
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            at_limit = run(capsys, "show", "--g", "7" * 640, "--f", "x", "--size", "2")
+            past = run(capsys, "show", "--g", "1+" + "7" * 1000, "--f", "x", "--size", "2")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert at_limit[0] == 0 and at_limit[1].startswith("7" * 640)
+        assert past == (2, "", "error: integer literal has more than 640 digits (at offset 2)\n")
+
     def test_exponent_tower_exits_2(self, capsys):
-        code, out, err = run(
-            capsys, "show", "--g", "1", "--f", "x^2^2^2^2^2^2", "--size", "3"
+        # each step of a tower meets the coefficient budget, and one past it
+        # is refused at its offset; a tower inside it folds, and its power
+        # is bounded like every other
+        budget = (
+            "error: a coefficient needs more than 57140 bits (about 17200 digits), "
+            "the most a result may hold (at offset {})\n"
         )
-        assert code == 2 and out == ""
-        assert err == "error: exponent does not fit in 64 bits (at offset 4)\n"
+        for g, f, pos in (
+            ("1", "x^2^2^2^2^2^2", 4),
+            ("1", "x^9^9^9", 2),
+            ("(1+x)^2^57000", "x", 5),
+        ):
+            code, out, err = run(capsys, "show", "--g", g, "--f", f, "--size", "40")
+            assert code == 2 and out == ""
+            assert err == budget.format(pos)
+        code, out, _ = run(capsys, "show", "--g", "1+x^2^100", "--f", "x", "--size", "3")
+        assert code == 0 and out == "1  0  0\n0  1  0\n0  0  1\n"
 
     def test_constant_base_power_exits_2(self, capsys):
         code, out, err = run(
@@ -659,6 +685,25 @@ class TestFamily:
         monkeypatch.setattr(RiordanElement, "inverse", counted)
         code, _, err = run(capsys, "family", "moment:1/2", "--size", "8", "--iterate", "5")
         assert (code, err, calls) == (0, "", 1)
+
+    @pytest.mark.parametrize("iterate, reversions", [(None, 0), (0, 1), (3, 4)])
+    def test_iterate_reverts_once_per_closed_form_and_once_for_inverses(
+        self, capsys, monkeypatch, iterate, reversions
+    ):
+        # each stage past the first comes from a closed form, which reverts
+        # once; every inverse comes from the first stage's one reversion
+        calls = 0
+        revert = TruncatedSeries.revert
+
+        def counted(self):
+            nonlocal calls
+            calls += 1
+            return revert(self)
+
+        monkeypatch.setattr(TruncatedSeries, "revert", counted)
+        steps = () if iterate is None else ("--iterate", str(iterate))
+        code, _, err = run(capsys, "family", "moment:1/2", *steps)
+        assert (code, err, calls) == (0, "", reversions)
 
     def test_family_parses_its_parameter_once(self, capsys, monkeypatch):
         parse = families.family_parameter

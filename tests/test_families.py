@@ -7,6 +7,7 @@ import reference_data as ref
 from helpers import matrix_product, orthogonal_polys
 from riordan import (
     FAMILY_NAMES,
+    CoefficientSizeError,
     PrecisionError,
     RiordanElement,
     TriMatrix,
@@ -298,20 +299,22 @@ class TestFamilyRegistry:
             family_element("moment:abc", 6)
 
     def test_parameter_digits_bounded_before_computing(self):
-        # like an integer literal, a parameter is refused past 4300 digits;
-        # a wider decimal exponent is refused before Fraction computes 10**k,
-        # which takes seconds at 1e3000000 and minutes at 1e30000000
+        # a decimal exponent past 4300 is refused before Fraction computes
+        # 10**k, which takes seconds at 1e3000000 and minutes at 1e30000000;
+        # a value it admits is bounded by the builder's coefficient budget
         for spec, reason in (
             ("binomial:1e5000", "decimal exponent exceeds 4300"),
             ("binomial:1e30000000", "decimal exponent exceeds 4300"),
             ("moment:1e-3000000", "decimal exponent exceeds 4300"),
             # wider than int() reads, which would name its own digit limit
             ("binomial:1e" + "9" * 5000, "decimal exponent exceeds 4300"),
-            ("binomial:1e4300", "more than 4300 digits"),
         ):
             with pytest.raises(UnknownFamilyError) as err:
                 family_element(spec, 5)
             assert reason in str(err.value)
         assert family_element("binomial:1e4299", 1).g.coefficient(1) == 10**4299
+        assert family_element("binomial:1e4300", 1).g.coefficient(1) == 10**4300
+        with pytest.raises(CoefficientSizeError):  # 10^21500 at x^5
+            family_element("binomial:1e4300", 40)
         assert family_element("binomial:-1/2", 5) == binomial_power(F(-1, 2), 5)
         assert family_element("moment:0.5", 5) == moment_element(F(1, 2), 5)

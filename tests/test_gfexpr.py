@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -61,6 +62,9 @@ class TestParse:
         assert parse("x^2^63") == Pow(Var(), 2**63)
         assert parse("x^18446744073709551615") == Pow(Var(), 2**64 - 1)
         assert parse("x^1^100000") == Pow(Var(), 1)
+        # a tower inside the coefficient budget folds, however wide
+        assert parse("x^2^64") == Pow(Var(), 2**64)
+        assert parse("x^2^57000") == Pow(Var(), 2**57000)
 
     def test_unbalanced_paren_position(self):
         with pytest.raises(ExpressionSyntaxError) as err:
@@ -119,14 +123,23 @@ class TestParse:
         assert err.value.position == 2
 
     def test_exponent_tower_rejected_before_folding(self):
-        # 2^2^2^2^2^2 is 2^(2^65536); the bound stops it at the second 2
-        with pytest.raises(ExpressionSyntaxError) as err:
-            parse("x^2^2^2^2^2^2")
-        assert err.value.position == 4
-        with pytest.raises(ExpressionSyntaxError):
-            parse("x^2^64")
-        with pytest.raises(ExpressionSyntaxError):
-            parse("x^-18446744073709551616")
+        # each step of a tower meets the kernel's coefficient budget, and one
+        # past it is refused at its base's offset before it is computed:
+        # 2^2^2^2^2^2 is 2^(2^65536), stopped at the second 2; 9^9^9 is
+        # 9^387420489, stopped at the first 9
+        budget = (
+            "a coefficient needs more than 57140 bits (about 17200 digits), "
+            "the most a result may hold"
+        )
+        for text, pos in (("x^2^2^2^2^2^2", 4), ("x^9^9^9", 2)):
+            with pytest.raises(ExpressionSyntaxError) as err:
+                parse(text)
+            assert err.value.position == pos
+            assert str(err.value) == f"{budget} (at offset {pos})"
+        # a literal of any width the grammar reads is an exponent, and so is
+        # a folded tower inside the budget
+        assert parse("x^-18446744073709551616") == Pow(Var(), -(2**64))
+        assert parse("x^-2^64") == Pow(Var(), -(2**64))
 
 
 class TestEvaluate:
@@ -192,8 +205,9 @@ class TestEvaluate:
         assert err.value.position == 2
 
     def test_negative_power_of_nonunit(self):
-        with pytest.raises(ExpressionEvalError):
-            evaluate_text("(2*x)^-1", 5)
+        for text in ("(2*x)^-1", "x^-2^64"):
+            with pytest.raises(ExpressionEvalError, match="negative power requires"):
+                evaluate_text(text, 5)
 
     def test_nested_shifted_division_evaluates_each_order_once(self, monkeypatch):
         # every level of x/(x*(...)) re-evaluates its subtree one order
@@ -242,6 +256,8 @@ class TestEvaluate:
             ("(1/2)^100000", 5),
             ("(3*x-7)^-4611686018427387904", 7),
             ("(10^4000*10^4000*10^4000)^2", 25),
+            # C(2^57000, 2) has about 114000 bits
+            ("(1+x)^2^57000", 5),
         ):
             with pytest.raises(ExpressionEvalError) as err:
                 evaluate_text(text, 3)
@@ -255,6 +271,11 @@ class TestEvaluate:
         assert got.coefficients == (1, wide, wide * (wide - 1) // 2)
         for text in (f"(-1)^{wide}", f"x^{wide}", f"(1-x)^-{wide}"):
             evaluate_text(text, 4)
+        # a folded tower is an exponent like any other
+        wide = 2**100
+        got = evaluate_text("(1+x)^2^100", 4)
+        assert got.coefficients == tuple(math.comb(wide, k) for k in range(5))
+        assert evaluate_text("1+x^2^57000", 4) == TruncatedSeries([1], 4)
 
     def test_catalan_of_negated_argument(self):
         got = evaluate_text("c(-x)", 8)
