@@ -6,7 +6,9 @@ to order size + 2 (plus ``--iterate`` for ``family``, at most ``MAX_ORDER``)
 so users never manage truncation orders by hand.  ``family`` also prints
 the element's orthogonal polynomials, the rows of its inverse matrix, when
 its production matrix is a Jacobi matrix at the printed size.
-Every integer the CLI reads is ASCII, ``[+-]?[0-9]+``.
+Every integer the CLI reads, typed as an option, a ``--values`` term, a family
+parameter or an expression literal, is ASCII ``[+-]?[0-9]+`` of at most 4300
+digits, or fewer under a lower int/str limit (``series._read_integer``).
 
 Exit codes: 0 on success (and when ``verify`` finds every instance equal,
 up to the closed form's scalar factor), 1 when ``verify`` finds a mismatch,
@@ -19,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from collections.abc import Callable, Iterator, Sequence
 
@@ -28,6 +29,7 @@ from .errors import RiordanError
 from .families import FAMILY_NAMES, family_element, iterate_second_production
 from .production import nth_production_matrix, production_matrix, verify_nth_conjecture
 from .series import _MAX_ORDER as MAX_ORDER  # the highest order a command may ask for
+from .series import _read_integer
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -40,11 +42,11 @@ OEIS_PATH_ENV = "OEIS_STRIPPED_PATH"
 
 
 def _integer(text: str) -> int:
-    """The one rule for every integer the CLI reads, ``[+-]?[0-9]+``: int()
-    alone would also take "1_0" and non-ASCII digits."""
-    if not re.fullmatch("[+-]?[0-9]+", text):
-        raise ValueError(f"{text!r} is not an integer")
-    return int(text)
+    """The argparse type of an integer option, read by ``_read_integer``."""
+    try:
+        return _read_integer(text, "the value")
+    except RiordanError as err:  # argparse would echo the digits
+        raise argparse.ArgumentTypeError(str(err)) from err
 
 
 _integer.__name__ = "int"  # argparse refuses an option as an "invalid int value"
@@ -80,12 +82,10 @@ def _resolve_element(args: argparse.Namespace) -> RiordanElement:
 
 
 def _parse_n_range(text: str) -> range:
+    lo_text, dots, hi_text = text.partition("..")
     try:
-        if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            lo, hi = _integer(lo_text), _integer(hi_text)
-        else:
-            lo = hi = _integer(text)
+        lo = _read_integer(lo_text, "the first end of --n" if dots else "--n")
+        hi = _read_integer(hi_text, "the last end of --n") if dots else lo
     except ValueError as err:
         raise RiordanError(
             f"bad --n value {text!r}: use a single integer or a range like 2..4"
@@ -155,13 +155,10 @@ def _cmd_identify(args: argparse.Namespace) -> int:
         )
     else:
         try:
-            values = query([_integer(part.strip()) for part in args.values.split(",")])
-        except ValueError as err:
-            wide = "integer string conversion" in str(err)  # CPython's digit limit
-            reason = f"a term has more than {sys.get_int_max_str_digits()} digits" if wide else err
-            raise RiordanError(
-                f"bad --values: {reason}; expected comma-separated integers"
-            ) from err
+            terms = [_read_integer(part.strip(), "a term") for part in args.values.split(",")]
+        except (ValueError, RiordanError) as err:
+            raise RiordanError(f"bad --values: {err}; expected comma-separated integers") from err
+        values = query(terms)
     matches, skipped = scan_stripped(dump, values)
     if skipped:
         # "no matches" then covers only the records that were read

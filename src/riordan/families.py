@@ -20,12 +20,7 @@ from .arrays import RiordanElement
 from .errors import PrecisionError, UnknownFamilyError
 from .production import produced_matrix_closed_form
 from .series import (
-    _MAX_LITERAL_DIGITS,
-    Rational,
-    TruncatedSeries,
-    _checked,
-    as_fraction,
-    catalan_gf,
+    _MAX_LITERAL_DIGITS, Rational, TruncatedSeries, _checked, _read_integer, as_fraction, catalan_gf,
 )
 
 
@@ -154,15 +149,16 @@ def family_parameter(name: str, param: str) -> Fraction:
     ``param`` is ASCII with no ``_`` or spaces: an integer, ``p/q`` or a decimal
     with an optional exponent ``k``.  ``Fraction`` computes ``10**k``, so a ``k``
     wider than an integer literal is refused before that power is; each run of
-    digits is read by ``int``, within the interpreter's int/str limit, so the
-    value is at most about 8600 digits wide by default, and the family's
-    builder bounds every coefficient it makes by the kernel's budget.
+    digits is an integer a user types (``series._read_integer``), and the
+    family's builder bounds every coefficient it makes by the kernel's budget.
     """
     try:
         if not (form := re.fullmatch(_PARAMETER, param)):
             raise ValueError("it must be an ASCII integer, p/q or decimal, without '_' or spaces")
         if form[1] and abs(float(form[1])) > _MAX_LITERAL_DIGITS:  # float reads any width
             raise ValueError(f"its decimal exponent exceeds {_MAX_LITERAL_DIGITS}")
+        for digits in re.findall("[0-9]+", param):
+            _read_integer(digits, f"a run of digits in the parameter of family '{name}'")
         return Fraction(param)
     except (ValueError, ZeroDivisionError) as err:  # Fraction("1/0") says only "Fraction(1, 0)"
         why = "its denominator is zero" if isinstance(err, ZeroDivisionError) else err

@@ -35,11 +35,10 @@ from __future__ import annotations
 import contextlib
 import operator
 import re
-import sys
 from fractions import Fraction
 
 from .errors import ExpressionEvalError, ExpressionSyntaxError, Record, RiordanError
-from .series import _MAX_LITERAL_DIGITS, _MAX_ORDER, TruncatedSeries, _checked_power, catalan_gf
+from .series import _MAX_ORDER, TruncatedSeries, _checked_power, _read_integer, catalan_gf
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +112,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 def _int_literal(tok: _Token) -> int:
-    # the grammar's limit, or the interpreter's int/str limit when it is lower
-    limit = min(_MAX_LITERAL_DIGITS, sys.get_int_max_str_digits() or _MAX_LITERAL_DIGITS)
-    if len(tok.text) > limit:
-        raise ExpressionSyntaxError(f"integer literal has more than {limit} digits", tok.pos)
-    return int(tok.text)
+    try:
+        return _read_integer(tok.text, "integer literal")
+    except RiordanError as err:
+        raise ExpressionSyntaxError(str(err), tok.pos) from err
 
 
 class _Parser:

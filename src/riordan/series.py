@@ -23,29 +23,23 @@ Values are immutable; every operation returns a new series.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import partialmethod
 from operator import add, mul, sub
 
 from .errors import (
-    CoefficientSizeError,
-    CompositionError,
-    NonUnitError,
-    PrecisionError,
-    Record,
-    ReversionError,
-    SingularMatrixError,
-    SqrtError,
-    shown,
+    CoefficientSizeError, CompositionError, NonUnitError, PrecisionError, Record, ReversionError,
+    RiordanError, SingularMatrixError, SqrtError, shown,
 )
 
 Rational = Fraction | int
 
 _ZERO = Fraction(0)
 
-# CPython's default cap on int <-> str conversion; longer literals are a
-# syntax error on every interpreter
+# CPython's default cap on int <-> str conversion; no integer a user types
+# may be longer, on any interpreter (_read_integer)
 _MAX_LITERAL_DIGITS = 4300
 _MAX_LITERAL_BITS = (10**_MAX_LITERAL_DIGITS - 1).bit_length()
 # the highest truncation order a command may ask for, and the most a shifted
@@ -57,6 +51,20 @@ _MAX_ORDER = 1000
 # the widest numerator or denominator a kernel result may hold: four literals
 # wide, since the closed forms of printable results pass through wider terms
 _MAX_COEFFICIENT_BITS = 4 * _MAX_LITERAL_BITS
+
+
+def _read_integer(text: str, place: str) -> int:
+    """``text`` as an int, by the one rule for every integer a user types:
+    ASCII ``[+-]?[0-9]+`` of at most ``_MAX_LITERAL_DIGITS`` digits, or fewer under
+    a lower int/str limit.  Other text raises ValueError naming it; a wider
+    integer raises RiordanError naming ``place`` and the limit, not the digits."""
+    digits = text[1:] if text[:1] in "+-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer")
+    limit = min(_MAX_LITERAL_DIGITS, sys.get_int_max_str_digits() or _MAX_LITERAL_DIGITS)
+    if len(digits) > limit:
+        raise RiordanError(f"{place} has more than {limit} digits")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------

@@ -673,7 +673,7 @@ class TestFamily:
                 assert inv.g.coefficients == expected.g.coefficients
                 assert inv.f.coefficients == expected.f.coefficients
 
-    def test_iterate_reverts_once(self, capsys, monkeypatch):
+    def test_iterate_inverts_once(self, capsys, monkeypatch):
         calls = 0
         inverse = RiordanElement.inverse
 
@@ -989,6 +989,83 @@ class TestIntegerOptions:
         )
         code, out, _ = run(capsys, "verify", "--family", "catalan", "--n", "+2..03", "--size", "3")
         assert (code, out) == (0, "n=2 size=3: equal\nn=3 size=3: equal\n")
+
+    # each place a typed integer is read: the command, with "{}" for the
+    # integer; the integer, written wider with zeros by ``pad``; and the
+    # refusal of one digit past the limit, with "{}" for the limit
+    PARAMETER = "a run of digits in the parameter of family '{}' has more than {{}} digits"
+    WIDTH_SITES = {
+        "--size": (
+            ("show", "--family", "pascal", "--size", "{}"), "3", str.rjust,
+            "argument --size: the value has more than {} digits",
+        ),
+        "prod --n": (
+            ("prod", "--family", "catalan", "--size", "3", "--n", "{}"), "2", str.rjust,
+            "argument --n: the value has more than {} digits",
+        ),
+        "--iterate": (
+            ("family", "catalan", "--size", "3", "--iterate", "{}"), "1", str.rjust,
+            "argument --iterate: the value has more than {} digits",
+        ),
+        "verify --n": (
+            ("verify", "--family", "catalan", "--size", "3", "--n", "{}"), "2", str.rjust,
+            "--n has more than {} digits",
+        ),
+        "first end": (
+            ("verify", "--family", "catalan", "--size", "3", "--n", "{}..3"), "2", str.rjust,
+            "the first end of --n has more than {} digits",
+        ),
+        "last end": (
+            ("verify", "--family", "catalan", "--size", "3", "--n", "2..{}"), "3", str.rjust,
+            "the last end of --n has more than {} digits",
+        ),
+        "--values": (
+            ("identify", "--values", "1,1,2,5,14,{}", "--oeis", "DUMP"), "42", str.rjust,
+            "bad --values: a term has more than {} digits; expected comma-separated integers",
+        ),
+        "integer": (("family", "binomial:{}", "--size", "3"), "2", str.rjust, PARAMETER.format("binomial")),
+        "p": (("family", "binomial:-{}/2", "--size", "3"), "3", str.rjust, PARAMETER.format("binomial")),
+        "q": (("family", "binomial:1/{}", "--size", "3"), "2", str.rjust, PARAMETER.format("binomial")),
+        "whole digits": (
+            ("family", "binomial:{}.5e-1", "--size", "3"), "1", str.rjust, PARAMETER.format("binomial"),
+        ),
+        "fraction digits": (("family", "moment:.{}", "--size", "3"), "5", str.ljust, PARAMETER.format("moment")),
+        "literal": (
+            ("show", "--g", "{}", "--f", "x", "--size", "3"), "1", str.rjust,
+            "integer literal has more than {} digits (at offset 0)",
+        ),
+    }
+
+    @pytest.mark.parametrize("limit", [None, 640, 0], ids=["default", "640", "no-int-limit"])
+    @pytest.mark.parametrize("site", WIDTH_SITES)
+    def test_width_rule_at_every_site(self, capsys, oeis_fixture_path, site, limit):
+        # every typed integer reads up to 4300 digits, or the interpreter's
+        # int/str limit when it is lower, leading zeros included; one digit
+        # more is refused, naming its place and the limit but not the digits.
+        # With no int/str limit a family parameter is refused like a literal
+        argv, value, pad, refusal = self.WIDTH_SITES[site]
+
+        def outcome(integer):
+            line = [arg.format(integer).replace("DUMP", str(oeis_fixture_path)) for arg in argv]
+            try:
+                code = main(line)
+            except SystemExit as exited:  # argparse refuses its options
+                code = exited.code
+            return (code, *capsys.readouterr())
+
+        saved = sys.get_int_max_str_digits()
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        try:
+            width = limit or 4300
+            plain, at_limit, past = (outcome(pad(value, n, "0")) for n in (1, width, width + 1))
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert plain[0] == 0 and at_limit == plain
+        code, out, err = past
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {refusal.format(width)}\n")
+        assert "0" * 20 not in err
 
 
 class TestTextJsonParity:
