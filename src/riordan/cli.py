@@ -25,7 +25,7 @@ import sys
 from collections.abc import Callable, Iterator, Sequence
 
 from .arrays import RiordanElement, rows_to_strings
-from .errors import RiordanError
+from .errors import RiordanError, shown
 from .families import FAMILY_NAMES, family_element, iterate_second_production
 from .production import nth_production_matrix, production_matrix, verify_nth_conjecture
 from .series import _MAX_ORDER as MAX_ORDER  # the highest order a command may ask for
@@ -50,6 +50,13 @@ def _integer(text: str) -> int:
 
 
 _integer.__name__ = "int"  # argparse refuses an option as an "invalid int value"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Its error line goes through ``shown``: argparse quotes a typed text whole."""
+
+    def error(self, message):
+        super().error(shown(message))
 
 
 def _headroom(size: int, iterate: int | None = None) -> int:
@@ -88,12 +95,12 @@ def _parse_n_range(text: str) -> range:
         hi = _read_integer(hi_text, "the last end of --n") if dots else lo
     except ValueError as err:
         raise RiordanError(
-            f"bad --n value {text!r}: use a single integer or a range like 2..4"
+            f"bad --n value {shown(text, repr)}: use a single integer or a range like 2..4"
         ) from err
     if lo < 1 or hi < lo:
-        raise RiordanError(f"bad --n range {text!r}: need 1 <= first <= last")
+        raise RiordanError(f"bad --n range {shown(text, repr)}: need 1 <= first <= last")
     if hi - lo >= MAX_ORDER:  # each n is a production matrix and a closed form
-        raise RiordanError(f"bad --n range {text!r}: at most {MAX_ORDER} values")
+        raise RiordanError(f"bad --n range {shown(text, repr)}: at most {MAX_ORDER} values")
     return range(lo, hi + 1)
 
 
@@ -162,7 +169,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     matches, skipped = scan_stripped(dump, values)
     if skipped:
         # "no matches" then covers only the records that were read
-        print(f"warning: skipped {skipped} malformed line(s) in {dump}", file=sys.stderr)
+        print(f"warning: skipped {skipped} malformed line(s) in {shown(dump)}", file=sys.stderr)
     _emit(
         args.json,
         lambda: {
@@ -235,7 +242,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="riordan",
         description="Exact Riordan-array computations: matrices, production "
         "matrices of any order, closed-form checks and OEIS lookup.",

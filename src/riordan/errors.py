@@ -17,12 +17,22 @@ from __future__ import annotations
 import sys
 
 
+SHOWN_WIDTH = 200  # the most characters of one text that an error message shows
+
+
 def shown(value, form=str) -> str:
-    """``form(value)`` for an error message, or a stand-in naming the print limit."""
-    try:
+    """``form(value)``, as every error message shows a value or a typed text: a
+    text (``value``, or ``form``'s text of any other value) of more than
+    ``SHOWN_WIDTH`` characters as its first ``SHOWN_WIDTH`` and ``... (N characters)``,
+    and an int past CPython's int/str limit as ``<a number of more than 4300 digits>``."""
+    if not isinstance(value, str):
+        try:
+            value, form = form(value), str
+        except ValueError:  # CPython's int-to-str digit limit
+            return f"<a number of more than {sys.get_int_max_str_digits()} digits>"
+    if len(value) <= SHOWN_WIDTH:
         return form(value)
-    except ValueError:  # CPython's int-to-str digit limit
-        return f"<a number of more than {sys.get_int_max_str_digits()} digits>"
+    return f"{form(value[:SHOWN_WIDTH])}... ({len(value)} characters)"
 
 
 class Record:

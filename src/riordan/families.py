@@ -17,7 +17,7 @@ from itertools import accumulate, repeat
 from operator import mul
 
 from .arrays import RiordanElement
-from .errors import PrecisionError, UnknownFamilyError
+from .errors import PrecisionError, UnknownFamilyError, shown
 from .production import produced_matrix_closed_form
 from .series import (
     _MAX_LITERAL_DIGITS, Rational, TruncatedSeries, _checked, _read_integer, as_fraction, catalan_gf,
@@ -41,9 +41,8 @@ def catalan_array(order: int) -> RiordanElement:
 
 
 def a085478_element(order: int) -> RiordanElement:
-    """(1/(1-x), x/(1-x)^2), whose matrix is the triangle A085478."""
-    base = TruncatedSeries([1, -1], order)
-    return RiordanElement(base**-1, (base**-2).shift_up(1).truncate(order))
+    """(1/(1-x), x/(1-x)^2), whose matrix is the triangle A085478: g = 1, 1, ... and f = 0, 1, 2, ..."""
+    return RiordanElement(TruncatedSeries([1] * (order + 1)), TruncatedSeries(range(order + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +51,10 @@ def a085478_element(order: int) -> RiordanElement:
 
 def moment_element(r: Rational, order: int) -> RiordanElement:
     """(c(rx)^2, x c(rx)^2), the element generated by the second production
-    matrix of the binomial power B^r; c(rx) scales c's terms by r^0, r^1, ..."""
+    matrix of the binomial power B^r; c^2 = (c - 1)/x, so c(rx)^2 has the
+    terms C_(k+1) r^k, each checked against the coefficient budget."""
     powers = accumulate(repeat(as_fraction(r)), mul, initial=1)
-    crx = TruncatedSeries([_checked(c * p) for c, p in zip(catalan_gf(order).coefficients, powers)])
-    g = crx * crx
+    g = TruncatedSeries([_checked(c * p) for c, p in zip(catalan_gf(order + 1).coefficients[1:], powers)])
     return RiordanElement(g, g.shift_up(1).truncate(order))
 
 
@@ -63,11 +62,7 @@ def moment_entry(r: Rational, n: int, k: int) -> Fraction:
     """Closed-form entry of M(r): 2(k+1)/(n+k+2) * C(2n+1, n-k) * r^(n-k)."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    return (
-        Fraction(2 * (k + 1), n + k + 2)
-        * math.comb(2 * n + 1, n - k)
-        * as_fraction(r) ** (n - k)
-    )
+    return Fraction(2 * (k + 1), n + k + 2) * math.comb(2 * n + 1, n - k) * as_fraction(r) ** (n - k)
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +75,10 @@ def a085478_second_entry(n: int, k: int) -> Fraction:
     sum_i (2i+2)/(3n+2-i) * C(3n+2-i, n-i) * C(i+k, 2k)."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    total = Fraction(0)
-    for i in range(n + 1):
-        total += (
-            Fraction(2 * i + 2, 3 * n + 2 - i)
-            * math.comb(3 * n + 2 - i, n - i)
-            * math.comb(i + k, 2 * k)
-        )
-    return total
+    return sum(
+        Fraction(2 * i + 2, 3 * n + 2 - i) * math.comb(3 * n + 2 - i, n - i) * math.comb(i + k, 2 * k)
+        for i in range(n + 1)
+    )
 
 
 def a092276_entry(n: int, k: int) -> Fraction:
@@ -162,9 +153,7 @@ def family_parameter(name: str, param: str) -> Fraction:
         return Fraction(param)
     except (ValueError, ZeroDivisionError) as err:  # Fraction("1/0") says only "Fraction(1, 0)"
         why = "its denominator is zero" if isinstance(err, ZeroDivisionError) else err
-        raise UnknownFamilyError(
-            f"bad parameter {param!r} for family '{name}': {why}"
-        ) from err
+        raise UnknownFamilyError(f"bad parameter {shown(param, repr)} for family '{name}': {why}") from err
 
 
 def family_element(spec: str, order: int) -> RiordanElement:
@@ -172,9 +161,7 @@ def family_element(spec: str, order: int) -> RiordanElement:
     name, colon, param = spec.partition(":")
     key = f"{name}:r" if f"{name}:r" in _FAMILIES else name
     if key not in _FAMILIES:
-        raise UnknownFamilyError(
-            f"unknown family {spec!r}; valid names: {', '.join(FAMILY_NAMES)}"
-        )
+        raise UnknownFamilyError(f"unknown family {shown(spec, repr)}; valid names: {', '.join(FAMILY_NAMES)}")
     # a parameter for exactly the NAME:r families; to the others a bare ':' is one
     given = param if key != name else colon
     if (key != name) != bool(given):

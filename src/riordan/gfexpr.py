@@ -37,7 +37,7 @@ import operator
 import re
 from fractions import Fraction
 
-from .errors import ExpressionEvalError, ExpressionSyntaxError, Record, RiordanError
+from .errors import ExpressionEvalError, ExpressionSyntaxError, Record, RiordanError, shown
 from .series import _MAX_ORDER, TruncatedSeries, _checked_power, _read_integer, catalan_gf
 
 
@@ -207,7 +207,7 @@ class _Parser:
                 arg = self._expr()
                 self._expect(")", "')'")
                 return Call(tok.text, arg, pos=tok.pos)
-            raise ExpressionSyntaxError(f"unknown identifier '{tok.text}'", tok.pos)
+            raise ExpressionSyntaxError(f"unknown identifier {shown(tok.text, repr)}", tok.pos)
         if tok.kind == "(":
             self._advance()
             node = self._expr()

@@ -32,6 +32,7 @@ file is neither hashed nor given a sidecar.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import io
 import json
 import os
@@ -86,9 +87,9 @@ class OeisIndex:
     def __init__(self, entries: Mapping[str, Sequence[int]]):
         for key, seq in entries.items():  # each key must read back as a record line's first field
             if not isinstance(key, str) or key.split() != [key] or key.startswith("#"):
-                raise ValueError(f"{key!r} cannot be the A-number of a record line")
+                raise ValueError(f"{shown(key, repr)} cannot be the A-number of a record line")
             if bad := [v for v in seq if not isinstance(v, int)]:
-                raise TypeError(f"record terms are int, got {shown(bad[0], repr)} in {key}")
+                raise TypeError(f"record terms are int, got {shown(bad[0], repr)} in {shown(key)}")
         self._text = ["".join(f"{key} {_text(seq)}\n" for key, seq in entries.items())]
         self._skipped = 0
 
@@ -177,10 +178,6 @@ def triangle_query(m: TriMatrix) -> tuple[int, ...]:
     return tuple(v.numerator for v in entries)
 
 
-def _unreadable(path: str | Path, err: OSError) -> OeisFormatError:
-    return OeisFormatError(f"cannot read OEIS dump {path}: {err}")
-
-
 def load_stripped(path: str | Path) -> OeisIndex:
     """Read a stripped dump into an index; malformed lines are skipped and
     counted in ``skipped_lines``.  An unreadable file, or one with no
@@ -221,8 +218,8 @@ def _read(path: str | Path, key: str) -> OeisIndex:
             if sha and ordered:  # strictly increasing, so no A-number repeats
                 doc = {"version": 1, "size": raw.tell(), "sha256": sha.hexdigest(), "skipped": hits.skipped_lines}
                 _store(side, doc)
-    except OSError as err:
-        raise _unreadable(path, err) from err
+    except OSError as err:  # the OSError text names the path too
+        raise OeisFormatError(f"cannot read OEIS dump {shown(path)}: {shown(err)}") from err
     return hits
 
 
@@ -255,7 +252,7 @@ def _index(raw: io.RawIOBase, path: str | Path, key: str, sha=None, known: dict 
                 skipped += 1
         text.append("".join(kept))
     if not (known or last):
-        raise OeisFormatError(f"no parseable records in OEIS dump {path}")
+        raise OeisFormatError(f"no parseable records in OEIS dump {shown(path)}")
     if not ordered:  # a later record of an A-number replaces an earlier one
         records = dict(line.partition(" ")[::2] for line in "".join(text).splitlines())
         text = ["".join(f"{anumber} {record}\n" for anumber, record in records.items() if record)]
@@ -332,7 +329,5 @@ def _store(side: str, doc: dict) -> None:
             out.write(json.dumps(doc))
         os.replace(tmp, side)
     except OSError:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass

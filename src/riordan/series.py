@@ -27,6 +27,7 @@ import sys
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import partialmethod
+from itertools import accumulate
 from operator import add, mul, sub
 
 from .errors import (
@@ -60,7 +61,7 @@ def _read_integer(text: str, place: str) -> int:
     integer raises RiordanError naming ``place`` and the limit, not the digits."""
     digits = text[1:] if text[:1] in "+-" else text
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{text!r} is not an integer")
+        raise ValueError(f"{shown(text, repr)} is not an integer")
     limit = min(_MAX_LITERAL_DIGITS, sys.get_int_max_str_digits() or _MAX_LITERAL_DIGITS)
     if len(digits) > limit:
         raise RiordanError(f"{place} has more than {limit} digits")
@@ -475,11 +476,11 @@ class TruncatedSeries(Record):
 
 
 def catalan_gf(order: int) -> TruncatedSeries:
-    """Generating function of the Catalan numbers, (1 - sqrt(1-4x)) / (2x).
+    """Generating function of the Catalan numbers, (1 - sqrt(1-4x)) / (2x),
+    from C_0 = 1 and C_(k+1) = C_k * 2(2k+1)/(k+2).
 
     Satisfies c = 1 + x*c^2 exactly up to the truncation order.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    root = TruncatedSeries([1, -4], order + 1).sqrt()
-    return (1 - root).shift_down(1) / 2
+    return TruncatedSeries(accumulate(range(order), lambda c, k: c * (4 * k + 2) // (k + 2), initial=1))

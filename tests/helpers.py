@@ -364,6 +364,29 @@ def catalan_number(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
+def catalan_by_sqrt(order: int) -> TruncatedSeries:
+    """(1 - sqrt(1-4x)) / (2x) through the kernel's square root, shift and
+    halving: a reference for ``catalan_gf``, which reads each term off the
+    last."""
+    root = TruncatedSeries([1, -4], order + 1).sqrt()
+    return (1 - root).shift_down(1) / 2
+
+
+def moment_by_square(r: Fraction, order: int) -> RiordanElement:
+    """(c(rx)^2, x c(rx)^2), with c(rx) scaled term by term and squared by the
+    kernel: a reference for ``moment_element``."""
+    crx = TruncatedSeries([c * r**k for k, c in enumerate(catalan_by_sqrt(order).coefficients)])
+    g = crx * crx
+    return RiordanElement(g, g.shift_up(1).truncate(order))
+
+
+def a085478_by_powers(order: int) -> RiordanElement:
+    """(1/(1-x), x/(1-x)^2) through the kernel's negative powers: a reference
+    for ``a085478_element``."""
+    base = TruncatedSeries([1, -1], order)
+    return RiordanElement(base**-1, (base**-2).shift_up(1).truncate(order))
+
+
 def general_binomial(alpha: Fraction, n: int) -> Fraction:
     """binomial(alpha, n) for rational alpha, by the product formula."""
     out = Fraction(1)

@@ -19,6 +19,7 @@ from riordan import (
 )
 from riordan.arrays import ExactMatrix
 from riordan.cli import main
+from riordan.errors import SHOWN_WIDTH, shown
 
 
 def run(capsys, *argv):
@@ -1066,6 +1067,60 @@ class TestIntegerOptions:
         assert (code, out) == (2, "")
         assert err.endswith(f"error: {refusal.format(width)}\n")
         assert "0" * 20 not in err
+
+
+class TestLongInput:
+    """An error line shows what a user typed through ``errors.shown``: a text
+    of more than ``SHOWN_WIDTH`` characters is cut there and followed by its
+    length, so a 5000-character value, option, command or path prints a short
+    line that still names its option or place."""
+
+    NINES, LETTERS = "9" * 5000 + "x", "a" * 5000
+    DUMP = ("identify", "--values", "1,1,2,5,14,42", "--oeis", "/" + LETTERS)
+    # the command, its exit code, and what its error line names
+    SITES = {
+        "verify --n": (("verify", "--family", "catalan", "--n", NINES, "--size", "3"), 2, "bad --n value '999"),
+        "show --size": (("show", "--family", "catalan", "--size", NINES), 2, "argument --size: invalid int"),
+        "prod --n": (("prod", "--family", "catalan", "--n", NINES), 2, "argument --n: invalid int"),
+        "family --iterate": (("family", "catalan", "--iterate", NINES), 2, "argument --iterate: invalid int"),
+        "verify --n range": (
+            ("verify", "--family", "catalan", "--n", "5.." + "9" * 4000), 2, "bad --n range '5..999",
+        ),
+        "family parameter": (("family", "binomial:1e" + "9" * 5000), 2, "bad parameter '1e999"),
+        "family name": (("family", LETTERS), 2, "unknown family 'aaa"),
+        "identifier": (("show", "--g", LETTERS, "--f", "x"), 2, "unknown identifier 'aaa"),
+        "--values": (
+            ("identify", "--values", "1,2,3,4,5," + NINES, "--oeis", "/dev/null"), 2, "bad --values: '999",
+        ),
+        "command": ((LETTERS,), 2, "argument command: invalid choice: 'aaa"),
+        "option": (("show", "--family", "catalan", "--" + LETTERS), 2, "unrecognized arguments: --aaa"),
+        "argument": (("show", "--family", "catalan", "extra" + LETTERS), 2, "unrecognized arguments: extraaaa"),
+        "dump read error": (DUMP, 2, "cannot read OEIS dump /aaa"),
+        "skipped lines": (DUMP, 0, "warning: skipped 1 malformed line(s) in /aaa"),
+    }
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_error_line_is_cut(self, capsys, monkeypatch, site):
+        argv, want, place = self.SITES[site]
+        if site == "skipped lines":  # no file system opens a 5000-character path
+            monkeypatch.setattr("riordan.oeis.scan_stripped", lambda path, values: ([], 1))
+        try:
+            code = main(list(argv))
+        except SystemExit as exited:  # argparse's own refusals
+            code = exited.code
+        out, err = capsys.readouterr()
+        assert code == want and out == ("no matches\n" if want == 0 else "")
+        assert len(err.encode()) <= 512 and place in err
+        assert "characters)" in err
+        assert "a" * (SHOWN_WIDTH + 1) not in err and "9" * (SHOWN_WIDTH + 1) not in err
+
+    def test_shown_cuts_past_the_width(self):
+        text = "7" * SHOWN_WIDTH
+        assert (shown(text), shown(text, repr), shown(int(text))) == (text, repr(text), text)
+        assert shown(text + "x") == f"{text}... ({SHOWN_WIDTH + 1} characters)"
+        assert shown(text + "x", repr) == f"{text!r}... ({SHOWN_WIDTH + 1} characters)"
+        assert shown(10**SHOWN_WIDTH) == f"1{'0' * (SHOWN_WIDTH - 1)}... ({SHOWN_WIDTH + 1} characters)"
+        assert shown(10**5000) == f"<a number of more than {sys.get_int_max_str_digits()} digits>"
 
 
 class TestTextJsonParity:

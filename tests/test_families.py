@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import reference_data as ref
-from helpers import matrix_product, orthogonal_polys
+from helpers import a085478_by_powers, catalan_by_sqrt, matrix_product, moment_by_square, orthogonal_polys
 from riordan import (
     FAMILY_NAMES,
     CoefficientSizeError,
@@ -127,6 +127,40 @@ class TestMomentArrays:
         monkeypatch.setattr(series, "_powers", lambda *args: calls.append(args))
         moment_element(F(2, 3), 30)
         assert calls == []
+
+
+class TestBuildersAgainstSeries:
+    """Each builder reads its coefficients off a recurrence or a formula; the
+    series construction it replaced (``helpers``) is the reference, at
+    orders 0-60 (an element needs order 1 for its f'(0))."""
+
+    ORDERS = range(61)
+
+    @staticmethod
+    def terms(e):
+        return e.g.coefficients, e.f.coefficients
+
+    def test_catalan_gf(self):
+        for order in self.ORDERS:
+            assert catalan_gf(order).coefficients == catalan_by_sqrt(order).coefficients
+
+    @pytest.mark.parametrize("r", [F(0), F(1), F(-3), F(1, 2), F(2, 3), F(10**50)])
+    def test_moment_element(self, r):
+        for order in self.ORDERS[1:]:
+            assert self.terms(moment_element(r, order)) == self.terms(moment_by_square(r, order))
+
+    def test_a085478_element(self):
+        for order in self.ORDERS[1:]:
+            assert self.terms(a085478_element(order)) == self.terms(a085478_by_powers(order))
+
+    def test_moment_budget_is_read_on_g(self):
+        # g_1 = C_2 r = 2r is inside the budget where c(rx)'s term r = 1/2^B
+        # is one bit past it; only g's coefficients are checked
+        bits = series._MAX_COEFFICIENT_BITS
+        e = moment_element(F(1, 2**bits), 1)
+        assert e.g.coefficients == (1, F(1, 2 ** (bits - 1)))
+        with pytest.raises(CoefficientSizeError):
+            moment_element(F(1, 2 ** (bits + 1)), 1)
 
 
 def moment_rows(r, size):
