@@ -3,8 +3,10 @@
 An element is a pair (g, f) of truncated series with g(0) != 0, f(0) = 0 and
 f'(0) != 0.  Its matrix has entry (n, k) equal to the coefficient of x^n in
 g * f^k, which makes the matrix lower triangular and invertible.  Group
-multiplication is (g, f) * (u, v) = (g * u(f), v(f)); the inverse element is
-(1 / g(rev f), rev f) with rev f the compositional inverse of f.
+multiplication is (g, f) * (u, v) = (g * u(f), v(f)); the inverse element,
+(1 / g(rev f), rev f) with rev f the compositional inverse of f, is
+((1 - x*Z/A)/g(0), x/A) in the A- and Z-series of the element's production
+matrix, which the element solves for once and keeps.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import InvalidElementError, PrecisionError, Record, ShapeError, shown
-from .series import _ZERO, TruncatedSeries, _compose_lists, _forward, _powers, _ratio, as_fraction, lift
+from .series import _ZERO, Rational, TruncatedSeries, _compose_lists, _forward, _powers, _ratio, as_fraction, lift
 
 Rows = tuple[tuple[Fraction, ...], ...]
 
@@ -136,6 +138,24 @@ class TriMatrix(ExactMatrix):
         return TriMatrix(_forward(rows, [([int(i == j) for i in range(n)], 1) for j in range(n)]))
 
 
+def _block(e: "RiordanElement", n: int, size: int, cols: int) -> list[tuple[Fraction, ...]]:
+    # columns 0..cols-1 of M^-1 (M without its top n rows) to ``size`` rows
+    # (derivation step 1), solved on M's integer rows, whose rows n.. are the
+    # right-hand sides, zero above the diagonal; builds only the columns read
+    rows = _powers(e.g.coefficients[: size + n], e.f.coefficients, max(size, cols))
+    rhs = [([r[j] if j < len(r) else 0 for r, _ in rows[n:]], rows[0][1]) for j in range(cols)]
+    return _forward(rows[:size], rhs)
+
+
+def _inverse_pair(a: TruncatedSeries, z: TruncatedSeries, g0: Rational) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """((1 - x*Z/A)/g0, x/A), one order above the common order of ``a`` and
+    ``z``: the inverse of the element with A-series A, Z-series Z and
+    g(0) = g0 (derivation step 1)."""
+    common = min(a.order, z.order)
+    u = 1 / a.truncate(common)
+    return (1 - (z.truncate(common) * u).shift_up(1)) / g0, u.shift_up(1)
+
+
 def _require(e: "RiordanElement", needed: int, what: str, n: int = 1, size: int = 1) -> None:
     """The argument checks that ``matrix`` and the production functions
     share, in this order: n >= 1, size >= 1, then ``e`` known to order
@@ -154,10 +174,10 @@ def _require(e: "RiordanElement", needed: int, what: str, n: int = 1, size: int 
 
 class RiordanElement(Record):
     """A validated pair (g, f) representing a Riordan group element; it
-    caches its reverted f and, for ``riordan.production``, its A- and
-    Z-series (``_frev``, ``_az``)."""
+    caches the A- and Z-series of its production matrix (``_az``), from
+    which its inverse and ``riordan.production`` read."""
 
-    __slots__ = ("g", "f", "_frev", "_az")
+    __slots__ = ("g", "f", "_az")
 
     __hash__ = None  # series equality ignores surplus precision
 
@@ -210,29 +230,38 @@ class RiordanElement(Record):
 
     __mul__ = mul
 
+    # kept public: perfbench/tracer.py binds it until ROADMAP item 1b; item 9 removes it
     def reverted_f(self) -> TruncatedSeries:
-        """Compositional inverse of f (cached: elements are immutable)."""
-        if self._frev is None:
-            object.__setattr__(self, "_frev", self.f.revert())
-        return self._frev
+        """Compositional inverse of f."""
+        return self.inverse().f
 
     def inverse(self) -> "RiordanElement":
-        frev = self.reverted_f()
-        return RiordanElement(1 / self.g.compose(frev), frev)
+        """The group inverse at this order, read off the kept A- and Z-series
+        (``_inverse_pair``) with no reversion and no composition."""
+        return RiordanElement(*_inverse_pair(*self._az_series(self.order - 1), self.g.constant_term))
 
     # -- A- and Z-sequences -------------------------------------------------------
+
+    def _az_series(self, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+        """A and Z to ``order`` < self.order, columns 1 and 0 of the
+        production matrix, by one step-1 solve kept in ``_az`` (elements
+        are immutable) and solved again only for a higher order."""
+        az = self._az
+        if az is None or az[0].order < order:
+            cols = _block(self, 1, order + 1, 2)
+            az = TruncatedSeries(r[1] for r in cols), TruncatedSeries(r[0] for r in cols)
+            object.__setattr__(self, "_az", az)
+        return az[0].truncate(order), az[1].truncate(order)
 
     @classmethod
     def from_az(
         cls, a: TruncatedSeries, z: TruncatedSeries
     ) -> "RiordanElement":
-        """Rebuild the element whose production matrix has A-column ``a``
-        and Z-column ``z``: (1/(1 - x*Z(F)), F) with F = rev(x/A), the
-        solution of F = x*A(F); the result has order min(a.order, z.order) + 1."""
+        """Rebuild the element with g(0) = 1 whose production matrix has
+        A-column ``a`` and Z-column ``z``: the inverse of (1 - x*Z/A, x/A)
+        (``_inverse_pair``); the result has order min(a.order, z.order) + 1."""
         if not a.constant_term:
             raise InvalidElementError(
                 "invalid A-sequence: constant term must be nonzero"
             )
-        common = min(a.order, z.order)
-        f = (1 / a.truncate(common)).shift_up(1).revert()
-        return cls(1 / (1 - z.truncate(common).compose(f).shift_up(1)), f)
+        return cls(*_inverse_pair(a, z, 1)).inverse()

@@ -23,9 +23,10 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterator, Sequence
+from functools import partial
 
 from .arrays import RiordanElement, rows_to_strings
-from .errors import RiordanError, shown
+from .errors import SHOWN_WIDTH, RiordanError, shown
 from .families import FAMILY_NAMES, family_element, iterate_second_production
 from .production import nth_production_matrix, production_matrix, verify_nth_conjecture
 from .series import _MAX_ORDER as MAX_ORDER  # the highest order a command may ask for
@@ -53,10 +54,26 @@ _integer.__name__ = "int"  # argparse refuses an option as an "invalid int value
 
 
 class _Parser(argparse.ArgumentParser):
-    """Its error line goes through ``shown``: argparse quotes a typed text whole."""
+    """Its error line cuts each typed text in it through ``shown``: argparse
+    quotes a typed text, or its value part (--opt=VALUE, -hVALUE), whole.
+    The parsers of one command line share ``typed``, the texts last parsed."""
+
+    def __init__(self, *args, typed: list[str] | None = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.typed = [] if typed is None else typed
+
+    def add_subparsers(self, **kwargs):
+        return super().add_subparsers(parser_class=partial(_Parser, typed=self.typed), **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.typed[:] = sys.argv[1:] if args is None else args
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
-        super().error(shown(message))
+        parts = {p for t in self.typed for p in (t, t.partition("=")[2], t[2:]) if len(p) > SHOWN_WIDTH}
+        for part in sorted(parts, key=len, reverse=True):  # a text before any text inside it
+            message = message.replace(repr(part), shown(part, repr)).replace(part, shown(part))
+        super().error(message)
 
 
 def _headroom(size: int, iterate: int | None = None) -> int:
@@ -183,8 +200,8 @@ def _cmd_identify(args: argparse.Namespace) -> int:
 
 
 def _chain_inverses(chain: Sequence[RiordanElement]) -> Iterator[RiordanElement]:
-    """The inverse of each stage of ``iterate_second_production``, from one
-    reversion: Pi_2(s)^-1 = s^-1 * (x/f, x^2/f), which is (G*u, F*u) for
+    """The inverse of each stage of ``iterate_second_production``, from the
+    first's: Pi_2(s)^-1 = s^-1 * (x/f, x^2/f), which is (G*u, F*u) for
     s^-1 = (G, F) and u = F/x, since f(F) = x (the Riordan group law)."""
     inv = chain[0].inverse()
     yield inv
@@ -199,14 +216,15 @@ def _cmd_family(args: argparse.Namespace) -> int:
     if steps < 0:
         raise RiordanError("--iterate must be non-negative")
     element = family_element(args.name, _headroom(args.size, steps))
-    p = production_matrix(element, args.size)
-    polys = p.orthogonal_rows(element.g.constant_term)  # None unless p is a Jacobi matrix
-    matrix = element.matrix(args.size)
     chain = iterate_second_production(element, steps) if args.iterate is not None else []
     stages = [  # zip reads chain first, so an empty one starts no inversion
         {"g": stage.g, "f": stage.f, "inverse_g": inv.g, "inverse_f": inv.f}
         for stage, inv in zip(chain, _chain_inverses(chain))
     ]
+    # after the first inverse, whose A/Z solve at the element's order serves p too
+    p = production_matrix(element, args.size)
+    polys = p.orthogonal_rows(element.g.constant_term)  # None unless p is a Jacobi matrix
+    matrix = element.matrix(args.size)
 
     def doc() -> dict:
         out = {

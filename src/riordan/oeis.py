@@ -218,8 +218,9 @@ def _read(path: str | Path, key: str) -> OeisIndex:
             if sha and ordered:  # strictly increasing, so no A-number repeats
                 doc = {"version": 1, "size": raw.tell(), "sha256": sha.hexdigest(), "skipped": hits.skipped_lines}
                 _store(side, doc)
-    except OSError as err:  # the OSError text names the path too
-        raise OeisFormatError(f"cannot read OEIS dump {shown(path)}: {shown(err)}") from err
+    except OSError as err:  # str(err) names the path again; strerror does not
+        reason = err.strerror or shown(err)
+        raise OeisFormatError(f"cannot read OEIS dump {shown(path)}: {reason}") from err
     return hits
 
 

@@ -15,12 +15,11 @@ verifier comparing the two.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
-from .arrays import _ONE, ExactMatrix, RiordanElement, Rows, TriMatrix, _require
+from .arrays import _ONE, ExactMatrix, RiordanElement, Rows, TriMatrix, _block, _inverse_pair, _require
 from .errors import PrecisionError, Record
-from .series import Rational, TruncatedSeries, _forward, _powers, _ratio, as_fraction, lift
+from .series import Rational, TruncatedSeries, _powers, _ratio, as_fraction, lift
 
 
 class ProductionMatrix(ExactMatrix):
@@ -43,15 +42,15 @@ class ProductionMatrix(ExactMatrix):
         polynomial of M's column 0, ascending in x, and
         x p_k = P[k,k+1] p_(k+1) + P[k,k] p_k + P[k,k-1] p_(k-1) (Favard).
 
-        M^-1 = (1/g(fbar), fbar) is the matrix of ((1 - x*Z/A)/g0, x/A), since
-        fbar = x/A and x*Z(f) = 1 - g0/g, with A and Z columns 1 and 0."""
+        M^-1 is the matrix of the inverse element, read off columns 1 and 0,
+        A and Z, by ``arrays._inverse_pair``."""
         rows, size = self.rows, self.size
         below = (c for i in range(2, size) for c in rows[i][: i - 1])
         if any(below) or not all(rows[k][k - 1] for k in range(1, size)):
             return None
-        u = 1 / TruncatedSeries(self.column(1) if size > 1 else [1])  # no A at size 1
-        g = (1 - (TruncatedSeries(self.column(0)) * u).shift_up(1)).truncate(size - 1)
-        chain = _powers((g / as_fraction(g0)).coefficients, u.shift_up(1).coefficients, size)
+        a = TruncatedSeries(self.column(1) if size > 1 else [1])  # no A at size 1
+        g, f = _inverse_pair(a, TruncatedSeries(self.column(0)), as_fraction(g0))
+        chain = _powers(g.coefficients[:size], f.coefficients, size)
         return tuple(tuple(_ratio(v, d) for v in r) for r, d in chain)
 
 
@@ -59,25 +58,10 @@ class ProductionMatrix(ExactMatrix):
 # extraction
 # ---------------------------------------------------------------------------
 
-def _block(e: RiordanElement, n: int, size: int, cols: int) -> list[tuple[Fraction, ...]]:
-    # columns 0..cols-1 of M^-1 (M without its top n rows) to ``size`` rows
-    # (derivation step 1), solved on M's integer rows, whose rows n.. are the
-    # right-hand sides, zero above the diagonal; builds only the columns read
-    rows = _powers(e.g.coefficients[: size + n], e.f.coefficients, max(size, cols))
-    rhs = [([r[j] if j < len(r) else 0 for r, _ in rows[n:]], rows[0][1]) for j in range(cols)]
-    return _forward(rows[:size], rhs)
-
-
 def _nth_az(e: RiordanElement, n: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     # A_n to ``order`` and Z_n to order - 1 (to ``order`` for n = 1), from P_1's
-    # columns 1 and 0, A and Z; kept on the element (elements are immutable)
-    # and solved again only for a higher order
-    az = e._az
-    if az is None or az[0].order < order:
-        cols = _block(e, 1, order + 1, 2)
-        az = TruncatedSeries(r[1] for r in cols), TruncatedSeries(r[0] for r in cols)
-        object.__setattr__(e, "_az", az)
-    a, z = (s.truncate(order) for s in az)
+    # columns 1 and 0, A and Z, which the element solves once and keeps
+    a, z = e._az_series(order)
     if n == 1:
         return a, z
     # P_n = P_1 T(B) with B = A^(n-1) (derivation step 3)

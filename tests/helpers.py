@@ -149,6 +149,24 @@ def matrix_product(a, b):
     return TriMatrix(mat_mul_rows(a.rows, b.rows))
 
 
+def inverse_by_reversion(e):
+    """The group inverse (1/g(rev f), rev f) by reverting f and composing g
+    with the result, at e.order: the library's former route, an oracle for
+    ``RiordanElement.inverse``, which reads it off the A/Z solve."""
+    frev = e.f.revert()
+    return RiordanElement(1 / e.g.compose(frev), frev)
+
+
+def from_az_by_reversion(a, z):
+    """The element with A-sequence ``a``, Z-sequence ``z`` and g(0) = 1 as
+    (1/(1 - x*Z(F)), F) with F = rev(x/A), the solution of F = x*A(F), at
+    min(a.order, z.order) + 1: the library's former route, an oracle for
+    ``RiordanElement.from_az``."""
+    common = min(a.order, z.order)
+    f = (1 / a.truncate(common)).shift_up(1).revert()
+    return RiordanElement(1 / (1 - z.truncate(common).compose(f).shift_up(1)), f)
+
+
 def production_by_series(e, n, size):
     """The n-th production matrix of ``e`` by column generating functions,
     an oracle for the library's matrix route that never inverts a matrix.
@@ -156,7 +174,7 @@ def production_by_series(e, n, size):
     Column j has generating function (1/g(rev f)) * h_j(rev f), where h_j is
     g f^(j+n-1) with its terms below degree n dropped, divided by x^n.
     """
-    inv = e.inverse()
+    inv = inverse_by_reversion(e)
     rows = [[Fraction(0)] * size for _ in range(size)]
     gfk = e.g * e.f ** (n - 1)
     for j in range(size):
@@ -261,12 +279,12 @@ def closed_form_by_group(e, n):
     left factor built as an element, inverted, and multiplied by ``e``; ``e``
     itself for n = 1.  An oracle for the library's closed form, whose
     group product it shares (``RiordanElement.mul``) but whose inverse it
-    takes through ``RiordanElement.inverse``."""
+    takes by ``inverse_by_reversion``."""
     if n == 1:
         return e
     p = (1 / e.f.shift_down(1)) ** (n - 1)
     left = RiordanElement(p, p.shift_up(1).truncate(p.order))
-    return left.inverse().mul(e.truncate(p.order))
+    return inverse_by_reversion(left).mul(e.truncate(p.order))
 
 
 def closed_form_by_lagrange(e, n, size):
@@ -354,10 +372,11 @@ def hankel_determinant(values, m):
 
 def from_az_by_inverse(a, z):
     """The element with A-sequence ``a`` and Z-sequence ``z`` as the group
-    inverse of (1 - x*Z/A, x/A), an oracle for ``RiordanElement.from_az``."""
+    inverse of (1 - x*Z/A, x/A), taken by ``inverse_by_reversion``, an oracle
+    for ``RiordanElement.from_az``."""
     common = min(a.order, z.order)
     a, z = a.truncate(common), z.truncate(common)
-    return RiordanElement(1 - (z / a).shift_up(1), (1 / a).shift_up(1)).inverse()
+    return inverse_by_reversion(RiordanElement(1 - (z / a).shift_up(1), (1 / a).shift_up(1)))
 
 
 def catalan_number(n: int) -> int:

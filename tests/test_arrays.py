@@ -9,7 +9,9 @@ from helpers import (
     element_battery,
     frac_rows,
     from_az_by_inverse,
+    from_az_by_reversion,
     gf_entry,
+    inverse_by_reversion,
     lower_inverse_rows,
     mat_mul_rows,
     matrix_product,
@@ -154,6 +156,51 @@ class TestGroupOps:
     def test_matrix_inverse_matches_group_inverse(self, battery):
         for e in battery[:10]:
             assert e.inverse().matrix(9) == e.matrix(9).inverse()
+
+
+def coefficients(e):
+    """An element's exact value: series == ignores surplus order."""
+    return e.g.coefficients, e.f.coefficients
+
+
+class TestInverseAgainstReversion:
+    """``inverse`` and ``from_az`` read ((1 - x*Z/A)/g(0), x/A) off the A/Z
+    solve; the oracles revert f (or x/A) and compose, at orders 1-30."""
+
+    # the first twelve of each test battery, as polynomials known to order 31
+    BATTERIES = {
+        "normalized": element_battery(count=12, order=31, seed=20260809),
+        "non_normalized": non_normalized_battery(count=12, order=31, seed=20261017),
+    }
+    ORDERS = range(1, 31)
+
+    @pytest.mark.parametrize("kind", BATTERIES)
+    def test_inverse_matches_reversion(self, kind):
+        for e in self.BATTERIES[kind]:
+            for order in self.ORDERS:
+                low = e.truncate(order)
+                assert coefficients(low.inverse()) == coefficients(inverse_by_reversion(low)), (e, order)
+
+    @pytest.mark.parametrize("kind", BATTERIES)
+    def test_inverse_times_element_is_the_identity(self, kind):
+        for e in self.BATTERIES[kind]:
+            for order in (1, 2, 7, 30):
+                low = e.truncate(order)
+                identity = coefficients(RiordanElement.identity(order))
+                assert coefficients(low.inverse() * low) == identity, (e, order)
+                assert coefficients(low * low.inverse()) == identity, (e, order)
+
+    @pytest.mark.parametrize("kind", BATTERIES)
+    def test_from_az_matches_reversion(self, kind):
+        # A at order 30 and Z at 29, cut to each common order 0..29
+        for e in self.BATTERIES[kind]:
+            for n in (1, 2):
+                a, z = nth_az(e, n)
+                for order in self.ORDERS:
+                    low_a, low_z = a.truncate(order - 1), z.truncate(order - 1)
+                    got = RiordanElement.from_az(low_a, low_z)
+                    assert got.order == order, (e, n, order)
+                    assert coefficients(got) == coefficients(from_az_by_reversion(low_a, low_z)), (e, n, order)
 
 
 class TestFtra:

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import random
@@ -528,6 +529,12 @@ class TestIdentify:
         assert code == 2
         assert "OEIS_STRIPPED_PATH" in err
 
+    def test_unreadable_dump_names_its_path_once(self, capsys, tmp_path):
+        path = tmp_path / "absent.txt"
+        code, out, err = run(capsys, "identify", "--values", "1,1,2,5,14,42", "--oeis", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read OEIS dump {path}: {os.strerror(errno.ENOENT)}\n"
+
     def test_short_query_exits_2(self, capsys, oeis_fixture_path):
         code, _, _ = run(
             capsys, "identify", "--values", "1,1", "--oeis", str(oeis_fixture_path)
@@ -687,12 +694,13 @@ class TestFamily:
         code, _, err = run(capsys, "family", "moment:1/2", "--size", "8", "--iterate", "5")
         assert (code, err, calls) == (0, "", 1)
 
-    @pytest.mark.parametrize("iterate, reversions", [(None, 0), (0, 1), (3, 4)])
-    def test_iterate_reverts_once_per_closed_form_and_once_for_inverses(
+    @pytest.mark.parametrize("iterate, reversions", [(None, 0), (0, 0), (3, 3)])
+    def test_iterate_reverts_once_per_closed_form(
         self, capsys, monkeypatch, iterate, reversions
     ):
         # each stage past the first comes from a closed form, which reverts
-        # once; every inverse comes from the first stage's one reversion
+        # once; the inverses come from the first stage's A/Z solve, which
+        # reverts nothing
         calls = 0
         revert = TruncatedSeries.revert
 
@@ -705,6 +713,25 @@ class TestFamily:
         steps = () if iterate is None else ("--iterate", str(iterate))
         code, _, err = run(capsys, "family", "moment:1/2", *steps)
         assert (code, err, calls) == (0, "", reversions)
+
+    @pytest.mark.parametrize("name", ["catalan", "moment:1/2", "binomial:3"])
+    @pytest.mark.parametrize("iterate", [None, 0, 1, 4])
+    def test_family_runs_one_az_solve(self, capsys, monkeypatch, name, iterate):
+        # the first inverse solves for A and Z at the element's order, and
+        # the production matrix reads the same solve
+        calls = 0
+        block = arrays._block
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return block(*args)
+
+        monkeypatch.setattr(arrays, "_block", counted)
+        monkeypatch.setattr(production, "_block", counted)
+        steps = () if iterate is None else ("--iterate", str(iterate))
+        code, _, err = run(capsys, "family", name, "--size", "6", *steps)
+        assert (code, err, calls) == (0, "", 1)
 
     def test_family_parses_its_parameter_once(self, capsys, monkeypatch):
         parse = families.family_parameter
@@ -1095,8 +1122,18 @@ class TestLongInput:
         "command": ((LETTERS,), 2, "argument command: invalid choice: 'aaa"),
         "option": (("show", "--family", "catalan", "--" + LETTERS), 2, "unrecognized arguments: --aaa"),
         "argument": (("show", "--family", "catalan", "extra" + LETTERS), 2, "unrecognized arguments: extraaaa"),
+        "option value": (("show", "--json=" + LETTERS), 2, "argument --json: ignored explicit argument 'aaa"),
+        "short option value": (("show", "-h" + LETTERS), 2, "riordan show: error: "),
         "dump read error": (DUMP, 2, "cannot read OEIS dump /aaa"),
         "skipped lines": (DUMP, 0, "warning: skipped 1 malformed line(s) in /aaa"),
+    }
+    # sites whose line shows one whole typed text, cut once and counted whole,
+    # with what argparse says after it
+    CUT_ONCE = {
+        "command": "... (5000 characters) (choose from ",
+        "argument": "... (5005 characters)",
+        "option value": "... (5000 characters)",
+        "dump read error": "... (5001 characters): ",
     }
 
     @pytest.mark.parametrize("site", SITES)
@@ -1113,6 +1150,8 @@ class TestLongInput:
         assert len(err.encode()) <= 512 and place in err
         assert "characters)" in err
         assert "a" * (SHOWN_WIDTH + 1) not in err and "9" * (SHOWN_WIDTH + 1) not in err
+        if site in self.CUT_ONCE:
+            assert err.count("characters)") == err.count(self.CUT_ONCE[site]) == 1, err
 
     def test_shown_cuts_past_the_width(self):
         text = "7" * SHOWN_WIDTH

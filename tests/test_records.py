@@ -250,17 +250,17 @@ class TestSeriesAndElement:
 
     def test_caches_read_none_until_filled_and_change_no_value(self):
         assert RiordanElement._fields == ("g", "f")
-        assert RiordanElement._caches == ("_frev", "_az")
+        assert RiordanElement._caches == ("_az",)
         element, fresh = catalan_array(6), catalan_array(6)
-        assert element._frev is None and element._az is None
-        reverted = element.reverted_f()
-        nth_az(element, 1)
-        assert element._frev is reverted and element.reverted_f() is reverted
-        assert element._az is not None
+        assert element._az is None
+        element.inverse()
+        az = element._az
+        nth_az(element, 1)  # at the order the inverse solved for
+        assert az is not None and element._az is az
         assert element == fresh and repr(element) == repr(fresh)
         assert pickle.dumps(element) == pickle.dumps(fresh)
         for copied in (pickle.loads(pickle.dumps(element)), copy.deepcopy(element)):
-            assert copied._frev is None and copied._az is None
+            assert copied._az is None
 
 
 class TestToken:
