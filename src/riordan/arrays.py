@@ -55,7 +55,7 @@ def rows_to_strings(rows: Sequence[Sequence[Fraction]]) -> list[list[str]]:
     return [[str(c) for c in row] for row in rows]
 
 
-# kept public: perfbench/tracer.py binds it until ROADMAP item 1b; item 9 removes it
+# kept public: perfbench/tracer.py binds it until the benchmark change of ROADMAP item 9 drops that
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Rows:
     """Dense product of two row-major rational matrices, lifting each row and
     each column once (``series.lift``)."""
@@ -129,7 +129,7 @@ class TriMatrix(ExactMatrix):
 
     __slots__ = ()
 
-    # kept public: perfbench/tracer.py binds it until ROADMAP item 1b; item 9 removes it
+    # kept public: perfbench/tracer.py binds it until the benchmark change of ROADMAP item 9 drops that
     def inverse(self) -> "TriMatrix":
         """Exact inverse: one forward substitution (``series._forward``)
         against the identity's columns."""
@@ -230,7 +230,7 @@ class RiordanElement(Record):
 
     __mul__ = mul
 
-    # kept public: perfbench/tracer.py binds it until ROADMAP item 1b; item 9 removes it
+    # kept public: perfbench/tracer.py binds it until the benchmark change of ROADMAP item 9 drops that
     def reverted_f(self) -> TruncatedSeries:
         """Compositional inverse of f."""
         return self.inverse().f

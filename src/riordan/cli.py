@@ -76,17 +76,13 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
-def _headroom(size: int, iterate: int | None = None) -> int:
-    """The order to evaluate an element at; ``iterate`` is family's --iterate
-    count, 0 when not given, and None for every other command."""
-    order = size + (iterate or 0) + 2
-    if order > MAX_ORDER:
-        options = "--size" if iterate is None else "--size or --iterate"
-        raise RiordanError(
-            f"this needs truncation order {order}, above the limit of "
-            f"{MAX_ORDER}; lower {options}"
-        )
-    return order
+def _headroom(size: int, iterate: int = 0) -> int:
+    """The order to evaluate an element at: size + 2, plus family's --iterate
+    count; past ``MAX_ORDER``, the error names the options, not their sum."""
+    if size + iterate > MAX_ORDER - 2:
+        options = "--size plus --iterate" if iterate else "--size"
+        raise RiordanError(f"{options} must be at most {MAX_ORDER - 2}")
+    return size + iterate + 2
 
 
 def _resolve_element(args: argparse.Namespace) -> RiordanElement:

@@ -132,7 +132,7 @@ class OeisIndex:
                 matches.append(SequenceMatch(anumber, offset))
         return sorted(matches, key=lambda m: (m.offset, m.anumber))
 
-    # kept public: perfbench/tracer.py binds it until ROADMAP item 1b; item 9 removes it
+    # kept public: perfbench/tracer.py binds it until the benchmark change of ROADMAP item 9 drops that
     def identify_triangle(self, m: TriMatrix) -> list[SequenceMatch]:
         """Identify a triangle read by rows; see :func:`triangle_query`."""
         return self.identify_sequence(triangle_query(m))

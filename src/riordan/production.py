@@ -19,7 +19,7 @@ from operator import mul
 
 from .arrays import _ONE, ExactMatrix, RiordanElement, Rows, TriMatrix, _block, _inverse_pair, _require
 from .errors import PrecisionError, Record
-from .series import Rational, TruncatedSeries, _powers, _ratio, as_fraction, lift
+from .series import Rational, TruncatedSeries, _ratio, as_fraction, lift
 
 
 class ProductionMatrix(ExactMatrix):
@@ -42,16 +42,15 @@ class ProductionMatrix(ExactMatrix):
         polynomial of M's column 0, ascending in x, and
         x p_k = P[k,k+1] p_(k+1) + P[k,k] p_k + P[k,k-1] p_(k-1) (Favard).
 
-        M^-1 is the matrix of the inverse element, read off columns 1 and 0,
-        A and Z, by ``arrays._inverse_pair``."""
+        M^-1 is the ``matrix`` of the inverse element, read off columns 1
+        and 0, A and Z, by ``arrays._inverse_pair``."""
         rows, size = self.rows, self.size
         below = (c for i in range(2, size) for c in rows[i][: i - 1])
         if any(below) or not all(rows[k][k - 1] for k in range(1, size)):
             return None
         a = TruncatedSeries(self.column(1) if size > 1 else [1])  # no A at size 1
-        g, f = _inverse_pair(a, TruncatedSeries(self.column(0)), as_fraction(g0))
-        chain = _powers(g.coefficients[:size], f.coefficients, size)
-        return tuple(tuple(_ratio(v, d) for v in r) for r, d in chain)
+        inverse = RiordanElement(*_inverse_pair(a, TruncatedSeries(self.column(0)), as_fraction(g0)))
+        return tuple(row[: k + 1] for k, row in enumerate(inverse.matrix(size).rows))
 
 
 # ---------------------------------------------------------------------------

@@ -364,8 +364,9 @@ class TestVerify:
     @staticmethod
     def built_sizes(monkeypatch):
         # the size of every element matrix built, each by one series._powers
-        # call: in RiordanElement.matrix and in the A/Z solve; and of every
-        # exact matrix made, TriMatrix and ProductionMatrix alike
+        # call in riordan.arrays: in RiordanElement.matrix and in the A/Z
+        # solve; and of every exact matrix made, TriMatrix and
+        # ProductionMatrix alike
         built, made = [], []
         powers, init = series._powers, ExactMatrix.__init__
 
@@ -377,8 +378,7 @@ class TestVerify:
             init(matrix, rows)
             made.append(matrix.size)
 
-        for module in (arrays, production):
-            monkeypatch.setattr(module, "_powers", recording_powers)
+        monkeypatch.setattr(arrays, "_powers", recording_powers)
         monkeypatch.setattr(ExactMatrix, "__init__", recording_init)
         return built, made
 
@@ -878,23 +878,23 @@ class TestOrderCeiling:
         with pytest.raises(RiordanError):
             cli._headroom(2, 10**8)
         assert cli._headroom(cli.MAX_ORDER - 2) == cli.MAX_ORDER
-        # only family has --iterate, so only family's message names it
-        both = "--size or --iterate"
-        for argv, order, options in (
-            (("family", "catalan", "--size", "3", "--iterate", "100000000"), 100000005, both),
-            (("family", "catalan", "--size", "999"), 1001, both),
-            (("show", "--g", "1", "--f", "x", "--size", "100000000"), 100000002, "--size"),
+        # only a nonzero --iterate enters the order, so only then does the
+        # message name it
+        both = "--size plus --iterate"
+        for argv, options in (
+            (("family", "catalan", "--size", "3", "--iterate", "100000000"), both),
+            (("family", "catalan", "--size", "998", "--iterate", "1"), both),
+            (("family", "catalan", "--size", "999"), "--size"),
+            (("family", "catalan", "--size", "999", "--iterate", "0"), "--size"),
+            (("show", "--g", "1", "--f", "x", "--size", "100000000"), "--size"),
             # --n does not enter the order: size 998 is the largest for any n
-            (("prod", "--family", "catalan", "--size", "999"), 1001, "--size"),
-            (("verify", "--family", "catalan", "--size", "999", "--n", "600"), 1001, "--size"),
-            (("identify", "--family", "catalan", "--size", "999", "--oeis", "-"), 1001, "--size"),
+            (("prod", "--family", "catalan", "--size", "999"), "--size"),
+            (("verify", "--family", "catalan", "--size", "999", "--n", "600"), "--size"),
+            (("identify", "--family", "catalan", "--size", "999", "--oeis", "-"), "--size"),
         ):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "", argv
-            assert err == (
-                f"error: this needs truncation order {order}, above the limit of "
-                f"{cli.MAX_ORDER}; lower {options}\n"
-            ), argv
+            assert err == f"error: {options} must be at most {cli.MAX_ORDER - 2}\n", argv
 
     def test_n_is_not_bounded_by_the_order_ceiling(self, capsys):
         # every n >= 2 reads the element only to order size + 1
@@ -1126,7 +1126,18 @@ class TestLongInput:
         "short option value": (("show", "-h" + LETTERS), 2, "riordan show: error: "),
         "dump read error": (DUMP, 2, "cannot read OEIS dump /aaa"),
         "skipped lines": (DUMP, 0, "warning: skipped 1 malformed line(s) in /aaa"),
+        # valid integers whose truncation order is past the limit: the line
+        # names the options and prints neither them nor the order
+        "show --size order": (("show", "--family", "catalan", "--size", "9" * 4299), 2, "error: --size must be"),
+        "show --size order past the int/str limit": (
+            ("show", "--family", "catalan", "--size", "9" * 4300), 2, "error: --size must be",
+        ),
+        "family --iterate order": (
+            ("family", "catalan", "--size", "5", "--iterate", "9" * 4299), 2, "error: --size plus --iterate must be",
+        ),
     }
+    # sites that show no typed text, only the option to lower
+    PAST_ORDER_LIMIT = {"show --size order", "show --size order past the int/str limit", "family --iterate order"}
     # sites whose line shows one whole typed text, cut once and counted whole,
     # with what argparse says after it
     CUT_ONCE = {
@@ -1148,7 +1159,10 @@ class TestLongInput:
         out, err = capsys.readouterr()
         assert code == want and out == ("no matches\n" if want == 0 else "")
         assert len(err.encode()) <= 512 and place in err
-        assert "characters)" in err
+        if site in self.PAST_ORDER_LIMIT:
+            assert len(err.encode()) < 300 and err.count("\n") == 1 and "characters)" not in err
+        else:
+            assert "characters)" in err
         assert "a" * (SHOWN_WIDTH + 1) not in err and "9" * (SHOWN_WIDTH + 1) not in err
         if site in self.CUT_ONCE:
             assert err.count("characters)") == err.count(self.CUT_ONCE[site]) == 1, err

@@ -175,8 +175,9 @@ class TestProductionBlock:
             asked.append((len(g), count))
             return powers(g, b, count)
 
-        for module in (arrays, production):
-            monkeypatch.setattr(module, "_powers", recording_powers)
+        # riordan.arrays is the one module outside the kernel that builds rows
+        assert not hasattr(production, "_powers")
+        monkeypatch.setattr(arrays, "_powers", recording_powers)
         e = catalan_array(44)
         for n, size in ((1, 1), (1, 5), (2, 7), (40, 3)):
             asked.clear()
