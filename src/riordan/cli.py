@@ -22,13 +22,14 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from functools import partial
+from itertools import accumulate
 
 from .arrays import RiordanElement, rows_to_strings
 from .errors import SHOWN_WIDTH, RiordanError, shown
 from .families import FAMILY_NAMES, family_element, iterate_second_production
-from .production import nth_production_matrix, production_matrix, verify_nth_conjecture
+from .production import _second_closed_form_inverse, nth_production_matrix, production_matrix, verify_nth_conjecture
 from .series import _MAX_ORDER as MAX_ORDER  # the highest order a command may ask for
 from .series import _read_integer
 
@@ -195,29 +196,18 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _chain_inverses(chain: Sequence[RiordanElement]) -> Iterator[RiordanElement]:
-    """The inverse of each stage of ``iterate_second_production``, from the
-    first's: Pi_2(s)^-1 = s^-1 * (x/f, x^2/f), which is (G*u, F*u) for
-    s^-1 = (G, F) and u = F/x, since f(F) = x (the Riordan group law)."""
-    inv = chain[0].inverse()
-    yield inv
-    for _ in chain[1:]:
-        u = inv.f.shift_down(1)
-        inv = RiordanElement(inv.g * u, inv.f * u)
-        yield inv
-
-
 def _cmd_family(args: argparse.Namespace) -> int:
     steps = args.iterate if args.iterate is not None else 0
     if steps < 0:
         raise RiordanError("--iterate must be non-negative")
     element = family_element(args.name, _headroom(args.size, steps))
-    chain = iterate_second_production(element, steps) if args.iterate is not None else []
-    stages = [  # zip reads chain first, so an empty one starts no inversion
-        {"g": stage.g, "f": stage.f, "inverse_g": inv.g, "inverse_f": inv.f}
-        for stage, inv in zip(chain, _chain_inverses(chain))
-    ]
-    # after the first inverse, whose A/Z solve at the element's order serves p too
+    stages = []
+    if args.iterate is not None:
+        chain = iterate_second_production(element, steps)
+        # each later inverse from the one before; the first one's A/Z solve,
+        # at the element's order, serves p too
+        inverses = accumulate(chain[1:], lambda inv, _: _second_closed_form_inverse(inv), initial=element.inverse())
+        stages = [{"g": s.g, "f": s.f, "inverse_g": i.g, "inverse_f": i.f} for s, i in zip(chain, inverses)]
     p = production_matrix(element, args.size)
     polys = p.orthogonal_rows(element.g.constant_term)  # None unless p is a Jacobi matrix
     matrix = element.matrix(args.size)

@@ -156,6 +156,14 @@ def produced_matrix_closed_form(e: RiordanElement, n: int) -> RiordanElement:
     return RiordanElement(r.shift_down(1), r.truncate(e.order - 1)).mul(e.truncate(e.order - 1))
 
 
+def _second_closed_form_inverse(inverse: RiordanElement) -> RiordanElement:
+    """Pi_2(s)^-1, the inverse of ``produced_matrix_closed_form(s, 2)``, from
+    ``inverse`` = s^-1 = (G, F), with no reversion: by the group law it is
+    s^-1 * (x/f, x^2/f) = (G*u, F*u) with u = F/x, since f(F) = x."""
+    u = inverse.f.shift_down(1)
+    return RiordanElement(inverse.g * u, inverse.f * u)
+
+
 # ---------------------------------------------------------------------------
 # conjecture verification
 # ---------------------------------------------------------------------------

@@ -674,12 +674,20 @@ class TestFamily:
             assert g[0] == "1" and g[1] == str(-power)
 
     def test_chain_inverses_match_each_stage_inverse(self, battery, non_normalized):
+        # family --iterate takes each later stage's inverse from the one
+        # before, by the group law, not by an A/Z solve of the stage
         for e in battery + non_normalized:
-            chain = iterate_second_production(e, 6)
-            for stage, inv in zip(chain, cli._chain_inverses(chain), strict=True):
+            inv = e.inverse()
+            for stage in iterate_second_production(e, 6):
                 expected = stage.inverse()
                 assert inv.g.coefficients == expected.g.coefficients
                 assert inv.f.coefficients == expected.f.coefficients
+                identity = RiordanElement.identity(stage.order)
+                product = stage * inv
+                assert (product.g.coefficients, product.f.coefficients) == (
+                    identity.g.coefficients, identity.f.coefficients
+                )
+                inv = production._second_closed_form_inverse(inv)
 
     def test_iterate_inverts_once(self, capsys, monkeypatch):
         calls = 0

@@ -1,9 +1,13 @@
 """The docs are checked like the code: the README's Python example runs and
 states true values, each ``riordan`` line of its command examples exits 0,
-its exit codes are the CLI's, and every test or test class that
-``README.md`` or ``docs/derivation.md`` cites exists under ``tests/``."""
+its exit codes are the CLI's, every test or test class that ``README.md``
+or ``docs/derivation.md`` cites exists under ``tests/``, and every name of
+the library they cite, ``Class.member``, ``module.name`` or
+``riordan.module.name``, resolves."""
 
 import ast
+import importlib
+import inspect
 import re
 import shlex
 import shutil
@@ -23,6 +27,7 @@ FENCE = re.compile(r"^```(\w*)\n(.*?)^```", flags=re.M | re.S)
 # a test module path, a test class or a test function, each optionally
 # followed by ::-separated names, as pytest writes a node id
 CITATION = re.compile(r"(?:tests/)?test_\w+\.py(?:::\w+)*|\bTest\w+(?:::\w+)*|\btest_\w+")
+DOTTED = re.compile(r"\b[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
 
 
 def fenced(text: str, language: str) -> list[str]:
@@ -38,6 +43,10 @@ def backquoted(text: str) -> list[str]:
 
 def cited(text: str) -> list[str]:
     return [m.group() for span in backquoted(text) for m in CITATION.finditer(span)]
+
+
+def dotted(text: str) -> list[str]:
+    return [m.group() for span in backquoted(text) for m in DOTTED.finditer(span)]
 
 
 def defined_tests() -> dict[str, set[str]]:
@@ -65,6 +74,25 @@ COMMANDS = [
 ]
 DEFINED = defined_tests()
 CITATIONS = sorted({name for doc in CITING for name in cited((ROOT / doc).read_text(encoding="utf-8"))})
+# the library's modules, and the classes each defines, by name
+MODULES = {
+    path.stem: importlib.import_module(f"riordan.{path.stem}")
+    for path in (ROOT / "src" / "riordan").glob("*.py")
+    if path.stem != "__init__"
+}
+CLASSES = {
+    name: value
+    for module in MODULES.values()
+    for name, value in vars(module).items()
+    if inspect.isclass(value) and value.__module__ == module.__name__
+}
+# each dotted name the docs cite that starts at riordan, a module or a class
+LIBRARY_NAMES = sorted({
+    name
+    for doc in CITING
+    for name in dotted((ROOT / doc).read_text(encoding="utf-8"))
+    if name.partition(".")[0] in {"riordan", *MODULES, *CLASSES}
+})
 
 
 def test_python_example_runs_and_states_true_values():
@@ -125,3 +153,18 @@ def test_cited_test_exists(name):
         assert not rest or rest in DEFINED[module], f"no {rest} in tests/{module}"
     else:
         assert any(name in found for found in DEFINED.values()), f"no {name} under tests/"
+
+
+def test_docs_cite_library_names():
+    # none found means the scan, not the docs, is broken
+    assert {"ProductionMatrix.orthogonal_rows", "arrays._inverse_pair"} <= set(LIBRARY_NAMES)
+
+
+@pytest.mark.parametrize("name", LIBRARY_NAMES)
+def test_cited_library_name_resolves(name):
+    head, *rest = name.removeprefix("riordan.").split(".")
+    assert head in CLASSES or head in MODULES, f"no module or class {head} in riordan"
+    value = CLASSES.get(head) or MODULES[head]
+    for part in rest:
+        assert hasattr(value, part), f"{name}: no {part}"
+        value = getattr(value, part)

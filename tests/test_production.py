@@ -21,6 +21,7 @@ from helpers import (
     mat_mul_rows,
     non_normalized_battery,
     orthogonal_polys,
+    poly_mul,
     poly_power,
     power_by_squaring,
     production_by_series,
@@ -904,6 +905,114 @@ class TestDerivationFacts:
                 controls += 1
                 assert left != right(n), (e, n)
         assert controls > len(battery + non_normalized) * 0.9
+
+
+class TestFixedPoints:
+    """Pi_n(e) = e exactly when h_n = (x/f)^(n-1) = 1: f = x at every n,
+    f = -x at odd n, and every element at n = 1 (``docs/derivation.md``,
+    "Fixed points of Pi_n")."""
+
+    ORDER = 12
+
+    @pytest.mark.parametrize(
+        "g, f, fixed",
+        [
+            ([1] * 13, [0, 1], range(1, 7)),  # (1/(1-x), x)
+            ([1, 0, 1], [0, -1], (1, 3, 5)),  # (1 + x^2, -x)
+            ([2, 1], [0, -1], (1, 3, 5)),  # (2 + x, -x)
+            ([1], [0] + [1] * 12, (1,)),  # (1, x/(1-x))
+        ],
+    )
+    def test_fixed_exactly_where_h_n_is_one(self, g, f, fixed):
+        e = RiordanElement(TruncatedSeries(g, self.ORDER), TruncatedSeries(f, self.ORDER))
+        for n in range(1, 7):
+            assert (produced_matrix_closed_form(e, n) == e) == (n in fixed), n
+
+    def test_batteries(self, battery, non_normalized):
+        fixed_past_1 = 0
+        for e in battery + non_normalized:
+            x = TruncatedSeries([0, 1], e.order)
+            for n in range(1, 5):
+                rule = n == 1 or e.f == x or (e.f == -x and n % 2 == 1)
+                assert (produced_matrix_closed_form(e, n) == e) == rule, (e, n)
+                fixed_past_1 += rule and n > 1
+        assert fixed_past_1  # the batteries hold an element with f = x
+
+
+def tridiagonal(p):
+    """Zero below the subdiagonal (a Jacobi matrix may still have a zero on it)."""
+    return not any(c for i in range(2, p.size) for c in p.rows[i][: i - 1])
+
+
+def tridiagonal_by_rule(deg_a, deg_z, n):
+    """The shape rule for polynomial A and Z of P_1 (``docs/derivation.md``,
+    "When P_n is tridiagonal"); a zero polynomial has degree -1."""
+    return deg_z <= 1 and deg_a <= {1: 2, 2: 1}.get(n, 0)
+
+
+def degree(coefficients):
+    return max((k for k, c in enumerate(coefficients) if c), default=-1)
+
+
+class TestTridiagonalShape:
+    """P_n is zero below its subdiagonal exactly when A_n = A^n has degree
+    <= 2 and Z_n degree <= 1; for polynomial A that is n = 1 with deg A <= 2,
+    n = 2 with deg A <= 1, or n >= 3 with A constant, each with deg Z <= 1."""
+
+    SIZE = 8
+
+    @pytest.mark.parametrize(
+        "name, tridiagonal_at",
+        [("pascal", {1, 2}), ("binomial:2", {1, 2}), ("moment:1/2", {1}), ("catalan", set())],
+    )
+    def test_families(self, name, tridiagonal_at):
+        e = family_element(name, self.SIZE + 1)
+        for n in (1, 2, 3, 4, 8):
+            assert tridiagonal(nth_production_matrix(e, n, self.SIZE)) == (n in tridiagonal_at), n
+
+    @staticmethod
+    def tuned_z(a, z_n, n):
+        """The Z for which P_n has the Z-series ``z_n``, for polynomial A:
+        derivation step 3, Z_n = b0 Z + A (A^(n-1) - b0)/x, solved for Z."""
+        top = (len(a) - 1) * n
+        b = poly_power(a, n - 1, top)
+        shifted = poly_mul(a, b[1:], top)  # A (A^(n-1) - b0)/x
+        return [(F(want) - have) / b[0] for want, have in zip(z_n + [0] * top, shifted)]
+
+    @pytest.mark.parametrize("tuned", [False, True])
+    def test_seeded_az_elements_of_each_degree(self, tuned):
+        # random nonzero coefficients, so no term cancels by chance; a tuned
+        # Z makes Z_n linear, so that only A_n decides the shape
+        rng = random.Random(2011)
+
+        def poly(deg):
+            return [F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4)) for _ in range(deg + 1)]
+
+        order = self.SIZE + 1
+        for deg_a in range(4):
+            for deg_z in range(3):
+                for n in range(1, 6):
+                    a = poly(deg_a)
+                    z = self.tuned_z(a, poly(deg_z % 2), n) if tuned else poly(deg_z)
+                    e = RiordanElement.from_az(TruncatedSeries(a, order), TruncatedSeries(z, order))
+                    p = nth_production_matrix(e, n, self.SIZE)
+                    assert tridiagonal(p) == tridiagonal_by_rule(deg_a, degree(z), n), (a, z, n)
+                    if n >= 3:  # a tridiagonal P_n has a constant A_n: no Jacobi matrix
+                        assert p.orthogonal_rows(1) is None, (a, z, n)
+
+    def test_a_need_not_be_a_polynomial_past_n_1(self):
+        # A = sqrt(1 + 2x + 3x^2), Z = 1 + x/2 - A (A - 1)/x: A_2 = 1 + 2x + 3x^2
+        # and Z_2 = 1 + x/2, so P_2 is a Jacobi matrix; P_1 and P_3 are not
+        order = self.SIZE + 2
+        a = TruncatedSeries([1, 2, 3], order).sqrt()
+        z = (TruncatedSeries([1, F(1, 2)], order) - a * (a - 1).shift_down(1)).truncate(order - 1)
+        e = RiordanElement.from_az(a.truncate(order - 1), z)
+        p = nth_production_matrix(e, 2, self.SIZE)
+        assert tridiagonal(p) and p.orthogonal_rows(1) is not None
+        assert p.column(0) == (1, F(1, 2)) + (0,) * (self.SIZE - 2)
+        assert p.column(1) == (1, 2, 3) + (0,) * (self.SIZE - 3)
+        for n in (1, 3):
+            assert not tridiagonal(nth_production_matrix(e, n, self.SIZE)), n
 
 
 class TestVerification:
