@@ -45,9 +45,9 @@ _MAX_LITERAL_DIGITS = 4300
 _MAX_LITERAL_BITS = (10**_MAX_LITERAL_DIGITS - 1).bit_length()
 # the highest truncation order a command may ask for, and the most a shifted
 # division in an expression may raise the working order past the order asked
-# for; exact matrix work grows with the cube of the order (show at size 200:
-# 0.5-1.4 s on a Xeon), and a larger order from a few typed digits would only
-# allocate series until memory runs out
+# for; exact matrix work grows with the cube of the order (the tests hold a
+# show at size 200 to 20 s, tests/test_cli.py::TestProcesses), and a larger
+# order from a few typed digits would only allocate series until memory runs out
 _MAX_ORDER = 1000
 # the widest numerator or denominator a kernel result may hold: four literals
 # wide, since the closed forms of printable results pass through wider terms

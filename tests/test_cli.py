@@ -38,6 +38,16 @@ def as_fractions(entries):
     return tuple(tuple(F(s) for s in row) for row in entries)
 
 
+CLI = ("-m", "riordan.cli")
+
+
+def python(*args, start=subprocess.run, **options):
+    """``python ARGS`` in a new process that imports the riordan these tests
+    import, through ``start``: ``subprocess.run`` or ``subprocess.Popen``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return start([sys.executable, *args], env=env, **options)
+
+
 class TestShow:
     def test_pascal_text(self, capsys):
         code, out, _ = run(capsys, "show", "--family", "pascal", "--size", "3")
@@ -233,16 +243,13 @@ class TestShow:
         assert out.split() == ["1", "0", "0", "0", "-1", "0", "0", "0", "1"]
 
     def test_python_dash_m_runs_the_command(self):
-        # python -m riordan.cli runs the command and exits with its code
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        # python -m riordan.cli runs the command and exits with its code; a
+        # range of more than 1000 values exits 2 at once
         for argv, code, out in (
             (("show", "--family", "pascal", "--size", "3"), 0, "1  0  0\n1  1  0\n1  2  1\n"),
             (("verify", "--n", "1..1000000000000"), 2, ""),
         ):
-            done = subprocess.run(
-                [sys.executable, "-m", "riordan.cli", *argv],
-                capture_output=True, text=True, env=env, timeout=60,
-            )
+            done = python(*CLI, *argv, capture_output=True, text=True, timeout=5)
             assert (done.returncode, done.stdout) == (code, out), argv
             assert bool(done.stderr) == bool(code), argv
 
@@ -253,10 +260,8 @@ class TestProcessExits:
 
     @staticmethod
     def start(*argv):
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        return subprocess.Popen(
-            [sys.executable, "-m", "riordan.cli", *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        return python(
+            *CLI, *argv, start=subprocess.Popen, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             # as from a terminal, whatever the test runner inherited
             preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
         )
@@ -287,6 +292,201 @@ class TestProcessExits:
         code, err = self.finish(proc)
         assert code == 130
         assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def verdicts(first, last, size):
+    """``verify``'s text output when every n of first..last is equal at ``size``."""
+    return "".join(f"n={n} size={size}: equal\n" for n in range(first, last + 1))
+
+
+def prints(out, err=""):
+    """The check of a row whose stdout and stderr are exactly ``out`` and ``err``."""
+    return lambda got_out, got_err: (got_out, got_err) == (out, err)
+
+
+def prints_lines(count):
+    """The check of a row with a large output: ``count`` lines and no error."""
+    return lambda out, err: (out.count("\n"), err) == (count, "")
+
+
+def finds_catalan_skipping_one(out, err):
+    """The check of a lookup that finds A000108 and skips one malformed line."""
+    return out == "A000108 (offset 0)\n" and err.startswith("warning: skipped 1 malformed line(s) in ")
+
+
+BUDGET = "error: a coefficient needs more than 57140 bits (about 17200 digits), the most a result may hold"
+IDENTIFY = (*CLI, "identify", "--values", "1,1,2,5,14,42,132", "--oeis")
+
+
+class TestProcesses:
+    """Commands run as processes, each within the seconds its row gives: sizes
+    and n past the toy range, inputs that must exit 2 at once, large outputs,
+    and lookups against a dump on disk.  A row is the process's arguments, its
+    exit code, a check of its stdout and stderr, and its seconds.  A new CLI
+    check goes here when it needs a process, a time bound or a file;
+    otherwise it is a row of ``data/cli_golden.json``."""
+
+    ROWS = {
+        # every n >= 2 reads the element only to order size + 1, so neither
+        # the closed form nor the production matrix grows with n
+        "prod --n 990": (
+            (*CLI, "prod", "--family", "catalan", "--n", "990", "--size", "2"), 0,
+            lambda out, err: (out.split(), err) == (["990", "1", str(990 * 991 // 2), "990"], ""), 5,
+        ),
+        # the raw step-1 block builds only the size columns it reads, not the
+        # size + n of the element's whole matrix
+        "production_block n 990": (
+            ("-c", "from riordan import catalan_array, production_block; "
+             "production_block(catalan_array(991), 990, 2)"),
+            0, prints(""), 10,
+        ),
+        "verify --n 2..990": (
+            (*CLI, "verify", "--family", "catalan", "--n", "2..990", "--size", "2"), 0,
+            prints(verdicts(2, 990, 2)), 5,
+        ),
+        "verify --n 1000000": (
+            (*CLI, "verify", "--family", "catalan", "--n", "1000000", "--size", "16"), 0,
+            prints(verdicts(10**6, 10**6, 16)), 5,
+        ),
+        "verify --n 2..400": (
+            (*CLI, "verify", "--family", "catalan", "--n", "2..400", "--size", "16"), 0,
+            prints(verdicts(2, 400, 16)), 10,
+        ),
+        "verify moment --n 30..60": (
+            (*CLI, "verify", "--family", "moment:1/2", "--n", "30..60", "--size", "24"), 0,
+            prints(verdicts(30, 60, 24)), 10,
+        ),
+        "verify --size 128": (
+            (*CLI, "verify", "--family", "catalan", "--n", "2..10", "--size", "128"), 0,
+            prints(verdicts(2, 10, 128)), 60,
+        ),
+        # reversion of a rational, non-normalized f past the toy range
+        "verify moment --size 96": (
+            (*CLI, "verify", "--family", "moment:1/2", "--n", "2..10", "--size", "96"), 0,
+            prints(verdicts(2, 10, 96)), 30,
+        ),
+        "verify rational --size 96": (
+            (*CLI, "verify", "--g", "3/(3-x)", "--f", "2*x/(1-x/5)", "--n", "2..6", "--size", "96"), 0,
+            prints(verdicts(2, 6, 96)), 30,
+        ),
+        # a rational, non-normalized A/Z solve on the element's integer rows
+        "prod rational --size 150": (
+            (*CLI, "prod", "--g", "3/(3-x)", "--f", "2*x/(1-x/5)", "--n", "5", "--size", "150"), 0,
+            prints_lines(150), 20,
+        ),
+        # the inverse read off that solve, ((1 - x*Z/A)/g(0), x/A), at order
+        # 150, where g(0) = 1 and f'(0) = 2
+        "inverse at order 150": (
+            ("-c", "import sys; from riordan import RiordanElement, evaluate_text as ev; "
+             'e = RiordanElement(ev("3/(3-x)", 150), ev("2*x/(1-x/5)", 150)); '
+             "sys.exit(e.inverse() * e != RiordanElement.identity(150))"),
+            0, prints(""), 20,
+        ),
+        # composite n on a non-normalized element, through the closed form as
+        # the group product (r/x, r) . (g, f)
+        "verify composite n": (
+            (*CLI, "verify", "--g", "2+x", "--f", "3*x/(1-x)", "--n", "2..12", "--size", "24"), 0,
+            prints(verdicts(2, 12, 24)), 10,
+        ),
+        # a polynomial f: the group product builds no power of f past the
+        # outer series' last nonzero term
+        "verify polynomial f --size 96": (
+            (*CLI, "verify", "--g", "1", "--f", "x+x^2", "--n", "2..8", "--size", "96"), 0,
+            prints(verdicts(2, 8, 96)), 10,
+        ),
+        # the one forward substitution: dense Miller power rows through the
+        # closed form, series quotients at order 202, and a rational solve
+        "verify Miller powers --size 64": (
+            (*CLI, "verify", "--g", "(1+x+2*x^2)^-3", "--f", "x*(1-x/3)^5", "--n", "2..6", "--size", "64"), 0,
+            prints(verdicts(2, 6, 64)), 20,
+        ),
+        "show quotients --size 200": (
+            (*CLI, "show", "--g", "(1+2*x)/(1-x-x^2)", "--f", "x*(2-x)/(1-3*x+x^3)", "--size", "200"), 0,
+            prints_lines(200), 20,
+        ),
+        "verify rational --size 48": (
+            (*CLI, "verify", "--g", "3/(3-x)", "--f", "2*x/(1-x/5)", "--n", "2..5", "--size", "48"), 0,
+            prints(verdicts(2, 5, 48)), 20,
+        ),
+        # a power, each step of an exponent tower and a family parameter's
+        # values are bounded by the coefficient budget before they are computed
+        "constant base power": (
+            (*CLI, "show", "--g", "2^4611686018427387904", "--f", "x"), 2,
+            prints("", f"{BUDGET} (at offset 1)\n"), 5,
+        ),
+        "exponent tower": (
+            (*CLI, "show", "--g", "1", "--f", "x^9^9^9", "--size", "3"), 2,
+            prints("", f"{BUDGET} (at offset 2)\n"), 5,
+        ),
+        "family parameter past the budget": (
+            (*CLI, "family", "binomial:1e4300", "--size", "40"), 2,
+            prints("", f"{BUDGET}\n"), 5,
+        ),
+        # a typed integer of more than 4300 digits names its place and the
+        # limit, with no advice to call sys.set_int_max_str_digits, which a
+        # CLI user cannot do
+        "wide family parameter": (
+            (*CLI, "family", "binomial:" + "7" * 5000, "--size", "2"), 2,
+            prints("", "error: a run of digits in the parameter of family 'binomial' has more than 4300 digits\n"), 5,
+        ),
+        "wide --size": (
+            (*CLI, "show", "--family", "catalan", "--size", "7" * 5000), 2,
+            lambda out, err: out == "" and err.endswith(
+                "riordan show: error: argument --size: the value has more than 4300 digits\n"
+            ) and "set_int_max_str_digits" not in err, 5,
+        ),
+        # a valid --size or --iterate past the order ceiling: a short line that
+        # names the option and prints neither its value nor the order
+        "--size past the order ceiling": (
+            (*CLI, "show", "--family", "catalan", "--size", "9" * 4299), 2,
+            prints("", "error: --size must be at most 998\n"), 5,
+        ),
+        "--iterate past the order ceiling": (
+            (*CLI, "family", "catalan", "--size", "5", "--iterate", "9" * 4299), 2,
+            prints("", "error: --size plus --iterate must be at most 998\n"), 5,
+        ),
+        # lookups against a copy of the fixture dump, a CRLF copy with one
+        # malformed line, and a CR-only copy with one more line that holds a
+        # form feed, which str.splitlines would take for a line end and the
+        # reader does not
+        "identify on a copy": (
+            (*IDENTIFY, "{dump}"), 0, prints("A000108 (offset 0)\n"), 60,
+        ),
+        "identify finds nothing": (
+            (*CLI, "identify", "--values", "9,9,9,9,9,9", "--oeis", "{dump}"), 0,
+            prints("no matches\n"), 60,
+        ),
+        "identify on a CRLF copy": ((*IDENTIFY, "{crlf}"), 0, finds_catalan_skipping_one, 60),
+        "identify on a CR copy": ((*IDENTIFY, "{cr}"), 0, finds_catalan_skipping_one, 60),
+    }
+    # the dumps a row may name among its arguments, each made from the
+    # fixture dump's bytes; a malformed line is no record, so the A-numbers
+    # of each increase and a lookup writes its sidecar
+    DUMPS = {
+        "{dump}": lambda data: data,
+        "{crlf}": lambda data: data.replace(b"\n", b"\r\n") + b"A000045 1,2,3\r\n",
+        "{cr}": lambda data: data.replace(b"\n", b"\r") + b"A900000 ,1,1,2,5,\f14,42,132,\r",
+    }
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_exit_and_output(self, row, tmp_path, oeis_fixture_path):
+        args, code, check, seconds = self.ROWS[row]
+        dump = next((name for name in self.DUMPS if name in args), None)
+        if dump is not None:
+            path = tmp_path / "dump.txt"
+            path.write_bytes(self.DUMPS[dump](oeis_fixture_path.read_bytes()))
+            args = [str(path) if arg == dump else arg for arg in args]
+        done = python(*args, capture_output=True, text=True, timeout=seconds)
+        assert done.returncode == code, done.stderr[-2000:]
+        assert check(done.stdout, done.stderr), (done.stdout[-2000:], done.stderr[-2000:])
+        if dump is not None:
+            # the second lookup trusts the sidecar that the first wrote, which
+            # it leaves as it is, and prints the same bytes
+            side = path.with_name(path.name + ".riordan-index")
+            written = side.stat().st_ino
+            again = python(*args, capture_output=True, text=True, timeout=seconds)
+            assert (again.returncode, again.stdout, again.stderr) == (code, done.stdout, done.stderr)
+            assert side.stat().st_ino == written
 
 
 class TestProd:

@@ -56,6 +56,7 @@ class TestLoading:
         assert len(index) == 7
         assert index.skipped_lines == 0
         assert index.get("A000108") == (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786)
+        assert index.get("A999999") is None
 
     def test_single_record(self, tmp_path):
         path = tmp_path / "one.txt"

@@ -27,6 +27,7 @@ from helpers import (
     production_by_series,
     production_by_whole_matrix,
     random_rationals,
+    totally_positive,
 )
 from riordan import (
     CoefficientSizeError,
@@ -1013,6 +1014,37 @@ class TestTridiagonalShape:
         assert p.column(1) == (1, 2, 3) + (0,) * (self.SIZE - 3)
         for n in (1, 3):
             assert not tridiagonal(nth_production_matrix(e, n, self.SIZE)), n
+
+
+class TestTotalPositivity:
+    """A totally positive P_1 makes every P_n and Pi_n(e) totally positive
+    (``docs/derivation.md``, "Total positivity"): every minor of each
+    leading 6 x 6 block is nonnegative.  The converse fails: (1, x(1+x)/(1-x))
+    has no totally positive P_n but a totally positive Pi_n(e), so no test
+    asserts it."""
+
+    SIZE = 6
+
+    def test_helper_reads_every_minor(self):
+        # no negative entry or 2 x 2 minor, and a determinant of -1
+        assert not totally_positive([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+        assert totally_positive([[1, 0, 0], [1, 1, 0], [1, 2, 1]])
+
+    @pytest.mark.parametrize("name", ["catalan", "moment:1/2", "pascal"])
+    def test_families(self, name):
+        e = family_element(name, self.SIZE + 1)
+        for n in range(1, 5):
+            assert totally_positive(nth_production_matrix(e, n, self.SIZE).rows), n
+            assert totally_positive(produced_matrix_closed_form(e, n).matrix(self.SIZE).rows), n
+
+    def test_control(self):
+        # (1, x - x^2): A = (1 + sqrt(1 - 4x))/2 = 1 - x - x^2 - ..., so P_1
+        # has negative entries; so do P_n and Pi_n(e) at every n tested
+        order = self.SIZE + 1
+        e = RiordanElement(TruncatedSeries([1], order), TruncatedSeries([0, 1, -1], order))
+        for n in range(1, 5):
+            assert not totally_positive(nth_production_matrix(e, n, self.SIZE).rows), n
+            assert not totally_positive(produced_matrix_closed_form(e, n).matrix(self.SIZE).rows), n
 
 
 class TestVerification:
