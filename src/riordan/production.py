@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .arrays import _ONE, ExactMatrix, RiordanElement, Rows, TriMatrix, _block, _inverse_pair, _require
+from .arrays import _ONE, ExactMatrix, RiordanElement, Rows, TriMatrix, _block, _require
 from .errors import PrecisionError, Record
 from .series import Rational, TruncatedSeries, _ratio, as_fraction, lift
 
@@ -35,22 +35,22 @@ class ProductionMatrix(ExactMatrix):
     BAND = 1
 
     def orthogonal_rows(self, g0: Rational) -> Rows | None:
-        """The rows of M^-1, each cut at its diagonal, where M is the matrix
-        of the element with this production matrix and g(0) = ``g0``, when
-        this is a Jacobi matrix at its size: zero below the subdiagonal and
-        nonzero on it; else None.  Row k is then the k-th orthogonal
-        polynomial of M's column 0, ascending in x, and
-        x p_k = P[k,k+1] p_(k+1) + P[k,k] p_k + P[k,k-1] p_(k-1) (Favard).
-
-        M^-1 is the ``matrix`` of the inverse element, read off columns 1
-        and 0, A and Z, by ``arrays._inverse_pair``."""
+        """The rows of M^-1, each cut at its diagonal, for M = g0 T and T the
+        triangle this matrix generates, when it is a Jacobi matrix at its size
+        (zero below the subdiagonal, nonzero on it and on the superdiagonal);
+        else None.  Row k is the k-th orthogonal polynomial of M's column 0,
+        ascending in x, by Favard's recurrence on the three diagonals (x p = P p):
+        p_0 = 1/g0, p_(k+1) = ((x - P[k,k]) p_k - P[k,k-1] p_(k-1)) / P[k,k+1]."""
         rows, size = self.rows, self.size
         below = (c for i in range(2, size) for c in rows[i][: i - 1])
-        if any(below) or not all(rows[k][k - 1] for k in range(1, size)):
+        if any(below) or not all(rows[k][k - 1] and rows[k - 1][k] for k in range(1, size)):
             return None
-        a = TruncatedSeries(self.column(1) if size > 1 else [1])  # no A at size 1
-        inverse = RiordanElement(*_inverse_pair(a, TruncatedSeries(self.column(0)), as_fraction(g0)))
-        return tuple(row[: k + 1] for k, row in enumerate(inverse.matrix(size).rows))
+        p = [(), (1 / as_fraction(g0),)]  # p_(-1) = 0 and p_0
+        for k in range(size - 1):
+            b, lam, up = rows[k][k], rows[k][k - 1] if k else 0, rows[k][k + 1]
+            here, low = p[-1] + (0,), p[-2] + (0, 0)
+            p.append(tuple((x - b * h - lam * l) / up for x, h, l in zip((0,) + p[-1], here, low)))
+        return tuple(p[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ import re
 from fractions import Fraction
 
 from riordan import ProductionMatrix, RiordanElement, SequenceMatch, TriMatrix, TruncatedSeries
+from riordan.arrays import _inverse_pair
+from riordan.series import as_fraction
 
 
 def frac_rows(rows):
@@ -350,6 +352,21 @@ def orthogonal_polys(r, count):
         tuple(general_binomial(Fraction(-2 * (k + 1)), n - k) * Fraction(r) ** (n - k) for k in range(n + 1))
         for n in range(count)
     ]
+
+
+def orthogonal_rows_by_inverse_element(p, g0):
+    """``ProductionMatrix.orthogonal_rows`` by the library's former route, an
+    oracle for Favard's recurrence on production matrices of Riordan shape:
+    the rows of the inverse element ((1 - x*Z/A)/g0, x/A), Z and A read off
+    columns 0 and 1 of ``p``, which is right only when every column past 0
+    is a shift of column 1."""
+    rows, size = p.rows, p.size
+    below = (c for i in range(2, size) for c in rows[i][: i - 1])
+    if any(below) or not all(rows[k][k - 1] for k in range(1, size)):
+        return None
+    a = TruncatedSeries(p.column(1) if size > 1 else [1])  # no A at size 1
+    inverse = RiordanElement(*_inverse_pair(a, TruncatedSeries(p.column(0)), as_fraction(g0)))
+    return tuple(row[: k + 1] for k, row in enumerate(inverse.matrix(size).rows))
 
 
 def hankel_determinant(values, m):

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import re
 from fractions import Fraction as F
@@ -21,6 +22,7 @@ from helpers import (
     mat_mul_rows,
     non_normalized_battery,
     orthogonal_polys,
+    orthogonal_rows_by_inverse_element,
     poly_mul,
     poly_power,
     power_by_squaring,
@@ -274,16 +276,27 @@ class TestNthProduction:
             2 / TruncatedSeries([1, F(-1, 3)], 66), TruncatedSeries([0, -1, F(1, 2), F(1, 7)], 66)
         ))
         cases += [(e, 64, n) for e in large for n in (10, 70, 1000, 10**6)]
-        for e, size, n in cases:
-            p1 = production_matrix(e, size + 1)
-            s = power_by_squaring(TruncatedSeries(p1.column(1)), n - 1).coefficients
-            # entry (i, j) of P_1 T(s), summed where P_1 (Hessenberg) and T are nonzero
-            expected = ProductionMatrix(
-                [sum((p1[i, k] * s[k - j] for k in range(j, min(i + 2, size + 1))), F(0))
-                 for j in range(size)]
+
+        def times_toeplitz(p1, s, size):
+            # the rows of P_1 T(s), one at a time, each entry (i, j) summed
+            # where P_1 (Hessenberg) and T are nonzero
+            s = s.coefficients
+            return (
+                tuple(sum((p1[i, k] * s[k - j] for k in range(j, min(i + 2, size + 1))), F(0))
+                      for j in range(size))
                 for i in range(size)
             )
-            assert nth_production_matrix(e, n, size) == expected, (e, n, size)
+
+        misses = 0
+        for e, size, n in cases:
+            p1 = production_matrix(e, size + 1)
+            a = TruncatedSeries(p1.column(1))
+            s = power_by_squaring(a, n - 1)
+            got = nth_production_matrix(e, n, size)
+            assert got == ProductionMatrix(times_toeplitz(p1, s, size)), (e, n, size)
+            misses += any(map(operator.ne, got.rows, times_toeplitz(p1, s * a, size)))
+        # control: T(A^n) in place of T(A^(n-1)) misses at least 90% of the cases
+        assert misses >= 0.9 * len(cases), (misses, len(cases))
 
     def test_precision_error_reports_needed_order(self):
         with pytest.raises(PrecisionError) as err:
@@ -716,12 +729,42 @@ class TestBellSubgroup:
             assert got.rows == self.bell_rows([1, r], 2 * n, size), n
 
 
+def jacobi_matrix(b, lam, up):
+    """The Jacobi matrix of size len(b) with P[k, k] = b[k], P[k, k-1] = lam[k]
+    and P[k, k+1] = up[k] (lam[0] and the last up unread)."""
+    size = len(b)
+    return ProductionMatrix(
+        [{k - 1: lam[k], k: b[k], k + 1: up[k]}.get(j, 0) for j in range(size)] for k in range(size)
+    )
+
+
+def jacobi_matrices(size):
+    """Jacobi matrices off the Riordan shape, by name: Hermite (b_k = 0,
+    lambda_k = k), Laguerre (b_k = 2k + 1, lambda_k = k^2), each with unit
+    superdiagonal, and seeded ones with random nonzero rationals on all three
+    diagonals."""
+    ones = [F(1)] * size
+    out = {
+        "hermite": jacobi_matrix([F(0)] * size, list(map(F, range(size))), ones),
+        "laguerre": jacobi_matrix([F(2 * k + 1) for k in range(size)], [F(k * k) for k in range(size)], ones),
+    }
+    rng = random.Random(1980)
+
+    def nonzero():
+        return [F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 12)) for _ in range(size)]
+
+    for seed in range(3):
+        out[f"seeded-{seed}"] = jacobi_matrix(nonzero(), nonzero(), nonzero())
+    return out
+
+
 class TestJacobi:
     """``ProductionMatrix.orthogonal_rows``: the rows of M^-1 exactly when P
-    is a Jacobi matrix at its size (``docs/derivation.md``, "The Bell
-    subgroup")."""
+    is a Jacobi matrix at its size, by Favard's recurrence
+    (``docs/derivation.md``, "The Bell subgroup")."""
 
     SIZE = 9
+    JACOBI = jacobi_matrices(SIZE)
 
     @staticmethod
     def az_element(a, z, order):
@@ -799,21 +842,75 @@ class TestJacobi:
         assert p == production_matrix(m, self.SIZE)
         assert TriMatrix(p.orthogonal_rows(g0)) == e.matrix(self.SIZE).inverse()
 
-    @pytest.mark.parametrize("name", ["moment:1/2", "from_az"])
+    @pytest.mark.parametrize("g0", [F(1), F(2), F(-3, 5)])
+    @pytest.mark.parametrize("name", list(JACOBI))
+    def test_rows_off_the_riordan_shape(self, name, g0):
+        # columns past 0 are no shifts of column 1, so no A- and Z-series
+        # describe P; the rows are still M^-1 for M = g0 T, T generated by P
+        p = self.JACOBI[name]
+        rows = p.orthogonal_rows(g0)
+        self.assert_three_term(p, rows)
+        inverse = generate_from_production(p, self.SIZE).inverse().rows
+        assert rows == tuple(tuple(c / g0 for c in row[: k + 1]) for k, row in enumerate(inverse))
+        want = {"hermite": (4, [3, 0, -6, 0, 1]), "laguerre": (3, [-6, 18, -9, 1])}
+        if name in want and g0 == 1:
+            k, row = want[name]
+            assert list(rows[k]) == row
+
+    def test_riordan_shape_matches_the_inverse_element(self):
+        # A = a0 + a1 t + a2 t^2 and Z = z0 + z1 t with a0, a2, z1 nonzero:
+        # P_1 is a Jacobi matrix at every size, of Riordan shape, where the
+        # former route through the inverse element is right
+        rng = random.Random(2011)
+
+        def nonzero():
+            return F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+
+        for _ in range(6):
+            a = [nonzero(), *random_rationals(rng, 1), nonzero()]
+            z = [*random_rationals(rng, 1), nonzero()]
+            e = self.az_element(a, z, self.SIZE)
+            for size in range(1, self.SIZE + 1):
+                p = production_matrix(e, size)
+                for g0 in (F(1), F(2), F(-3, 5)):
+                    rows = p.orthogonal_rows(g0)
+                    assert rows is not None, (a, z, size)
+                    assert rows == orthogonal_rows_by_inverse_element(p, g0), (a, z, size, g0)
+
+    def test_zero_superdiagonal_has_no_rows(self):
+        # Favard divides by P[k, k+1]: a zero there, first or later, is no
+        # Jacobi matrix; the block above the zero still is one
+        b, lam = [F(1)] * 5, [F(2)] * 5
+        for k in (0, 3):
+            up = [F(1)] * 5
+            up[k] = F(0)
+            p = jacobi_matrix(b, lam, up)
+            assert p.orthogonal_rows(1) is None, k
+            assert jacobi_matrix(b[: k + 1], lam, up).orthogonal_rows(1) is not None, k
+
+    def test_zero_g0_is_a_zero_division_error(self):
+        with pytest.raises(ZeroDivisionError):
+            self.JACOBI["hermite"].orthogonal_rows(0)
+
+    @pytest.mark.parametrize("name", ["moment:1/2", "from_az", *JACOBI])
     def test_hankel_determinants_of_column_zero(self, name):
-        # det(mu_(i+j)) for 0 <= i, j <= m is lambda_1^m lambda_2^(m-1)...lambda_m
-        # (Barry 2011), mu the column 0 of M and lambda_k = P[k, k-1]; the
-        # second element is from_az(1 + 2t - t^2/3, 3 + t/2)
-        order = self.SIZE + 1
-        if name == "from_az":
-            e = self.az_element([1, 2, F(-1, 3)], [3, F(1, 2)], order)
+        # det(mu_(i+j)) for 0 <= i, j <= m is prod_k (P[k-1, k] P[k, k-1])^(m+1-k),
+        # which is lambda_1^m lambda_2^(m-1)...lambda_m with lambda_k = P[k, k-1]
+        # on a unit superdiagonal (Barry 2011); mu is column 0 of the triangle
+        # P generates; the second element is from_az(1 + 2t - t^2/3, 3 + t/2)
+        if name in self.JACOBI:
+            p = self.JACOBI[name]
         else:
-            e = family_element(name, order)
-        p = production_matrix(e, self.SIZE)
+            order = self.SIZE + 1
+            if name == "from_az":
+                e = self.az_element([1, 2, F(-1, 3)], [3, F(1, 2)], order)
+            else:
+                e = family_element(name, order)
+            p = production_matrix(e, self.SIZE)
         assert p.orthogonal_rows(1) is not None
-        mu = e.matrix(self.SIZE).column(0)
+        mu = generate_from_production(p, self.SIZE).column(0)
         for m in range(5):
-            want = math.prod(p[k, k - 1] ** (m + 1 - k) for k in range(1, m + 1))
+            want = math.prod((p[k - 1, k] * p[k, k - 1]) ** (m + 1 - k) for k in range(1, m + 1))
             assert hankel_determinant(mu, m) == want, m
 
 
